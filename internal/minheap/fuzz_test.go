@@ -1,57 +1,139 @@
 package minheap
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 )
 
+// frozenHeap is a verbatim copy of Heap's Push and Pop as of PR 13, kept
+// only as the tie-order reference: GK lengths are δ·(1+ε)^k, so exact
+// priority ties are the norm and which tied item pops first selects the
+// routed path (DESIGN.md §7). Do not "fix" or modernise it — a Heap refactor
+// must keep popping the same (Node, Pri) sequence as this copy.
+type frozenHeap []Item
+
+func (h *frozenHeap) push(it Item) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].Pri <= it.Pri {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = it
+}
+
+func (h *frozenHeap) pop() Item {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	moved := s[last]
+	s = s[:last]
+	*h = s
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= last {
+			break
+		}
+		m := l
+		if r := l + 1; r < last && s[r].Pri < s[l].Pri {
+			m = r
+		}
+		if moved.Pri <= s[m].Pri {
+			break
+		}
+		s[i] = s[m]
+		i = m
+	}
+	s[i] = moved
+	return top
+}
+
 // FuzzHeapVsSortOracle drives an arbitrary interleaving of Push and Pop
-// operations decoded from the fuzz input and checks the heap against a
-// sorted-slice oracle: every Pop must return the minimum priority currently
-// held, and draining the heap must yield a non-decreasing sequence that is a
-// permutation of everything pushed.
+// operations decoded from the fuzz input and checks the heap against two
+// oracles. A sorted slice: every Pop must return the minimum priority
+// currently held, and draining the heap must yield a non-decreasing sequence
+// that is a permutation of everything pushed. And frozenHeap under the same
+// op stream: every Pop must return the identical (Node, Pri) item, ties
+// included.
 func FuzzHeapVsSortOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{200, 1, 220, 2, 3, 250, 4})
 	f.Add([]byte{5, 5, 5, 5, 255, 255, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var h Heap
-		var oracle []float64 // kept sorted ascending
-		pushed := 0
-		for i, b := range data {
-			if b >= 200 && len(oracle) > 0 {
-				got := h.Pop()
-				if got.Pri != oracle[0] {
-					t.Fatalf("op %d: Pop pri = %v, oracle min = %v", i, got.Pri, oracle[0])
-				}
-				oracle = oracle[1:]
-				continue
+	f.Fuzz(checkHeapOps)
+}
+
+// TestHeapTieOrderMatchesFrozen runs the fuzz body over seeded tie-heavy op
+// streams far longer than the seed corpus, so plain `go test` pins the
+// (Node, Pri) pop sequence too.
+func TestHeapTieOrderMatchesFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		data := make([]byte, 1+rng.Intn(600))
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+			if trial%2 == 0 && data[i] < 200 {
+				data[i] &= 3 // a dozen distinct priorities: almost every pop breaks a tie
 			}
-			// Derive a priority that collides often (exercises ties) but also
-			// varies with position.
-			pri := float64(b%16) + float64(i%3)*0.25
-			h.Push(Item{Node: int32(pushed), Pri: pri})
-			pushed++
-			j := sort.SearchFloat64s(oracle, pri)
-			oracle = append(oracle, 0)
-			copy(oracle[j+1:], oracle[j:])
-			oracle[j] = pri
 		}
-		if h.Len() != len(oracle) {
-			t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(oracle))
-		}
-		prev := -1.0
-		for h.Len() > 0 {
-			it := h.Pop()
-			if it.Pri < prev {
-				t.Fatalf("drain not sorted: %v after %v", it.Pri, prev)
+		checkHeapOps(t, data)
+	}
+}
+
+func checkHeapOps(t *testing.T, data []byte) {
+	var h Heap
+	var frozen frozenHeap
+	var oracle []float64 // kept sorted ascending
+	pushed := 0
+	for i, b := range data {
+		if b >= 200 && len(oracle) > 0 {
+			got := h.Pop()
+			if got.Pri != oracle[0] {
+				t.Fatalf("op %d: Pop pri = %v, oracle min = %v", i, got.Pri, oracle[0])
 			}
-			if it.Pri != oracle[0] {
-				t.Fatalf("drain pri = %v, oracle min = %v", it.Pri, oracle[0])
+			if want := frozen.pop(); got != want {
+				t.Fatalf("op %d: Pop = %+v, frozen reference = %+v (tie order moved)", i, got, want)
 			}
 			oracle = oracle[1:]
-			prev = it.Pri
+			continue
 		}
-	})
+		// Derive a priority that collides often (exercises ties) but also
+		// varies with position.
+		pri := float64(b%16) + float64(i%3)*0.25
+		h.Push(Item{Node: int32(pushed), Pri: pri})
+		frozen.push(Item{Node: int32(pushed), Pri: pri})
+		pushed++
+		j := sort.SearchFloat64s(oracle, pri)
+		oracle = append(oracle, 0)
+		copy(oracle[j+1:], oracle[j:])
+		oracle[j] = pri
+	}
+	if h.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(oracle))
+	}
+	prev := -1.0
+	for h.Len() > 0 {
+		it := h.Pop()
+		if want := frozen.pop(); it != want {
+			t.Fatalf("drain Pop = %+v, frozen reference = %+v (tie order moved)", it, want)
+		}
+		if it.Pri < prev {
+			t.Fatalf("drain not sorted: %v after %v", it.Pri, prev)
+		}
+		if it.Pri != oracle[0] {
+			t.Fatalf("drain pri = %v, oracle min = %v", it.Pri, oracle[0])
+		}
+		oracle = oracle[1:]
+		prev = it.Pri
+	}
 }
