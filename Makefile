@@ -97,7 +97,7 @@ search-smoke:
 
 # The native fuzz targets' seed corpora, run as plain tests so `make test`
 # catches postcondition regressions without fuzzing time.
-FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/sim ./internal/topology ./internal/search
+FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/fluid ./internal/sim ./internal/topology ./internal/search
 fuzz-smoke:
 	go test -run '^Fuzz' $(FUZZ_PKGS)
 
@@ -108,6 +108,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzKShortestPaths$$' -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz '^FuzzDeltaOverlay$$' -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
+	go test -run '^$$' -fuzz '^FuzzGKDijkstraKernel$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
@@ -121,16 +122,20 @@ vet:
 # benchmarks (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M) skip unless
 # BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
 # them; a plain `make bench` records only the fast kernels. benchjson also
-# gates BenchmarkFlowsimSteadyState at zero allocs/op, so the slab-recycled
-# event path cannot silently regress.
-BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
+# gates BenchmarkFlowsimSteadyState and BenchmarkGKRoutingDijkstra at zero
+# allocs/op, so the slab-recycled event path and the GK routing kernel
+# cannot silently start allocating. -p 1 runs one package's benchmarks at a
+# time: by default `go test` runs GOMAXPROCS packages side by side, and on a
+# small box they time each other.
+BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/flowsim ./internal/netsim .
-BENCH_OUT := BENCH_pr7.json
+BENCH_OUT := BENCH_pr13.json
 BENCH_COUNT := 3
 bench:
-	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
+	go test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
 		$(BENCH_DIRS) \
-		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 -o $(BENCH_OUT)
+		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
+			-max-allocs BenchmarkGKRoutingDijkstra=0 -o $(BENCH_OUT)
 
 # One iteration of the tracked benchmarks, wired into `make test` so they
 # cannot bit-rot between perf PRs.

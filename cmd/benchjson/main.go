@@ -15,8 +15,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,9 +32,17 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// File is the checked-in trajectory format.
+// File is the checked-in trajectory format. GoOS, GoArch and CPU come from
+// the header `go test -bench` prints before each package's results (first
+// package wins; they cannot differ within one run), GoVersion from the
+// toolchain running benchjson, which under `go run` is the one that ran the
+// benchmarks. Numbers are comparable only between files that agree on them.
 type File struct {
 	Format     string            `json:"format"` // "beyondft-bench-v1"
+	GoVersion  string            `json:"go_version,omitempty"`
+	GoOS       string            `json:"goos,omitempty"`
+	GoArch     string            `json:"goarch,omitempty"`
+	CPU        string            `json:"cpu,omitempty"`
 	GoMaxProcs int               `json:"go_maxprocs,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
@@ -62,19 +72,18 @@ func (g allocGates) Set(v string) error {
 	return nil
 }
 
-func main() {
-	out := flag.String("o", "", "output file (default stdout)")
-	gates := allocGates{}
-	flag.Var(gates, "max-allocs",
-		"benchmark=N: fail if the named benchmark exceeds N allocs/op (repeatable; requires -benchmem input)")
-	flag.Parse()
-
+// parse reads `go test -bench` output, copying every line to echo, and
+// returns the machine header fields and the fastest run of each benchmark.
+func parse(in io.Reader, echo io.Writer) (File, error) {
 	f := File{Format: "beyondft-bench-v1", Benchmarks: map[string]Result{}}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass through so the run stays readable
+		fmt.Fprintln(echo, line)
+		headerField(&f.GoOS, line, "goos: ")
+		headerField(&f.GoArch, line, "goarch: ")
+		headerField(&f.CPU, line, "cpu: ")
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -102,10 +111,30 @@ func main() {
 		}
 		f.Benchmarks[name] = r
 	}
-	if err := sc.Err(); err != nil {
+	return f, sc.Err()
+}
+
+// headerField stores the value of a "key: value" header line into dst the
+// first time that key is seen.
+func headerField(dst *string, line, prefix string) {
+	if v, ok := strings.CutPrefix(line, prefix); ok && *dst == "" {
+		*dst = strings.TrimSpace(v)
+	}
+}
+
+func main() {
+	out := flag.String("o", "", "output file (default stdout)")
+	gates := allocGates{}
+	flag.Var(gates, "max-allocs",
+		"benchmark=N: fail if the named benchmark exceeds N allocs/op (repeatable; requires -benchmem input)")
+	flag.Parse()
+
+	f, err := parse(os.Stdin, os.Stdout) // echo so the run stays readable
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
+	f.GoVersion = runtime.Version()
 	if len(f.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)

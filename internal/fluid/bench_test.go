@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -58,6 +59,38 @@ func BenchmarkMaxConcurrentFlow(b *testing.B) {
 		res := MaxConcurrentFlow(nw, comms, GKOptions{Epsilon: 0.1})
 		if res.Throughput <= 0 {
 			b.Fatal("zero throughput")
+		}
+	}
+}
+
+// BenchmarkGKRoutingDijkstra times the unit of GK work (DESIGN.md §7): one
+// early-terminated routing Dijkstra between the farthest pair of a
+// Jellyfish-54 under tie-heavy lengths. It must not allocate — `make bench`
+// gates it at 0 allocs/op.
+func BenchmarkGKRoutingDijkstra(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	jf := topology.NewJellyfish(54, 9, 6, rng)
+	all := make([]int, jf.G.N())
+	for i := range all {
+		all[i] = i
+	}
+	src, dst, far := 0, 0, -1
+	for u, row := range jf.G.Frozen().BFSMany(all) {
+		for v, d := range row {
+			if d > far {
+				src, dst, far = u, v, d
+			}
+		}
+	}
+	nw := NewNetwork(jf.G, 1.0)
+	length := kernelTestLengths(len(nw.Arcs), 1, rng) // δ·(1+ε)^k: tie-heavy
+	sp := newSPState(nw)
+	sp.dijkstra(src, length, nil, dst) // grow the heap to its working size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := sp.dijkstra(src, length, nil, dst); math.IsInf(d[dst], 1) {
+			b.Fatal("farthest pair unreachable")
 		}
 	}
 }

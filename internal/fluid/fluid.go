@@ -33,8 +33,13 @@ type Network struct {
 	Out [][]int
 	// arcStart/arcTo are the flat CSR arrays the Dijkstra inner loop runs
 	// on: arcTo[k] == Arcs[k].To for k in [arcStart[v], arcStart[v+1]).
+	// arcFrom/arcCap mirror Arcs[k].From/.Cap for the GK augmentation loops,
+	// which walk a parent chain and would otherwise load a 24-byte Arc per
+	// hop for one field.
 	arcStart []int32
 	arcTo    []int32
+	arcFrom  []int32
+	arcCap   []float64
 }
 
 // NewNetwork expands an undirected multigraph into a directed arc network:
@@ -51,19 +56,36 @@ func NewNetwork(g *graph.Graph, linkCap float64) *Network {
 // mapping (ArcIndex) well-defined for warm starts.
 func NewNetworkFromView(c graph.View, linkCap float64) *Network {
 	n := c.N()
+	m := 0
+	for u := 0; u < n; u++ {
+		nbr, _ := c.Row(u)
+		m += len(nbr)
+	}
 	nw := &Network{
 		N:        n,
+		Arcs:     make([]Arc, 0, m),
 		Out:      make([][]int, n),
 		arcStart: make([]int32, n+1),
+		arcTo:    make([]int32, 0, m),
+		arcFrom:  make([]int32, 0, m),
+		arcCap:   make([]float64, 0, m),
+	}
+	out := make([]int, m) // out[i] == i: one backing array for every Out row
+	for i := range out {
+		out[i] = i
 	}
 	for u := 0; u < n; u++ {
 		nbr, mult := c.Row(u)
 		for k, v := range nbr {
-			nw.Out[u] = append(nw.Out[u], len(nw.Arcs))
-			nw.Arcs = append(nw.Arcs, Arc{From: u, To: int(v), Cap: float64(mult[k]) * linkCap})
+			cp := float64(mult[k]) * linkCap
+			nw.Arcs = append(nw.Arcs, Arc{From: u, To: int(v), Cap: cp})
 			nw.arcTo = append(nw.arcTo, v)
+			nw.arcFrom = append(nw.arcFrom, int32(u))
+			nw.arcCap = append(nw.arcCap, cp)
 		}
-		nw.arcStart[u+1] = int32(len(nw.Arcs))
+		hi := len(nw.Arcs)
+		nw.Out[u] = out[nw.arcStart[u]:hi:hi]
+		nw.arcStart[u+1] = int32(hi)
 	}
 	return nw
 }

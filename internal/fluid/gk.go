@@ -218,7 +218,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 
 	dualBound := math.Inf(1)
 	sp := states[0] // routing reuses worker 0's scratch between phases
-	parent := make([]int32, nw.N)
+	parent, arcFrom, arcCap := sp.parent, nw.arcFrom, nw.arcCap
 	phases := 0
 	iters := 0 // routing Dijkstras, reported through the observer
 	canceled := false
@@ -253,7 +253,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		// reduction below runs in fixed commodity order, so the result is
 		// identical at any worker count.
 		parallelSources(workers, len(sources), func(w, k int) {
-			states[w].dijkstra(sources[k], length, nil, srcDist[k], -1)
+			states[w].dijkstra(sources[k], length, srcDist[k], -1)
 		})
 		z := 0.0
 		for j, c := range live {
@@ -287,7 +287,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				}
 				// Only dist[c.Dst] and the parent chain behind it are
 				// needed, so the Dijkstra stops as soon as dst settles.
-				d := sp.dijkstra(c.Src, length, parent, nil, c.Dst)
+				d := sp.dijkstra(c.Src, length, nil, c.Dst)
 				iters++
 				if math.IsInf(d[c.Dst], 1) {
 					if opt.Observer != nil {
@@ -298,24 +298,24 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				// Bottleneck along the path.
 				bottleneck := math.Inf(1)
 				for v := c.Dst; v != c.Src; {
-					ai := int(parent[v])
-					if nw.Arcs[ai].Cap < bottleneck {
-						bottleneck = nw.Arcs[ai].Cap
+					ai := parent[v]
+					if arcCap[ai] < bottleneck {
+						bottleneck = arcCap[ai]
 					}
-					v = nw.Arcs[ai].From
+					v = int(arcFrom[ai])
 				}
 				f := remaining
 				if bottleneck < f {
 					f = bottleneck
 				}
 				for v := c.Dst; v != c.Src; {
-					ai := int(parent[v])
+					ai := parent[v]
 					flow[ai] += f
 					old := length[ai]
-					nl := old * (1 + eps*f/nw.Arcs[ai].Cap)
+					nl := old * (1 + eps*f/arcCap[ai])
 					length[ai] = nl
-					D += nw.Arcs[ai].Cap * (nl - old)
-					v = nw.Arcs[ai].From
+					D += arcCap[ai] * (nl - old)
+					v = int(arcFrom[ai])
 				}
 				routed[j] += f
 				remaining -= f
@@ -396,40 +396,55 @@ func primalValue(nw *Network, live []Commodity, flow, routed []float64) float64 
 
 // spState holds reusable Dijkstra buffers for arc-length shortest paths.
 type spState struct {
-	nw   *Network
-	dist []float64
-	done []bool
-	heap minheap.Heap
+	nw     *Network
+	dist   []float64
+	parent []int32
+	heap   minheap.Heap
 }
 
 func newSPState(nw *Network) *spState {
 	return &spState{
-		nw:   nw,
-		dist: make([]float64, nw.N),
-		done: make([]bool, nw.N),
-		heap: make(minheap.Heap, 0, nw.N),
+		nw:     nw,
+		dist:   make([]float64, nw.N),
+		parent: make([]int32, nw.N),
+		heap:   make(minheap.Heap, 0, nw.N),
 	}
 }
 
 // dijkstra computes arc-length shortest paths from src. Distances are
 // written into dist if non-nil, else into the shared s.dist buffer (valid
-// until the next call; callers that cache must copy). If parent is non-nil,
-// parent[v] is set to the arc index entering v on a shortest path (−1 at
-// src/unreachable; only settled nodes have final parents). If target >= 0
-// the search stops once target is settled — dist[target] and the parent
-// chain from target back to src are final, other entries may be
-// unsettled upper bounds.
-func (s *spState) dijkstra(src int, length []float64, parent []int32, dist []float64, target int) []float64 {
+// until the next call; callers that cache must copy). s.parent[v] is set to
+// the arc index entering v on a shortest path (−1 at src/unreachable; only
+// settled nodes have final parents). If target >= 0 the search stops once
+// target is settled — dist[target] and the parent chain from target back to
+// src are final, other entries may be unsettled upper bounds.
+//
+// The sequence of heap pushes and pops is output-defining (DESIGN.md §7):
+// GK lengths tie exactly, the heap's tie order picks the path, and the path
+// picks every later length. Anything here may change except that sequence.
+// Lengths must be non-negative; that is what lets the kernel run without a
+// settled set. A node's heap entries carry strictly decreasing priorities,
+// so exactly the first one popped equals dist[u] and every later one is
+// stale; and a settled node is never relaxed again, because pops are
+// non-decreasing and du+length >= du >= dist[to].
+func (s *spState) dijkstra(src int, length []float64, dist []float64, target int) []float64 {
 	nw := s.nw
 	if dist == nil {
 		dist = s.dist
 	}
+	// Equal lengths, stated once, let the compiler drop the per-arc bounds
+	// checks on length and parent below.
+	dist = dist[:nw.N]
+	parent := s.parent[:len(dist)]
+	arcStart := nw.arcStart[:len(dist)+1]
+	arcTo := nw.arcTo
+	length = length[:len(arcTo)]
+	inf := math.Inf(1)
 	for i := range dist {
-		dist[i] = math.Inf(1)
-		s.done[i] = false
-		if parent != nil {
-			parent[i] = -1
-		}
+		dist[i] = inf
+	}
+	for i := range parent {
+		parent[i] = -1
 	}
 	dist[src] = 0
 	h := &s.heap
@@ -438,25 +453,21 @@ func (s *spState) dijkstra(src int, length []float64, parent []int32, dist []flo
 	for h.Len() > 0 {
 		it := h.Pop()
 		u := int(it.Node)
-		if s.done[u] {
+		du := it.Pri
+		if du > dist[u] {
 			continue
 		}
-		s.done[u] = true
 		if u == target {
 			break
 		}
-		du := dist[u]
-		for ai := nw.arcStart[u]; ai < nw.arcStart[u+1]; ai++ {
-			to := nw.arcTo[ai]
-			if s.done[to] {
-				continue
-			}
-			nd := du + length[ai]
+		lo := int(arcStart[u])
+		row := arcTo[lo:arcStart[u+1]]
+		rowLen := length[lo:][:len(row)]
+		for k, to := range row {
+			nd := du + rowLen[k]
 			if nd < dist[to] {
 				dist[to] = nd
-				if parent != nil {
-					parent[to] = int32(ai)
-				}
+				parent[to] = int32(lo + k)
 				h.Push(minheap.Item{Node: to, Pri: nd})
 			}
 		}

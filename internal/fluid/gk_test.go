@@ -101,13 +101,13 @@ func TestSPDijkstraEarlyTermination(t *testing.T) {
 		}
 		sp := newSPState(nw)
 		src := rng.Intn(n)
-		fullDist := append([]float64(nil), sp.dijkstra(src, length, nil, nil, -1)...)
+		fullDist := append([]float64(nil), sp.dijkstra(src, length, nil, -1)...)
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
 				continue
 			}
-			parent := make([]int32, nw.N)
-			d := sp.dijkstra(src, length, parent, nil, dst)
+			d := sp.dijkstra(src, length, nil, dst)
+			parent := sp.parent
 			if math.Abs(d[dst]-fullDist[dst]) > 1e-12 {
 				t.Fatalf("trial %d: early-stop dist(%d,%d) = %v, full = %v", trial, src, dst, d[dst], fullDist[dst])
 			}

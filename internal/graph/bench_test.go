@@ -46,17 +46,6 @@ func BenchmarkAPSP(b *testing.B) {
 			g.APSP()
 		}
 	})
-	// The pre-CSR implementation (repeated BFS over adjacency maps), kept as
-	// a benchmark-only reference so the trajectory shows the map→CSR gain.
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dist := make([][]int, g.N())
-			for u := 0; u < g.N(); u++ {
-				dist[u] = mapBFS(g, u)
-			}
-		}
-	})
 }
 
 // BenchmarkPathStats measures the fused diameter+mean sweep (what topogen
