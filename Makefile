@@ -110,6 +110,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
 	go test -run '^$$' -fuzz '^FuzzGKDijkstraKernel$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzEngineVsFrozen$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
 
@@ -122,20 +123,26 @@ vet:
 # benchmarks (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M) skip unless
 # BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
 # them; a plain `make bench` records only the fast kernels. benchjson also
-# gates BenchmarkFlowsimSteadyState and BenchmarkGKRoutingDijkstra at zero
-# allocs/op, so the slab-recycled event path and the GK routing kernel
+# gates BenchmarkFlowsimSteadyState, BenchmarkNetsimSteadyState,
+# BenchmarkEngineHold and BenchmarkGKRoutingDijkstra at zero allocs/op, so
+# the slab-recycled event paths, the event queue and the GK routing kernel
 # cannot silently start allocating. -p 1 runs one package's benchmarks at a
 # time: by default `go test` runs GOMAXPROCS packages side by side, and on a
-# small box they time each other.
-BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
-BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/flowsim ./internal/netsim .
-BENCH_OUT := BENCH_pr13.json
+# small box they time each other. BENCH_BASELINE names a benchjson file
+# recorded on the same box from the parent commit; its rows are embedded
+# under "baseline" so the checked-in file carries its own before/after.
+BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
+BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
+BENCH_OUT := BENCH_pr14.json
 BENCH_COUNT := 3
+BENCH_BASELINE :=
 bench:
 	go test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
 		$(BENCH_DIRS) \
 		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
-			-max-allocs BenchmarkGKRoutingDijkstra=0 -o $(BENCH_OUT)
+			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
+			-max-allocs BenchmarkGKRoutingDijkstra=0 \
+			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
 
 # One iteration of the tracked benchmarks, wired into `make test` so they
 # cannot bit-rot between perf PRs.

@@ -362,6 +362,55 @@ func BenchmarkTopologyConstruction(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md §5) ----------------------------------
 
+// BenchmarkAblationClosureVsPacketEvents prices the engine's two event
+// flavours on the same hold model (160 pending hops, each handler
+// scheduling its successor 1–10 µs ahead): "closure" builds a fresh func()
+// around the hop for every event, as a per-packet closure would; "packet"
+// passes the hop as the argument of one pre-bound handler and allocates
+// nothing.
+func BenchmarkAblationClosureVsPacketEvents(b *testing.B) {
+	type hop struct{ visits int }
+	const depth = 160
+	run := func(b *testing.B, arm func(e *sim.Engine, rng *sim.RNG) func(at sim.Time, h *hop)) {
+		e := sim.NewEngine()
+		rng := sim.NewRNG(1)
+		schedule := arm(e, rng)
+		for i := 0; i < depth; i++ {
+			schedule(sim.Time(1+rng.Intn(10_000)), &hop{})
+		}
+		e.Run(100_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		target := e.Processed() + uint64(b.N)
+		for e.Processed() < target {
+			e.Run(e.Now() + 1_000)
+		}
+	}
+	b.Run("closure", func(b *testing.B) {
+		run(b, func(e *sim.Engine, rng *sim.RNG) func(sim.Time, *hop) {
+			var schedule func(at sim.Time, h *hop)
+			schedule = func(at sim.Time, h *hop) {
+				e.Schedule(at, func() {
+					h.visits++
+					schedule(e.Now()+sim.Time(1+rng.Intn(10_000)), h)
+				})
+			}
+			return schedule
+		})
+	})
+	b.Run("packet", func(b *testing.B) {
+		run(b, func(e *sim.Engine, rng *sim.RNG) func(sim.Time, *hop) {
+			var onHop func(any)
+			onHop = func(arg any) {
+				h := arg.(*hop)
+				h.visits++
+				e.SchedulePacket(e.Now()+sim.Time(1+rng.Intn(10_000)), onHop, h)
+			}
+			return func(at sim.Time, h *hop) { e.SchedulePacket(at, onHop, h) }
+		})
+	})
+}
+
 // BenchmarkAblationFlowletVsPerPacket quantifies what per-flowlet (vs
 // per-packet) path selection buys: per-packet ECMP reorders constantly,
 // triggering spurious go-back-N retransmissions.

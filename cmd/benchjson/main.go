@@ -45,6 +45,10 @@ type File struct {
 	CPU        string            `json:"cpu,omitempty"`
 	GoMaxProcs int               `json:"go_maxprocs,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+	// Baseline holds the rows of a -baseline file: the same benchmarks
+	// recorded on the same machine from the parent commit, so a perf PR's
+	// file carries its own "before".
+	Baseline map[string]Result `json:"baseline,omitempty"`
 }
 
 // benchLine matches e.g.
@@ -122,8 +126,28 @@ func headerField(dst *string, line, prefix string) {
 	}
 }
 
+// loadBaseline reads the benchmarks of an earlier benchjson file and refuses
+// one recorded on another machine or toolchain, where a before/after
+// comparison would mean nothing.
+func loadBaseline(path string, cur File) (map[string]Result, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var base File
+	if err := json.Unmarshal(data, &base); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if base.CPU != cur.CPU || base.GoVersion != cur.GoVersion || base.GoMaxProcs != cur.GoMaxProcs {
+		return nil, fmt.Errorf("%s was recorded on %q, %s, GOMAXPROCS %d; this run is %q, %s, GOMAXPROCS %d",
+			path, base.CPU, base.GoVersion, base.GoMaxProcs, cur.CPU, cur.GoVersion, cur.GoMaxProcs)
+	}
+	return base.Benchmarks, nil
+}
+
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
+	baseline := flag.String("baseline", "", "benchjson file recorded on this machine from the parent commit; embedded as \"baseline\"")
 	gates := allocGates{}
 	flag.Var(gates, "max-allocs",
 		"benchmark=N: fail if the named benchmark exceeds N allocs/op (repeatable; requires -benchmem input)")
@@ -147,6 +171,12 @@ func main() {
 		}
 		if r.AllocsPerOp > limit {
 			fmt.Fprintf(os.Stderr, "benchjson: %s allocates %d/op, gate is %d/op\n", name, r.AllocsPerOp, limit)
+			os.Exit(1)
+		}
+	}
+	if *baseline != "" {
+		if f.Baseline, err = loadBaseline(*baseline, f); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: -baseline: %v\n", err)
 			os.Exit(1)
 		}
 	}

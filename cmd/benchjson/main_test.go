@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,5 +69,28 @@ func TestParseWithoutHeaderLeavesFieldsEmpty(t *testing.T) {
 	}
 	if f.Benchmarks["BenchmarkX"].NsPerOp != 5 {
 		t.Fatalf("benchmarks = %v", f.Benchmarks)
+	}
+}
+
+func TestLoadBaselineRefusesAnotherMachine(t *testing.T) {
+	cur := File{CPU: "cpu A", GoVersion: "go1.24.0", GoMaxProcs: 2}
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "base.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	same := write(`{"cpu":"cpu A","go_version":"go1.24.0","go_maxprocs":2,"benchmarks":{"BenchmarkX":{"iterations":10,"ns_per_op":5}}}`)
+	base, err := loadBaseline(same, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base["BenchmarkX"].NsPerOp != 5 {
+		t.Fatalf("baseline = %v", base)
+	}
+	other := write(`{"cpu":"cpu B","go_version":"go1.24.0","go_maxprocs":2,"benchmarks":{}}`)
+	if _, err := loadBaseline(other, cur); err == nil {
+		t.Fatal("a baseline from another CPU was accepted")
 	}
 }

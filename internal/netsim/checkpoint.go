@@ -25,23 +25,23 @@ import (
 
 // packetState is a serialized packet.
 type packetState struct {
-	FlowID     int32    `json:"flow"`
-	Seq        int32    `json:"seq,omitempty"`
-	AckSeq     int32    `json:"ack_seq,omitempty"`
-	SizeBytes  int32    `json:"size"`
-	IsAck      bool     `json:"is_ack,omitempty"`
-	CE         bool     `json:"ce,omitempty"`
-	CEAtHost   bool     `json:"ce_host,omitempty"`
-	ECNEcho    bool     `json:"ecn_echo,omitempty"`
-	ECNEchoNet bool     `json:"ecn_echo_net,omitempty"`
-	SrcServer  int32    `json:"src"`
-	DstServer  int32    `json:"dst"`
-	DstSwitch  int32    `json:"dst_sw"`
-	ViaSwitch  int32    `json:"via"`
-	ViaReached bool     `json:"via_reached,omitempty"`
-	PathHash   uint64   `json:"path_hash"`
-	Route      []int32  `json:"route,omitempty"`
-	Hop        int32    `json:"hop,omitempty"`
+	FlowID     int32   `json:"flow"`
+	Seq        int32   `json:"seq,omitempty"`
+	AckSeq     int32   `json:"ack_seq,omitempty"`
+	SizeBytes  int32   `json:"size"`
+	IsAck      bool    `json:"is_ack,omitempty"`
+	CE         bool    `json:"ce,omitempty"`
+	CEAtHost   bool    `json:"ce_host,omitempty"`
+	ECNEcho    bool    `json:"ecn_echo,omitempty"`
+	ECNEchoNet bool    `json:"ecn_echo_net,omitempty"`
+	SrcServer  int32   `json:"src"`
+	DstServer  int32   `json:"dst"`
+	DstSwitch  int32   `json:"dst_sw"`
+	ViaSwitch  int32   `json:"via"`
+	ViaReached bool    `json:"via_reached,omitempty"`
+	PathHash   uint64  `json:"path_hash"`
+	Route      []int32 `json:"route,omitempty"`
+	Hop        int32   `json:"hop,omitempty"`
 }
 
 func capturePacket(p *Packet) packetState {
@@ -142,11 +142,15 @@ type Checkpoint struct {
 	Now     sim.Time `json:"now"`
 	EngSeq  uint64   `json:"eng_seq"`
 	EngDone uint64   `json:"eng_done"` // events executed, so Processed() stays continuous
-	RNG     sim.RNG  `json:"rng"`
+	// EngHeapHigh is the engine's heap-depth high water, so a resumed run's
+	// LoopStats reports the depth the uninterrupted run would (absent from
+	// older checkpoints, which resume with the restored depth as the mark).
+	EngHeapHigh int     `json:"eng_heap_high,omitempty"`
+	RNG         sim.RNG `json:"rng"`
 
-	FlowSeq  int64 `json:"flow_seq"`
-	Started  int64 `json:"started"`
-	Ended    int64 `json:"ended"`
+	FlowSeq  int64   `json:"flow_seq"`
+	Started  int64   `json:"started"`
+	Ended    int64   `json:"ended"`
 	SlabFree []int32 `json:"slab_free"`
 	SlabNext int32   `json:"slab_next"`
 
@@ -182,19 +186,20 @@ func (n *Network) Checkpoint(driver json.RawMessage) (*Checkpoint, error) {
 	}
 	free, next := n.conns.FreeList()
 	cp := &Checkpoint{
-		Version:  netsimCheckpointVersion,
-		Cfg:      n.Cfg,
-		Now:      n.Eng.Now(),
-		EngSeq:   n.Eng.SeqClock(),
-		EngDone:  n.Eng.Processed(),
-		RNG:      *n.rng,
-		FlowSeq:  n.flowSeq,
-		Started:  n.started,
-		Ended:    n.ended,
-		SlabFree: free,
-		SlabNext: next,
-		Sketch:   n.fctSketch,
-		Moments:  n.fctMoments,
+		Version:     netsimCheckpointVersion,
+		Cfg:         n.Cfg,
+		Now:         n.Eng.Now(),
+		EngSeq:      n.Eng.SeqClock(),
+		EngDone:     n.Eng.Processed(),
+		EngHeapHigh: n.Eng.Stats().HeapHighWater,
+		RNG:         *n.rng,
+		FlowSeq:     n.flowSeq,
+		Started:     n.started,
+		Ended:       n.ended,
+		SlabFree:    free,
+		SlabNext:    next,
+		Sketch:      n.fctSketch,
+		Moments:     n.fctMoments,
 
 		TotalDrops:         n.TotalDrops,
 		DataHops:           n.DataHops,
@@ -289,6 +294,7 @@ func (n *Network) Restore(cp *Checkpoint) error {
 	}
 	n.Eng.SetClock(cp.Now, cp.EngSeq)
 	n.Eng.SetProcessed(cp.EngDone)
+	n.Eng.SetHeapHighWater(cp.EngHeapHigh)
 	*n.rng = cp.RNG
 	n.flowSeq = cp.FlowSeq
 	n.started = cp.Started
@@ -354,7 +360,7 @@ func (n *Network) Restore(cp *Checkpoint) error {
 			route: ss.Route, fixedRoute: ss.FixedRoute,
 		}
 		if ss.TimerArmed {
-			n.Eng.ScheduleExact(ss.TimerAt, ss.TimerSeq, c.snd.timerFire)
+			n.Eng.SchedulePacketExact(ss.TimerAt, ss.TimerSeq, senderTimerFire, &c.snd)
 		}
 	}
 

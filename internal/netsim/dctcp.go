@@ -144,8 +144,14 @@ func (s *sender) armTimer() {
 	}
 	s.timerArmed = true
 	s.timerAt = s.deadline
-	s.timerSeq = s.n.Eng.Schedule(s.deadline, s.timerFire)
+	s.timerSeq = s.n.Eng.SchedulePacket(s.deadline, senderTimerFire, s)
 }
+
+// senderTimerFire is the RTO timer's event handler: one static function
+// with the sender as its argument, so arming a timer allocates nothing (a
+// method value s.timerFire would be a fresh closure each time). Senders sit
+// in conn slab slots, whose addresses never move.
+func senderTimerFire(arg any) { arg.(*sender).timerFire() }
 
 func (s *sender) timerFire() {
 	if s.f.Done {
@@ -157,7 +163,7 @@ func (s *sender) timerFire() {
 	now := s.n.Eng.Now()
 	if now < s.deadline {
 		s.timerAt = s.deadline
-		s.timerSeq = s.n.Eng.Schedule(s.deadline, s.timerFire)
+		s.timerSeq = s.n.Eng.SchedulePacket(s.deadline, senderTimerFire, s)
 		return
 	}
 	s.timerArmed = false

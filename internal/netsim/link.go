@@ -128,7 +128,12 @@ func (l *Link) startTx() {
 	p := l.queue[l.head]
 	l.queue[l.head] = nil
 	l.head++
-	if l.head > 64 && l.head*2 >= len(l.queue) {
+	if l.head == len(l.queue) {
+		// Drained: start over at the front, so a link whose queue keeps
+		// emptying never grows its slice past its deepest backlog.
+		l.queue = l.queue[:0]
+		l.head = 0
+	} else if l.head > 64 && l.head*2 >= len(l.queue) {
 		n := copy(l.queue, l.queue[l.head:])
 		for i := n; i < len(l.queue); i++ {
 			l.queue[i] = nil

@@ -84,26 +84,8 @@ func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 	arrivals := drawArrivals(17, c.flows, topo.TotalServers(), c.meanGapNs)
 	n := NewNetwork(topo, cfg)
 	if c.cutAt > 0 {
-		for _, a := range arrivals[:c.cutAt] {
-			n.Eng.Run(a.at)
-			n.StartFlow(a.src, a.dst, a.sizeBytes)
-		}
-		cp, err := n.Checkpoint(nil)
-		if err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
-		blob, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var cp2 Checkpoint
-		if err := json.Unmarshal(blob, &cp2); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		n = NewNetwork(topo, cfg)
-		if err := n.Restore(&cp2); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
+		driveUntil(n, arrivals, c.cutAt)
+		n, _ = checkpointRoundTrip(t, n, nil)
 	}
 	drive(n, arrivals, c.cutAt)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"testing"
@@ -49,6 +50,39 @@ func drive(n *Network, arrivals []arrival, from int) {
 	n.Eng.Run(arrivals[len(arrivals)-1].at + 30*sim.Second)
 }
 
+// driveUntil injects arrivals[:cut] the way drive does and stops there,
+// between Run calls: a point where the network can be checkpointed.
+func driveUntil(n *Network, arrivals []arrival, cut int) {
+	for _, a := range arrivals[:cut] {
+		n.Eng.Run(a.at)
+		n.StartFlow(a.src, a.dst, a.sizeBytes)
+	}
+}
+
+// checkpointRoundTrip checkpoints n, passes the snapshot through JSON and
+// restores it into a freshly built network on the same topology and config.
+// It returns that network and the driver blob as it came back.
+func checkpointRoundTrip(t *testing.T, n *Network, driver json.RawMessage) (*Network, json.RawMessage) {
+	t.Helper()
+	cp, err := n.Checkpoint(driver)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var cp2 Checkpoint
+	if err := json.Unmarshal(blob, &cp2); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	n2 := NewNetwork(n.Topo, n.Cfg)
+	if err := n2.Restore(&cp2); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return n2, cp2.Driver
+}
+
 // finalState captures everything the byte-identity gate compares: the full
 // checkpoint (slab layout, RNG, sketch, counters) of a drained network.
 func finalState(t *testing.T, n *Network) []byte {
@@ -90,35 +124,41 @@ func TestNetsimCheckpointResumeByteIdentical(t *testing.T) {
 	// restore into a brand-new network, continue the identical driver.
 	for _, cut := range []int{1, 150, 299} {
 		n := NewNetwork(&topo.Topology, scaleCfg(42))
-		for _, a := range arrivals[:cut] {
-			n.Eng.Run(a.at)
-			n.StartFlow(a.src, a.dst, a.sizeBytes)
-		}
+		driveUntil(n, arrivals, cut)
 		driverState, _ := json.Marshal(cut)
-		cp, err := n.Checkpoint(driverState)
-		if err != nil {
-			t.Fatalf("cut %d: checkpoint: %v", cut, err)
-		}
-		blob, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatalf("cut %d: marshal: %v", cut, err)
-		}
-		var cp2 Checkpoint
-		if err := json.Unmarshal(blob, &cp2); err != nil {
-			t.Fatalf("cut %d: unmarshal: %v", cut, err)
-		}
+		n2, driver := checkpointRoundTrip(t, n, driverState)
 		var resumeFrom int
-		if err := json.Unmarshal(cp2.Driver, &resumeFrom); err != nil {
+		if err := json.Unmarshal(driver, &resumeFrom); err != nil {
 			t.Fatalf("cut %d: driver state: %v", cut, err)
-		}
-		n2 := NewNetwork(&topo.Topology, scaleCfg(42))
-		if err := n2.Restore(&cp2); err != nil {
-			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
 		drive(n2, arrivals, resumeFrom)
 		got := finalState(t, n2)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("cut %d: resumed final state differs from uninterrupted run\nwant %d bytes, got %d bytes", cut, len(want), len(got))
+		}
+	}
+}
+
+// TestNetsimCheckpointCarriesLoopStats: a resumed run must report the same
+// LoopStats as the uninterrupted one, wall time aside. The late cuts fall
+// after the run's heap peak, so a checkpoint that dropped the engine's high
+// water would under-report it.
+func TestNetsimCheckpointCarriesLoopStats(t *testing.T) {
+	topo := topology.NewFatTree(4)
+	arrivals := drawArrivals(17, 300, topo.TotalServers(), float64(20*sim.Microsecond))
+	ref := NewNetwork(&topo.Topology, scaleCfg(42))
+	drive(ref, arrivals, 0)
+	want := ref.LoopStats()
+	want.WallTime = 0
+	for _, cut := range []int{1, 150, 299} {
+		n := NewNetwork(&topo.Topology, scaleCfg(42))
+		driveUntil(n, arrivals, cut)
+		n2, _ := checkpointRoundTrip(t, n, nil)
+		drive(n2, arrivals, cut)
+		got := n2.LoopStats()
+		got.WallTime = 0
+		if got != want {
+			t.Fatalf("cut %d: resumed LoopStats %+v, uninterrupted %+v", cut, got, want)
 		}
 	}
 }
@@ -243,6 +283,42 @@ func TestNetsimOnCompleteCallback(t *testing.T) {
 	if seen != 4 {
 		t.Fatalf("onComplete fired %d times, want 4", seen)
 	}
+}
+
+// BenchmarkNetsimSteadyState is the packet simulator's allocs/op gate and
+// its events/s ledger row: the benchmark's cost-reduced Xpander(5,9,3)
+// under HYB at a steady Poisson load (about 150 events pending, the depth
+// of the benchmark's netsim legs), advancing arrival by arrival after a
+// warm-up that brings slab, packet pool, link queues and sketch buckets to
+// their working size. One op is one flow (events/op says how many events
+// that is); the steady state must not allocate.
+func BenchmarkNetsimSteadyState(b *testing.B) {
+	topo := topology.NewXpander(5, 9, 3, rand.New(rand.NewSource(1)))
+	servers := topo.TotalServers()
+	n := NewNetwork(&topo.Topology, scaleCfg(42))
+	rng := sim.NewRNG(7)
+	at := sim.Time(0)
+	step := func() {
+		at += sim.Time(rng.ExpFloat64()*float64(20*sim.Microsecond)) + 1
+		src := rng.Intn(servers)
+		dst := rng.Intn(servers)
+		if dst == src {
+			dst = (dst + 1) % servers
+		}
+		n.Eng.Run(at)
+		n.StartFlow(src, dst, int64(1_000+rng.Intn(400_000)))
+	}
+	for i := 0; i < 3_000; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := n.Eng.Processed()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n.Eng.Processed()-start)/float64(b.N), "events/op")
 }
 
 // BenchmarkNetsimScale1M pushes one million flows through a packet-level
