@@ -28,10 +28,10 @@ import (
 	"os/signal"
 	"path/filepath"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/graph"
 	"beyondft/internal/harness"
 	"beyondft/internal/search"
-	"beyondft/internal/topology"
 )
 
 func main() {
@@ -53,8 +53,8 @@ func run() error {
 	budget := flag.Int("budget", 64, "coarse GK candidate evaluations, baseline included")
 	batch := flag.Int("batch", 8, "candidate moves proposed per step")
 	proxyTop := flag.Int("proxy-top", 4, "proxy-ranked candidates per batch that get a GK solve")
-	coarse := flag.Float64("coarse", 0, "coarse rung ε (default 0.25)")
-	fine := flag.Float64("fine", 0, "fine rung ε (default 0.08)")
+	coarse := flag.Float64("coarse", eval.DefaultCoarseEps, "coarse rung ε")
+	fine := flag.Float64("fine", eval.DefaultFineEps, "fine rung ε")
 	strategy := flag.String("strategy", "anneal", "anneal | hillclimb")
 	temp := flag.Float64("temp", 0, "initial annealing temperature (default 0.02)")
 	moves := flag.String("moves", "all", "all | rewire (rewire disables generator-parameter moves)")
@@ -66,19 +66,11 @@ func run() error {
 		"parallel candidate workers, 0 = GOMAXPROCS (default $"+graph.WorkersEnv+")")
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*topoSeed))
-	var base *topology.Topology
-	var params search.Params
-	switch *kind {
-	case "jellyfish":
-		base = topology.NewJellyfish(*n, *degree, *servers, rng)
-		params = search.Params{Kind: "jellyfish", N: *n, Degree: *degree, Servers: *servers}
-	case "xpander":
-		x := topology.NewXpander(*degree, *lift, *servers, rng)
-		base = &x.Topology
-		params = search.Params{Kind: "xpander", N: base.NumSwitches(), Degree: *degree, Lift: *lift, Servers: *servers}
-	default:
-		return fmt.Errorf("unknown starting topology %q (want jellyfish|xpander)", *kind)
+	base, params, err := search.Start(
+		search.Params{Kind: *kind, N: *n, Degree: *degree, Lift: *lift, Servers: *servers},
+		rand.New(rand.NewSource(*topoSeed)))
+	if err != nil {
+		return err
 	}
 	if *moves == "rewire" {
 		params = search.Params{}
@@ -119,7 +111,7 @@ func run() error {
 	fmt.Printf("search:   %s from %s (%d switches, %d servers, $%.0f)\n",
 		*strategy, res.BaselineName, base.NumSwitches(), env.Servers, env.MaxDollars)
 	fmt.Printf("budget:   %d candidates, batch %d, proxy top %d, eps %.3g -> %.3g, seed %d\n",
-		*budget, *batch, *proxyTop, orDefault(*coarse, 0.25), orDefault(*fine, 0.08), *seed)
+		*budget, *batch, *proxyTop, *coarse, *fine, *seed)
 	fmt.Print(res.Trace())
 	fmt.Printf("summary: baseline=%.6f best=%.6f improved=%t step=%d spent=%d design=%.12s\n",
 		res.Baseline, res.BestVal, res.BestVal > res.Baseline, res.BestStep, res.Spent, res.BestHash)
@@ -139,11 +131,4 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "search: spent=%d fine_solves=%d cache_hits=%d steps=%d\n",
 		res.Spent, res.FineSolves, res.CacheHits, len(res.Steps))
 	return nil
-}
-
-func orDefault(v, d float64) float64 {
-	if v == 0 {
-		return d
-	}
-	return v
 }

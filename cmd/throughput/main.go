@@ -9,16 +9,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
-	"beyondft/internal/workload"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 	dim := flag.Int("dim", 6, "longhop dim")
 	tmKind := flag.String("tm", "longest-matching", "longest-matching | permutation | all-to-all")
 	x := flag.Float64("x", 1.0, "fraction of active racks")
-	eps := flag.Float64("eps", 0.08, "GK approximation epsilon")
+	eps := flag.Float64("eps", eval.DefaultFineEps, "GK approximation epsilon")
 	exact := flag.Bool("exact", false, "use the exact LP (small instances only)")
 	delta := flag.Float64("delta", 1.5, "flexible-port cost premium")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -49,55 +49,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// One stream drives the topology build, the rack choice and the
+	// permutation pairing, in that order.
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "design":
-		d, ok := topology.LookupDesign(*designName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "design %q not registered (known: %v; load a directory with -designs)\n",
-				*designName, topology.DesignNames())
-			os.Exit(1)
-		}
-		var err error
-		if t, err = d.Build(); err != nil {
-			fmt.Fprintf(os.Stderr, "building design %q: %v\n", *designName, err)
-			os.Exit(1)
-		}
-	case "fattree":
-		t = &topology.NewFatTree(*k).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(*degree, *lift, *servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(*q, *servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(*dim, *degree, *servers).Topology
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *kind)
+	spec := eval.TopoSpec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift,
+		Servers: *servers, Q: *q, Dim: *dim, Name: *designName}
+	t, err := spec.Build(rng)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	racks := workload.ActiveRacks(t, *x, *kind == "fattree", rng)
-	serversOf := func(r int) int { return t.Servers[r] }
-	var m *tm.TM
-	switch *tmKind {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tm %q\n", *tmKind)
-		os.Exit(1)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		fmt.Fprintf(os.Stderr, "TM violates hose model: %v\n", err)
+	m, racks, err := spec.TM(t, *tmKind, *x, rng)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
@@ -112,15 +76,9 @@ func main() {
 		}
 		fmt.Printf("throughput/server (exact LP): %.4f\n", v)
 	} else {
-		nw := fluid.NewNetwork(t.G, 1.0)
-		res := fluid.MaxConcurrentFlow(nw, fluid.Commodities(m),
-			fluid.GKOptions{Epsilon: *eps, Workers: graph.Parallelism()})
-		thr := res.Throughput
-		if thr > 1 {
-			thr = 1
-		}
+		res, _ := eval.Solve(context.Background(), eval.ProblemOf(t.G, m), *eps, graph.Parallelism(), false) // never canceled
 		fmt.Printf("throughput/server (GK, eps=%.2f): %.4f (dual bound %.4f, %d phases)\n",
-			*eps, thr, res.UpperBound, res.Phases)
+			*eps, min(res.Throughput, 1), res.UpperBound, res.Phases)
 	}
 
 	// Equal-cost dynamic baselines.

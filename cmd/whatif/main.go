@@ -24,13 +24,11 @@ import (
 	"os"
 	"os/signal"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
 	"beyondft/internal/harness"
-	"beyondft/internal/tm"
-	"beyondft/internal/topology"
 	"beyondft/internal/whatif"
-	"beyondft/internal/workload"
 )
 
 func main() {
@@ -60,59 +58,31 @@ func run() error {
 	fdegree := flag.Int("fdegree", 0, "rack-add: uplinks per added rack (default 4)")
 	fseed := flag.Int64("fseed", 1, "family sampling seed")
 
-	coarse := flag.Float64("coarse", 0, "coarse rung ε (default 0.25)")
-	fine := flag.Float64("fine", 0, "fine rung ε (default 0.08)")
+	coarse := flag.Float64("coarse", eval.DefaultCoarseEps, "coarse rung ε")
+	fine := flag.Float64("fine", eval.DefaultFineEps, "fine rung ε (equal to -coarse: one rung, no frontier re-solve)")
 	topk := flag.Int("topk", 0, "frontier size re-solved at fine ε (0 = default 8)")
-	noLadder := flag.Bool("no-ladder", false, "solve every scenario at fine ε (no coarse rung)")
-	noWarm := flag.Bool("no-warm", false, "disable warm starts (every solve cold)")
 	workers := flag.Int("workers", graph.EnvParallelism(),
 		"parallel scenario workers, 0 = GOMAXPROCS (default $"+graph.WorkersEnv+")")
 	cacheDir := flag.String("cache", "", "content-addressed scenario cache directory ('' = none)")
 	flag.Parse()
 
+	// One stream drives the topology build, the rack choice and the
+	// permutation pairing, in that order.
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "fattree":
-		t = &topology.NewFatTree(*k).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(*degree, *lift, *servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(*q, *servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(*dim, *degree, *servers).Topology
-	default:
-		return fmt.Errorf("unknown topology %q", *kind)
+	spec := eval.TopoSpec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift,
+		Servers: *servers, Q: *q, Dim: *dim}
+	t, err := spec.Build(rng)
+	if err != nil {
+		return err
 	}
-
-	racks := workload.ActiveRacks(t, *x, *kind == "fattree", rng)
-	serversOf := func(r int) int { return t.Servers[r] }
-	var m *tm.TM
-	switch *tmKind {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	default:
-		return fmt.Errorf("unknown tm %q", *tmKind)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return fmt.Errorf("TM violates hose model: %w", err)
+	m, racks, err := spec.TM(t, *tmKind, *x, rng)
+	if err != nil {
+		return err
 	}
 
 	fam := whatif.FamilySpec{
 		Kind: *family, K: *fk, Samples: *fsamples,
 		Racks: *fracks, Degree: *fdegree, Seed: *fseed,
-	}
-	if err := fam.Normalize(); err != nil {
-		return err
 	}
 	ladder := whatif.Ladder{CoarseEps: *coarse, FineEps: *fine, TopK: *topk}
 	if err := ladder.Normalize(); err != nil {
@@ -142,12 +112,10 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	rep, err := whatif.Evaluate(t.G, fluid.Commodities(m), scens, whatif.Options{
-		Ladder:   ladder,
-		Workers:  *workers,
-		Ctx:      ctx,
-		NoWarm:   *noWarm,
-		NoLadder: *noLadder,
-		Cache:    sc,
+		Ladder:  ladder,
+		Workers: *workers,
+		Ctx:     ctx,
+		Cache:   sc,
 	})
 	if err != nil {
 		return err

@@ -6,28 +6,29 @@ import (
 
 	"beyondft/internal/harness"
 	"beyondft/internal/search"
-	"beyondft/internal/topology"
 )
 
 // searchSpecVersion versions the design-search jobs for the result cache —
 // bump it when the search configuration grid or figure shapes change
-// (search.CodeSalt separately versions the per-candidate GK entries).
+// (eval.Version separately versions the per-candidate GK entries).
 const searchSpecVersion = "search-jobs-v1"
+
+// searchRun is one registered design search: the generator coordinates of
+// its starting point, the Config RNG stream the start is drawn from, and
+// the search seed.
+type searchRun struct {
+	name   string
+	start  search.Params
+	stream int64
+	seed   int64
+}
 
 // searchRuns is the registration grid: one job per starting family. Sizes
 // are fixed here (not Config-dependent) so job names stay stable across
 // scales; budgets come from Config via searchBudget.
-var searchRuns = []struct {
-	name   string
-	kind   string
-	n      int // jellyfish switches
-	degree int
-	lift   int // xpander
-	srv    int
-	seed   int64
-}{
-	{"search-jellyfish", "jellyfish", 16, 4, 0, 3, 7},
-	{"search-xpander", "xpander", 15, 4, 3, 3, 7},
+var searchRuns = []searchRun{
+	{"search-jellyfish", search.Params{Kind: "jellyfish", N: 16, Degree: 4, Servers: 3}, 37, 7},
+	{"search-xpander", search.Params{Kind: "xpander", N: 15, Degree: 4, Lift: 3, Servers: 3}, 38, 7},
 }
 
 // searchBudget scales the candidate budget with the configuration: the
@@ -45,46 +46,33 @@ func (c Config) searchBudget() int {
 // every step, against the baseline's flat line. Only trace content enters
 // the figure — cache and worker accounting are excluded, so resumed runs
 // are byte-identical to cold ones.
-func (c Config) searchFigure(ctx context.Context, name, kind string, n, degree, lift, srv int, seed int64, cache *harness.Cache) ([]*Figure, error) {
-	var base *topology.Topology
-	var params search.Params
-	switch kind {
-	case "jellyfish":
-		base = topology.NewJellyfish(n, degree, srv, c.rng(37))
-		params = search.Params{Kind: kind, N: n, Degree: degree, Servers: srv}
-	case "xpander":
-		x := topology.NewXpander(degree, lift, srv, c.rng(38))
-		base = &x.Topology
-		params = search.Params{Kind: kind, N: base.NumSwitches(), Degree: degree, Lift: lift, Servers: srv}
-	default:
-		return nil, fmt.Errorf("experiments: unknown search kind %q", kind)
+func (c Config) searchFigure(ctx context.Context, sr searchRun, cache *harness.Cache) ([]*Figure, error) {
+	base, params, err := search.Start(sr.start, c.rng(sr.stream))
+	if err != nil {
+		return nil, err
 	}
 
-	var cc *search.CandidateCache
-	if cache != nil {
-		cc = &search.CandidateCache{Cache: cache}
-	}
 	res, err := search.Run(base, params, search.Options{
-		Seed:    seed,
+		Seed:    sr.seed,
 		Budget:  c.searchBudget(),
 		FineEps: c.Epsilon,
-		Name:    name + "-best",
+		Name:    sr.name + "-best",
 		Ctx:     ctx,
-		Cache:   cc,
+		Cache:   &search.CandidateCache{Cache: cache}, // inert when cache is nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	fig := &Figure{
-		ID:     name + "-trajectory",
+		ID:     sr.name + "-trajectory",
 		Title:  fmt.Sprintf("Design search from %s: best found vs baseline (equal cost)", res.BaselineName),
 		XLabel: "step",
 		YLabel: "throughput",
 		Series: []Series{{Label: "baseline"}, {Label: "state"}, {Label: "best"}},
 		Notes: []string{
 			fmt.Sprintf("budget=%d spent=%d fine_eps=%g seed=%d envelope_servers=%d envelope_dollars=%.0f",
-				c.searchBudget(), res.Spent, c.Epsilon, seed, res.Envelope.Servers, res.Envelope.MaxDollars),
+				c.searchBudget(), res.Spent, c.Epsilon, sr.seed, res.Envelope.Servers, res.Envelope.MaxDollars),
 			fmt.Sprintf("baseline=%.6f best=%.6f at step %d (design %.12s)",
 				res.Baseline, res.BestVal, res.BestStep, res.BestHash),
 		},
@@ -114,9 +102,9 @@ func (c Config) SearchJobs(cache *harness.Cache) []harness.Job {
 		jobs = append(jobs, harness.Job{
 			Name: sr.name,
 			Spec: fmt.Sprintf("%s|%s|kind=%s,n=%d,degree=%d,lift=%d,srv=%d,seed=%d|budget=%d",
-				searchSpecVersion, c.Spec(), sr.kind, sr.n, sr.degree, sr.lift, sr.srv, sr.seed, c.searchBudget()),
+				searchSpecVersion, c.Spec(), sr.start.Kind, sr.start.N, sr.start.Degree, sr.start.Lift, sr.start.Servers, sr.seed, c.searchBudget()),
 			Run: func(ctx context.Context) (any, error) {
-				figs, err := c.searchFigure(ctx, sr.name, sr.kind, sr.n, sr.degree, sr.lift, sr.srv, sr.seed, cache)
+				figs, err := c.searchFigure(ctx, sr, cache)
 				if err != nil {
 					return nil, err
 				}

@@ -40,17 +40,6 @@ func (c Config) WhatifBase() *topology.Xpander {
 	return topology.NewXpander(4, 5, 2, c.rng(31))
 }
 
-// WhatifLadder derives the ε ladder from the configuration: the figure-grade
-// Config.Epsilon is the fine rung, the coarse rung and frontier width take
-// the engine defaults.
-func (c Config) WhatifLadder() whatif.Ladder {
-	l := whatif.Ladder{FineEps: c.Epsilon}
-	if err := l.Normalize(); err != nil {
-		panic(fmt.Sprintf("experiments: whatif ladder: %v", err))
-	}
-	return l
-}
-
 // whatifFigures runs one family sweep and renders it as two figures: the
 // throughput histogram over all scenarios and the worst-k frontier after
 // fine re-solves. Only scenario content enters the figures — cache/warm
@@ -61,22 +50,22 @@ func (c Config) whatifFigures(ctx context.Context, name string, fam whatif.Famil
 	t := &base.Topology
 	serversOf := func(rack int) int { return t.Servers[rack] }
 	m := tm.LongestMatching(t.G, t.ToRs(), serversOf)
-	if err := fam.Normalize(); err != nil {
-		return nil, err
-	}
 	scens, err := whatif.Scenarios(t.G, fam)
 	if err != nil {
 		return nil, err
 	}
-	var sc *whatif.ScenarioCache
-	if cache != nil {
-		sc = &whatif.ScenarioCache{
-			Cache:    cache,
-			BaseSpec: fmt.Sprintf("%s|%s|%s", whatifSpecVersion, t.Name, c.Spec()),
-		}
+	// The figure-grade Config.Epsilon is the fine rung; the coarse rung and
+	// the frontier width take the engine defaults.
+	ladder := whatif.Ladder{FineEps: c.Epsilon}
+	if err := ladder.Normalize(); err != nil {
+		return nil, err
+	}
+	sc := &whatif.ScenarioCache{ // inert when cache is nil
+		Cache:    cache,
+		BaseSpec: fmt.Sprintf("%s|%s|%s", whatifSpecVersion, t.Name, c.Spec()),
 	}
 	rep, err := whatif.Evaluate(t.G, fluid.Commodities(m), scens, whatif.Options{
-		Ladder: c.WhatifLadder(),
+		Ladder: ladder,
 		Ctx:    ctx,
 		Cache:  sc,
 	})
@@ -93,7 +82,7 @@ func (c Config) whatifFigures(ctx context.Context, name string, fam whatif.Famil
 		Series: []Series{{Label: "count"}},
 		Notes: []string{
 			fmt.Sprintf("family=%s scenarios=%d coarse_eps=%g fine_eps=%g",
-				fam.Kind, len(scens), c.WhatifLadder().CoarseEps, c.WhatifLadder().FineEps),
+				fam.Kind, len(scens), ladder.CoarseEps, ladder.FineEps),
 		},
 	}
 	for i, n := range rep.Hist.Counts {

@@ -4,9 +4,8 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"beyondft/internal/graph"
 	"beyondft/internal/minheap"
 )
 
@@ -252,7 +251,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		// across the workers; each writes only its own srcDist row and the
 		// reduction below runs in fixed commodity order, so the result is
 		// identical at any worker count.
-		parallelSources(workers, len(sources), func(w, k int) {
+		graph.ParallelFor(workers, len(sources), func(w, k int) {
 			states[w].dijkstra(sources[k], length, srcDist[k], -1)
 		})
 		z := 0.0
@@ -338,33 +337,6 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		res.Duals = append([]float64(nil), length...)
 	}
 	return res
-}
-
-// parallelSources runs f(worker, k) for k in [0,n) on up to `workers`
-// goroutines, giving each a stable worker id for its scratch spState.
-func parallelSources(workers, n int, f func(worker, k int)) {
-	if workers <= 1 || n <= 1 {
-		for k := 0; k < n; k++ {
-			f(0, k)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				f(w, k)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // primalValue returns the certified feasible concurrent-flow fraction for

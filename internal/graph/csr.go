@@ -89,13 +89,13 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelFor runs f(worker, i) for i in [0,n) across min(Parallelism(), n)
-// goroutines. Iterations are claimed from a shared counter; f sees a stable
-// worker id in [0, workers) for per-worker scratch buffers. Determinism is
-// the caller's job: f(w, i)'s externally visible output must depend on i
-// alone, never on w or on claim order.
-func parallelFor(n int, f func(worker, i int)) {
-	workers := Parallelism()
+// ParallelFor runs f(worker, i) for i in [0,n) across min(workers, n)
+// goroutines — the one worker loop of the repo's kernels and engines.
+// Iterations are claimed from a shared counter; f sees a stable worker id in
+// [0, workers) for per-worker scratch buffers. Determinism is the caller's
+// job: f(w, i)'s externally visible output must depend on i alone, never on
+// w or on claim order.
+func ParallelFor(workers, n int, f func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -175,7 +175,7 @@ func (c *CSR) bfsWorkers(sources []int, emit func(i int, dist []int32)) {
 		dist, queue []int32
 	}
 	buf := make([]scratch, workers)
-	parallelFor(len(sources), func(w, i int) {
+	ParallelFor(Parallelism(), len(sources), func(w, i int) {
 		if buf[w].dist == nil {
 			buf[w] = scratch{dist: make([]int32, c.n), queue: make([]int32, c.n)}
 		}
@@ -250,7 +250,7 @@ func (c *CSR) PathStats() PathStats {
 		dist, queue []int32
 	}
 	buf := make([]scratch, workers)
-	parallelFor(c.n, func(w, src int) {
+	ParallelFor(Parallelism(), c.n, func(w, src int) {
 		if buf[w].dist == nil {
 			buf[w] = scratch{dist: make([]int32, c.n), queue: make([]int32, c.n)}
 		}

@@ -1,9 +1,11 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 
 	"beyondft/internal/cost"
+	"beyondft/internal/eval"
 	"beyondft/internal/topology"
 )
 
@@ -109,6 +111,27 @@ func preAdmitsParams(p Params, env Envelope) bool {
 	return cost.StaticPortDollars()*float64(ports) <= env.MaxDollars+1e-6
 }
 
+// Start builds a generator starting point from p's coordinates (Kind, N
+// for jellyfish, Degree, Lift for xpander, Servers), drawing the instance
+// from rng, and returns it with the coordinates parameter moves step from:
+// N is the built switch count, and the coordinate the kind ignores is zero.
+func Start(p Params, rng *rand.Rand) (*topology.Topology, Params, error) {
+	switch p.Kind {
+	case "jellyfish":
+		p.Lift = 0
+	case "xpander":
+	default:
+		return nil, Params{}, fmt.Errorf("search: unknown starting topology %q (want jellyfish|xpander)", p.Kind)
+	}
+	spec := eval.TopoSpec{Kind: p.Kind, N: p.N, Degree: p.Degree, Lift: p.Lift, Servers: p.Servers}
+	t, err := spec.Build(rng)
+	if err != nil {
+		return nil, Params{}, err
+	}
+	p.N = t.NumSwitches()
+	return t, p, nil
+}
+
 // buildParams constructs a fresh generator instance at the given coordinates
 // with a deterministic seed. Returns nil if the coordinates are invalid
 // (constructor panics are contained here so a bad proposal costs one
@@ -119,13 +142,6 @@ func buildParams(p Params, seed int64) (t *topology.Topology) {
 			t = nil
 		}
 	}()
-	rng := rand.New(rand.NewSource(seed))
-	switch p.Kind {
-	case "jellyfish":
-		return topology.NewJellyfish(p.N, p.Degree, p.Servers, rng)
-	case "xpander":
-		return &topology.NewXpander(p.Degree, p.Lift, p.Servers, rng).Topology
-	default:
-		return nil
-	}
+	t, _, _ = Start(p, rand.New(rand.NewSource(seed)))
+	return t
 }

@@ -14,42 +14,35 @@
 // (spectral gap + mean shortest path) filters each proposal batch, the
 // survivors get a coarse-ε Garg–Könemann solve of the near-worst-case
 // (longest-matching) traffic matrix, and only the batch winner is re-solved
-// at fine ε — warm-started from its own coarse duals, the what-if engine's
-// ladder applied to design search. Candidate evaluations run in parallel on
-// internal/harness workers and are content-addressed in the harness cache by
-// design hash, so a killed search resumes where it left off: the trace and
-// the best-found design are byte-identical at any worker count and any cache
-// state. DESIGN.md §15 documents the architecture.
+// at fine ε — warm-started from its own coarse duals, the shared ε-ladder of
+// internal/eval applied to design search. Candidate evaluations run in
+// parallel and are content-addressed in the harness cache by design hash, so
+// a killed search resumes where it left off: the trace and the best-found
+// design are byte-identical at any worker count and any cache state.
+// DESIGN.md §15 documents the architecture.
 package search
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"beyondft/internal/cost"
-	"beyondft/internal/fluid"
+	"beyondft/internal/eval"
 	"beyondft/internal/graph"
-	"beyondft/internal/harness"
 	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 )
 
-// CodeSalt versions candidate evaluations for the content-addressed cache:
-// bump it whenever the GK solver, the traffic-matrix construction, or the
-// evaluation semantics change numeric output.
-const CodeSalt = "search-v1"
-
 // DefaultBaseSpec pins the fixed demand model of candidate evaluations:
 // the longest-matching TM over all racks at unit link capacity. Candidate
-// cache entries are pure functions of (BaseSpec, design hash, ε), so
+// cache entries are pure functions of (BaseSpec, design hash, rung), so
 // searches with the same base spec share entries — even across different
 // starting points.
 const DefaultBaseSpec = "tm=longest-matching|cap=1"
@@ -101,13 +94,10 @@ func (e Envelope) Admits(t *topology.Topology) bool {
 }
 
 // CandidateCache content-addresses candidate evaluations in a harness cache
-// so searches are resumable and can share entries.
-type CandidateCache struct {
-	Cache *harness.Cache
-	// BaseSpec pins everything an evaluation depends on besides the design
-	// content and ε; empty means DefaultBaseSpec.
-	BaseSpec string
-}
+// so searches are resumable and can share entries. Its BaseSpec pins
+// everything an evaluation depends on besides the design content and the
+// rung; empty means DefaultBaseSpec.
+type CandidateCache = eval.Store
 
 // Options tunes a search run. The zero value of every field takes a
 // sensible default; Seed 0 is a valid seed.
@@ -125,8 +115,8 @@ type Options struct {
 	// ProxyTop is how many proxy-ranked candidates of a batch get a coarse
 	// GK solve. Default 4.
 	ProxyTop int
-	// CoarseEps/FineEps are the evaluation ladder's GK rungs. Defaults
-	// 0.25 / 0.08. Equal rungs disable the fine re-solve.
+	// CoarseEps/FineEps are the evaluation ladder's GK rungs (defaults and
+	// bounds: eval.NormalizeRungs). Equal rungs disable the fine re-solve.
 	CoarseEps float64
 	FineEps   float64
 	// Strategy is "anneal" (default) or "hillclimb".
@@ -163,12 +153,6 @@ func (o *Options) normalize() error {
 	if o.ProxyTop == 0 {
 		o.ProxyTop = 4
 	}
-	if o.CoarseEps == 0 {
-		o.CoarseEps = 0.25
-	}
-	if o.FineEps == 0 {
-		o.FineEps = 0.08
-	}
 	if o.Strategy == "" {
 		o.Strategy = "anneal"
 	}
@@ -184,11 +168,8 @@ func (o *Options) normalize() error {
 	if o.Budget < 1 || o.Batch < 1 || o.ProxyTop < 1 {
 		return fmt.Errorf("search: budget=%d batch=%d proxy_top=%d: need >= 1", o.Budget, o.Batch, o.ProxyTop)
 	}
-	if o.FineEps < 0.005 || o.FineEps > 0.5 {
-		return fmt.Errorf("search: fine_eps=%g: need [0.005,0.5]", o.FineEps)
-	}
-	if o.CoarseEps < o.FineEps || o.CoarseEps > 0.5 {
-		return fmt.Errorf("search: coarse_eps=%g: need [fine_eps,0.5]", o.CoarseEps)
+	if err := eval.NormalizeRungs(&o.CoarseEps, &o.FineEps); err != nil {
+		return fmt.Errorf("search: %w", err)
 	}
 	switch o.Strategy {
 	case "anneal", "hillclimb":
@@ -198,24 +179,7 @@ func (o *Options) normalize() error {
 	if o.Temp < 0 {
 		return fmt.Errorf("search: temp=%g: need >= 0", o.Temp)
 	}
-	if o.Cache != nil && o.Cache.BaseSpec == "" {
-		o.Cache.BaseSpec = DefaultBaseSpec
-	}
 	return nil
-}
-
-// Eval is one candidate's GK evaluation at a single ε rung — the cached,
-// content-stable unit of search work.
-type Eval struct {
-	Throughput float64 `json:"throughput"`  // raw GK per-server fraction (not clamped)
-	UpperBound float64 `json:"upper_bound"` // GK dual bound
-	Phases     int     `json:"phases"`
-	Epsilon    float64 `json:"epsilon"`
-
-	// duals carries the final arc lengths of a fresh coarse solve so the
-	// fine rung can warm-start; in-memory only, never cached (cache hits
-	// recompute the deterministic coarse solve when a warm seed is needed).
-	duals []float64
 }
 
 // Step is one trace entry. Everything in it is a pure function of
@@ -310,124 +274,53 @@ func mix(parts ...int64) int64 {
 	return int64(x)
 }
 
-// solveCandidate runs one GK rung on a candidate: the longest-matching TM
-// over the candidate's own racks (the near-worst-case demand is a function
-// of the design, so every candidate is judged on its own worst case), unit
-// link capacity, single-threaded solve. Pure function of (design, eps).
-func solveCandidate(ctx context.Context, t *topology.Topology, eps float64, warm []float64, export bool) (*Eval, error) {
-	m := tm.LongestMatching(t.G, t.ToRs(), func(r int) int { return t.Servers[r] })
-	nw := fluid.NewNetwork(t.G, 1.0)
-	res := fluid.MaxConcurrentFlow(nw, fluid.Commodities(m), fluid.GKOptions{
-		Epsilon:     eps,
-		Workers:     1,
-		Ctx:         ctx,
-		WarmStart:   warm,
-		ExportDuals: export,
-	})
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err() // partial solves are never cached
-	}
-	return &Eval{
-		Throughput: res.Throughput,
-		UpperBound: res.UpperBound,
-		Phases:     res.Phases,
-		Epsilon:    eps,
-		duals:      res.Duals,
-	}, nil
-}
-
-func decodeEval(data []byte) (any, error) {
-	var e Eval
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// runner evaluates candidates through the harness worker pool with
-// content-addressed caching.
+// runner evaluates candidates on the shared ladder with content-addressed
+// caching: every rung result is a pure function of (design, rung), whatever
+// the worker count and whatever the cache already holds.
 type runner struct {
-	ctx       context.Context
-	workers   int
-	cache     *harness.Cache
-	baseSpec  string
-	coarseEps float64
-	cacheHits atomic.Int64
+	ladder             eval.Ladder
+	workers            int
+	store              eval.Store
+	coarseKey, fineKey string
+	cacheHits          atomic.Int64
 }
 
-func (r *runner) spec(hash string, eps float64) string {
-	return fmt.Sprintf("%s|eps=%g|design=%s", r.baseSpec, eps, hash)
-}
-
-// coarse evaluates every candidate at the coarse rung, in parallel, cold.
-// Results are index-aligned with cands and independent of worker count and
-// cache state.
-func (r *runner) coarse(cands []*candidate) ([]*Eval, error) {
-	jobs := make([]harness.Job, len(cands))
-	for i := range cands {
-		c := cands[i]
-		jobs[i] = harness.Job{
-			Name: "search-cand",
-			Spec: r.spec(c.hash, r.coarseEps),
-			Run: func(ctx context.Context) (any, error) {
-				return solveCandidate(ctx, c.topo, r.coarseEps, nil, true)
-			},
-			Decode: decodeEval,
-		}
+// rung returns c's cached result at the rung named key, or solves and
+// stores it. The instance is the longest-matching TM over the candidate's
+// own racks (the near-worst-case demand is a function of the design, so
+// every candidate is judged on its own worst case), cold, at unit capacity.
+func (r *runner) rung(c *candidate, key string, solve func(eval.Problem) (eval.Rung, error)) (eval.Rung, error) {
+	slot := r.store.Slot("search-cand", key, "design="+c.hash)
+	var e eval.Rung
+	if slot.Get(&e) {
+		r.cacheHits.Add(1)
+		return e, nil
 	}
-	return r.run(jobs)
+	t := c.topo
+	m := tm.LongestMatching(t.G, t.ToRs(), func(rack int) int { return t.Servers[rack] })
+	e, err := solve(eval.ProblemOf(t.G, m))
+	if err == nil {
+		slot.Put(&e)
+	}
+	return e, err
 }
 
-// fine re-solves one candidate at the fine rung, warm-started from its own
-// coarse duals. A coarse cache hit carries no duals, so the closure
-// recomputes the deterministic cold coarse solve first — fine results are
-// therefore cache-state independent too.
-func (r *runner) fine(c *candidate, coarse *Eval, fineEps float64) (*Eval, error) {
-	job := harness.Job{
-		Name: "search-cand",
-		Spec: r.spec(c.hash, fineEps),
-		Run: func(ctx context.Context) (any, error) {
-			warm := coarse.duals
-			if warm == nil {
-				ce, err := solveCandidate(ctx, c.topo, r.coarseEps, nil, true)
-				if err != nil {
-					return nil, err
-				}
-				warm = ce.duals
-			}
-			return solveCandidate(ctx, c.topo, fineEps, warm, false)
-		},
-		Decode: decodeEval,
-	}
-	evals, err := r.run([]harness.Job{job})
-	if err != nil {
-		return nil, err
-	}
-	return evals[0], nil
-}
-
-func (r *runner) run(jobs []harness.Job) ([]*Eval, error) {
-	rep, err := harness.Run(r.ctx, jobs, harness.Options{
-		Workers: r.workers,
-		Cache:   r.cache,
-		Salt:    CodeSalt,
+// coarse evaluates every candidate at the coarse rung, in parallel. Results
+// are index-aligned with cands.
+func (r *runner) coarse(cands []*candidate) ([]eval.Rung, error) {
+	evals := make([]eval.Rung, len(cands))
+	errs := make([]error, len(cands))
+	graph.ParallelFor(r.workers, len(cands), func(_, i int) {
+		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, r.ladder.Coarse)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	r.cacheHits.Add(int64(rep.CacheHits))
-	out := make([]*Eval, len(jobs))
-	for i := range rep.Jobs {
-		e, ok := rep.Jobs[i].Value.(*Eval)
-		if !ok {
-			return nil, fmt.Errorf("search: unexpected eval type %T", rep.Jobs[i].Value)
-		}
-		out[i] = e
-	}
-	return out, nil
+	return evals, errors.Join(errs...)
+}
+
+// fine re-solves one candidate at the fine rung under the ladder's refine
+// rule: warm from its own coarse duals, re-running the coarse solve when
+// coarse came from the cache.
+func (r *runner) fine(c *candidate, coarse eval.Rung) (eval.Rung, error) {
+	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return r.ladder.Fine(p, coarse) })
 }
 
 // Run searches for a same-cost design that beats the starting topology's
@@ -448,19 +341,21 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	}
 	env := EnvelopeOf(base)
 
-	baseSpec := DefaultBaseSpec
-	var diskCache *harness.Cache
-	if opt.Cache != nil {
-		baseSpec = opt.Cache.BaseSpec
-		diskCache = opt.Cache.Cache
-	}
+	// The cache's default base spec is read into the runner's own copy: the
+	// caller's value is shared between concurrent runs and is not ours to
+	// write.
 	rn := &runner{
-		ctx:       ctx,
-		workers:   opt.Workers,
-		cache:     diskCache,
-		baseSpec:  baseSpec,
-		coarseEps: opt.CoarseEps,
+		ladder:  eval.Ladder{CoarseEps: opt.CoarseEps, FineEps: opt.FineEps, Ctx: ctx},
+		workers: opt.Workers,
+		store:   eval.Store{BaseSpec: DefaultBaseSpec},
 	}
+	if opt.Cache != nil {
+		rn.store.Cache = opt.Cache.Cache
+		if opt.Cache.BaseSpec != "" {
+			rn.store.BaseSpec = opt.Cache.BaseSpec
+		}
+	}
+	rn.coarseKey, rn.fineKey = rn.ladder.CoarseKey(), rn.ladder.FineKey()
 
 	// Baseline rung: the starting design is candidate zero — it spends one
 	// budget unit and sets the value every move must beat.
@@ -479,8 +374,8 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	}
 	res.Spent = 1
 	baseFine := coarseEvals[0]
-	if opt.FineEps != opt.CoarseEps {
-		if baseFine, err = rn.fine(baseCand, coarseEvals[0], opt.FineEps); err != nil {
+	if rn.ladder.TwoRungs() {
+		if baseFine, err = rn.fine(baseCand, coarseEvals[0]); err != nil {
 			return nil, err
 		}
 		res.FineSolves++
@@ -512,7 +407,7 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 
 		// Proxy rung: rank the whole batch cheaply, keep the top few.
 		proxies := make([]float64, len(cands))
-		parallelFor(opt.Workers, len(cands), func(i int) {
+		graph.ParallelFor(opt.Workers, len(cands), func(_, i int) {
 			proxies[i] = Proxy(cands[i].topo)
 		})
 		order := make([]int, len(cands))
@@ -553,8 +448,8 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 
 		// Fine rung: the batch winner only, warm from its own coarse duals.
 		fineEval := winEval
-		if opt.FineEps != opt.CoarseEps {
-			if fineEval, err = rn.fine(winner, winEval, opt.FineEps); err != nil {
+		if rn.ladder.TwoRungs() {
+			if fineEval, err = rn.fine(winner, winEval); err != nil {
 				return nil, err
 			}
 			res.FineSolves++
@@ -682,35 +577,4 @@ func pickMoveKind(p Params, regular bool, rng *rand.Rand) string {
 		return "rebalance"
 	}
 	return "swap"
-}
-
-// parallelFor runs f(i) for i in [0,n) on up to `workers` goroutines; each
-// index exactly once, results written by index, so the outcome is
-// schedule-independent.
-func parallelFor(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"beyondft/internal/harness"
@@ -175,6 +176,79 @@ func TestSearchResumeFromCache(t *testing.T) {
 	}
 	if res3.CacheHits < res.CacheHits {
 		t.Fatalf("warm run hit cache %d times, cold-resume %d", res3.CacheHits, res.CacheHits)
+	}
+}
+
+// TestSearchConcurrentRunsShareCache: two searches may share one
+// CandidateCache value (the experiment harness hands the same one to every
+// job). Run must treat it as read-only — it used to write the default base
+// spec through the pointer, a data race `go test -race` reports — and both
+// runs must still produce the uninterrupted trace.
+func TestSearchConcurrentRunsShareCache(t *testing.T) {
+	ref, err := Run(testBase(t), testParams(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := harness.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := &CandidateCache{Cache: c}
+	traces := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opt := testOpts()
+			opt.Cache = shared
+			opt.Workers = 2
+			res, err := Run(testBase(t), testParams(), opt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			traces[i] = res.Trace()
+		}()
+	}
+	wg.Wait()
+	for i, tr := range traces {
+		if tr != ref.Trace() {
+			t.Errorf("run %d over the shared cache: trace differs from the cache-less run", i)
+		}
+	}
+	if shared.BaseSpec != "" {
+		t.Fatalf("Run wrote %q into the caller's cache value", shared.BaseSpec)
+	}
+}
+
+// TestSearchLaddersDoNotAlias: a fine result is seeded by the coarse duals,
+// so two searches that share a fine ε but not a coarse one compute different
+// fine numbers for the same design; sharing a cache must not hand one
+// search the other's.
+func TestSearchLaddersDoNotAlias(t *testing.T) {
+	c, err := harness.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := testOpts()
+	first.CoarseEps = 0.4
+	first.Cache = &CandidateCache{Cache: c}
+	if _, err := Run(testBase(t), testParams(), first); err != nil {
+		t.Fatal(err)
+	}
+	opt := testOpts()
+	ref, err := Run(testBase(t), testParams(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Cache = &CandidateCache{Cache: c}
+	res, err := Run(testBase(t), testParams(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace() != ref.Trace() {
+		t.Fatalf("search over a cache populated at another coarse ε differs from a cold one:\n--- want ---\n%s--- got ---\n%s", ref.Trace(), res.Trace())
 	}
 }
 

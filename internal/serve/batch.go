@@ -71,73 +71,28 @@ type batchSummary struct {
 	Errors int `json:"errors"`
 }
 
-// batchQuery is an item resolved to engine inputs.
-type batchQuery struct {
-	name    string
-	spec    string
-	salt    string
-	fwd     *forward
-	compute func(context.Context) (json.RawMessage, error)
-}
-
-// resolveBatchItem turns an input line into engine inputs, mirroring the
-// corresponding single-query handler's decode + normalize path.
-func (s *Server) resolveBatchItem(it batchItem) (*batchQuery, error) {
-	strict := func(v any) error {
-		dec := json.NewDecoder(bytes.NewReader(it.Spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
-			return fmt.Errorf("decode %s spec: %w", it.Kind, err)
-		}
-		return nil
-	}
+// resolveBatchItem turns an input line into engine inputs, through the same
+// resolver as the corresponding single-query handler.
+func (s *Server) resolveBatchItem(it batchItem) (query, error) {
 	switch it.Kind {
-	case "throughput":
-		var req ThroughputRequest
-		if err := strict(&req); err != nil {
-			return nil, err
-		}
-		if err := req.normalize(); err != nil {
-			return nil, err
-		}
-		req.metrics = s.metrics
-		spec := req.spec()
-		return &batchQuery{"v1/throughput", spec, CodeSalt,
-			&forward{path: "/v1/throughput", body: []byte(spec)}, req.run}, nil
-	case "pathstats":
-		var req PathStatsRequest
-		if err := strict(&req); err != nil {
-			return nil, err
-		}
-		if err := req.normalize(); err != nil {
-			return nil, err
-		}
-		spec := req.spec()
-		return &batchQuery{"v1/pathstats", spec, CodeSalt,
-			&forward{path: "/v1/pathstats", body: []byte(spec)}, req.run}, nil
-	case "whatif":
-		var req WhatifRequest
-		if err := strict(&req); err != nil {
-			return nil, err
-		}
-		if err := req.normalize(); err != nil {
-			return nil, err
-		}
-		req.metrics = s.metrics
-		req.wm = s.whatifMetrics
-		req.cache = s.engine.l2
-		spec := req.spec()
-		return &batchQuery{"v1/whatif", spec, CodeSalt,
-			&forward{path: "/v1/whatif", body: []byte(spec)}, req.run}, nil
+	case "throughput", "pathstats", "whatif":
+		q, _, err := s.resolveAdhoc(it.Kind, func(v any) error {
+			dec := json.NewDecoder(bytes.NewReader(it.Spec))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(v); err != nil {
+				return fmt.Errorf("decode %s spec: %w", it.Kind, err)
+			}
+			return nil
+		})
+		return q, err
 	case "job":
 		job, ok := s.reg.Lookup(it.Name)
 		if !ok {
-			return nil, fmt.Errorf("unknown job %q (see GET /v1/jobs)", it.Name)
+			return query{}, fmt.Errorf("unknown job %q (see GET /v1/jobs)", it.Name)
 		}
-		fwd, salt, compute := s.jobQuery(job)
-		return &batchQuery{job.Name, job.Spec, salt, fwd, compute}, nil
+		return s.jobQuery(job), nil
 	default:
-		return nil, fmt.Errorf("unknown kind %q (want throughput|pathstats|whatif|job)", it.Kind)
+		return query{}, fmt.Errorf("unknown kind %q (want throughput|pathstats|whatif|job)", it.Kind)
 	}
 }
 
@@ -238,13 +193,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // admission rejections (local and peer) with backoff while the batch
 // stream lives. Each attempt gets its own RequestTimeout deadline under
 // ctx, so a failed response write cancels the attempt mid-flight.
-func (s *Server) runBatchQuery(ctx context.Context, r *http.Request, idx int, q *batchQuery) batchLine {
+func (s *Server) runBatchQuery(ctx context.Context, r *http.Request, idx int, q query) batchLine {
 	start := time.Now()
 	backoff := batchSaturatedBackoff
 	for {
 		actx, cancel := s.timeoutCtx(ctx)
-		data, key, src, err := s.engine.DoRemote(actx, q.name, q.spec, q.salt,
-			s.remoteFunc(r, q.fwd, q.name, q.spec, q.salt), q.compute)
+		data, key, src, err := s.engine.DoRemote(actx, q.name, q.spec, q.salt, s.remoteFunc(r, q), q.compute)
 		cancel()
 		if err == nil {
 			return batchLine{

@@ -285,20 +285,7 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 	e.metrics.Computed.Add(1)
 	storeSp := sp.Child("store")
 	defer storeSp.End()
-	e.l1.Put(key, data)
-	if e.l2 != nil {
-		if err := e.l2.Put(key, harness.Entry{
-			Job: name, Spec: spec, Salt: salt,
-			CreatedAt: time.Now().UTC(), Result: data,
-		}); err != nil && e.logf != nil {
-			e.logf("serve: l2 write key=%.12s…: %v (serving uncached)", key, err)
-		}
-		if e.l2MaxBytes > 0 && e.l2Puts.Add(1)%l2PruneEvery == 0 {
-			if _, _, err := e.l2.Prune(e.l2MaxBytes, e.logf); err != nil && e.logf != nil {
-				e.logf("serve: l2 prune: %v", err)
-			}
-		}
-	}
+	e.store("write", key, name, spec, salt, data)
 	if hook := e.onFresh.Load(); hook != nil {
 		(*hook)(key, name, spec, salt, data)
 	}
@@ -352,6 +339,13 @@ func (e *Engine) Fill(key, name, spec, salt string, data json.RawMessage) (had b
 // key are the same wherever they were computed.
 func (e *Engine) fill(key, name, spec, salt string, data json.RawMessage) {
 	e.metrics.PeerFills.Add(1)
+	e.store("fill", key, name, spec, salt, data)
+}
+
+// store puts a result into both local tiers, keeping the disk tier within
+// its byte budget. A failed disk write is logged (as a `what`) and costs a
+// recomputation later; the result is still served from memory.
+func (e *Engine) store(what, key, name, spec, salt string, data json.RawMessage) {
 	e.l1.Put(key, data)
 	if e.l2 == nil {
 		return
@@ -360,7 +354,7 @@ func (e *Engine) fill(key, name, spec, salt string, data json.RawMessage) {
 		Job: name, Spec: spec, Salt: salt,
 		CreatedAt: time.Now().UTC(), Result: data,
 	}); err != nil && e.logf != nil {
-		e.logf("serve: l2 fill key=%.12s…: %v", key, err)
+		e.logf("serve: l2 %s key=%.12s…: %v", what, key, err)
 	}
 	if e.l2MaxBytes > 0 && e.l2Puts.Add(1)%l2PruneEvery == 0 {
 		if _, _, err := e.l2.Prune(e.l2MaxBytes, e.logf); err != nil && e.logf != nil {

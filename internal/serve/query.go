@@ -6,187 +6,71 @@ import (
 	"fmt"
 	"math/rand"
 
-	"beyondft/internal/fluid"
+	"beyondft/internal/eval"
 	"beyondft/internal/graph"
 	"beyondft/internal/obs"
 	"beyondft/internal/tm"
 	"beyondft/internal/topology"
-	"beyondft/internal/workload"
 )
 
-// CodeSalt versions the ad-hoc query computations for the result cache,
-// layered the same way as experiments.CodeSalt: bump it whenever the
-// topology constructors, the GK solver, or the path kernels change their
-// numeric output, so stale cached query results are invalidated.
-const CodeSalt = "serve-v1+" + "gk-warm-whatif"
+// CodeSalt versions the daemon's cached responses. It is the evaluation
+// core's version: whatever can change a served number — topology
+// constructors, traffic matrices, the GK solver, the path kernels, the
+// what-if ladder — is bumped there, once, for every tier.
+const CodeSalt = eval.Version
 
-// maxSwitches bounds ad-hoc topology sizes. The service computes what-if
-// queries interactively; a request for a million-switch Jellyfish belongs
-// in the batch harness, and admission control cannot help once a single
-// compute is allowed to be arbitrarily large.
-const maxSwitches = 8192
+// TopoSpec describes a topology to build; see eval.TopoSpec.
+type TopoSpec = eval.TopoSpec
 
-// TopoSpec describes a topology to build, mirroring cmd/throughput's
-// flags. Fields irrelevant to the chosen kind are zeroed during
-// normalization so specs that differ only in ignored fields share one
-// cache entry.
-type TopoSpec struct {
-	Kind    string `json:"kind"`              // fattree | jellyfish | xpander | slimfly | longhop | design
-	K       int    `json:"k,omitempty"`       // fattree
-	N       int    `json:"n,omitempty"`       // jellyfish: switch count
-	Degree  int    `json:"degree,omitempty"`  // jellyfish / xpander / longhop
-	Lift    int    `json:"lift,omitempty"`    // xpander
-	Servers int    `json:"servers,omitempty"` // servers per switch (flat topologies)
-	Q       int    `json:"q,omitempty"`       // slimfly
-	Dim     int    `json:"dim,omitempty"`     // longhop
-	Seed    int64  `json:"seed,omitempty"`    // randomized constructions
-
-	// Name selects a registered design (kind "design") — e.g. a
-	// search-found topology loaded at daemon startup via -designs.
-	Name string `json:"name,omitempty"`
-	// DesignHash is the design's content address, filled from the registry
-	// during normalization so cache entries key on content: re-registering
-	// different bytes under the same name cannot alias a stale result.
-	DesignHash string `json:"design_hash,omitempty"`
+// adhocRequest is what the ad-hoc query kinds share. A request is decoded
+// from a body, normalized, handed the server-side state its compute reports
+// to (inject — unexported fields, so none of it reaches spec() or the cache
+// key), and from then on is just a canonical spec and a compute.
+type adhocRequest interface {
+	normalize() error
+	inject(s *Server)
+	spec() string
+	run(ctx context.Context) (json.RawMessage, error)
 }
 
-// normalize fills defaults (cmd/throughput's) and zeroes fields the kind
-// ignores, then validates. The normalized spec is what gets hashed into
-// the cache key, so two requests meaning the same topology hit one entry.
-func (s *TopoSpec) normalize() error {
-	def := func(p *int, d int) {
-		if *p == 0 {
-			*p = d
-		}
-	}
-	if s.Kind != "design" {
-		s.Name, s.DesignHash = "", ""
-	}
-	switch s.Kind {
-	case "design":
-		s.K, s.N, s.Degree, s.Lift, s.Servers, s.Q, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0, 0, 0
-		if s.Name == "" {
-			return fmt.Errorf("design: name required")
-		}
-		d, ok := topology.LookupDesign(s.Name)
-		if !ok {
-			return fmt.Errorf("design %q not registered (daemon flag -designs loads a directory)", s.Name)
-		}
-		if len(d.Servers) > maxSwitches {
-			return fmt.Errorf("design %q has %d switches > limit %d", s.Name, len(d.Servers), maxSwitches)
-		}
-		s.DesignHash = d.Hash()
-		return nil
-	case "fattree":
-		def(&s.K, 8)
-		s.N, s.Degree, s.Lift, s.Servers, s.Q, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0, 0
-		if s.K < 2 || s.K%2 != 0 || s.K > 64 {
-			return fmt.Errorf("fattree k=%d: need even k in [2,64]", s.K)
-		}
-	case "jellyfish":
-		def(&s.N, 54)
-		def(&s.Degree, 9)
-		def(&s.Servers, 6)
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.K, s.Lift, s.Q, s.Dim = 0, 0, 0, 0
-		if s.N < 2 || s.N > maxSwitches {
-			return fmt.Errorf("jellyfish n=%d: need [2,%d]", s.N, maxSwitches)
-		}
-		if s.Degree < 2 || s.Degree >= s.N {
-			return fmt.Errorf("jellyfish degree=%d: need [2,n)", s.Degree)
-		}
-		if s.N*s.Degree%2 != 0 {
-			return fmt.Errorf("jellyfish n=%d degree=%d: n·degree must be even", s.N, s.Degree)
-		}
-	case "xpander":
-		def(&s.Degree, 9)
-		def(&s.Lift, 9)
-		def(&s.Servers, 6)
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.K, s.N, s.Q, s.Dim = 0, 0, 0, 0
-		if s.Degree < 2 || s.Lift < 2 || (s.Degree+1)*s.Lift > maxSwitches {
-			return fmt.Errorf("xpander degree=%d lift=%d: need degree,lift >= 2 and (degree+1)*lift <= %d", s.Degree, s.Lift, maxSwitches)
-		}
-	case "slimfly":
-		def(&s.Q, 5)
-		def(&s.Servers, 6)
-		s.K, s.N, s.Degree, s.Lift, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0
-		if s.Q < 2 || 2*s.Q*s.Q > maxSwitches {
-			return fmt.Errorf("slimfly q=%d: need q >= 2 and 2q² <= %d", s.Q, maxSwitches)
-		}
-		if !isPrimeMod4(s.Q) {
-			return fmt.Errorf("slimfly q=%d: need a prime ≡ 1 (mod 4)", s.Q)
-		}
-	case "longhop":
-		def(&s.Dim, 6)
-		def(&s.Degree, 9)
-		def(&s.Servers, 6)
-		s.K, s.N, s.Lift, s.Q, s.Seed = 0, 0, 0, 0, 0
-		if s.Dim < 2 || s.Dim > 13 {
-			return fmt.Errorf("longhop dim=%d: need [2,13]", s.Dim)
-		}
-		if s.Degree < s.Dim || s.Degree >= 1<<s.Dim {
-			return fmt.Errorf("longhop degree=%d: need [dim=%d, 2^dim)", s.Degree, s.Dim)
-		}
-	default:
-		return fmt.Errorf("unknown topology kind %q (want fattree|jellyfish|xpander|slimfly|longhop|design)", s.Kind)
-	}
-	if s.Servers < 0 || s.Servers > 256 {
-		return fmt.Errorf("servers=%d: need [0,256]", s.Servers)
-	}
-	return nil
+// adhocKinds is the table of ad-hoc query kinds: POST /v1/<kind> and batch
+// items of that kind resolve through it, so a new kind is one entry here
+// plus its request type.
+var adhocKinds = map[string]struct {
+	path string // endpoint path; without its leading slash, the engine job name
+	new  func() adhocRequest
+}{
+	"throughput": {"/v1/throughput", func() adhocRequest { return new(ThroughputRequest) }},
+	"pathstats":  {"/v1/pathstats", func() adhocRequest { return new(PathStatsRequest) }},
+	"whatif":     {"/v1/whatif", func() adhocRequest { return new(WhatifRequest) }},
 }
 
-// isPrimeMod4 reports whether q is a prime ≡ 1 (mod 4) — the SlimFly
-// constructor's precondition, checked here so a bad q is a 400, not a
-// recovered panic.
-func isPrimeMod4(q int) bool {
-	if q < 2 || q%4 != 1 {
-		return false
+// resolveAdhoc turns one ad-hoc query body into engine inputs — the single
+// path behind the per-kind handlers and /v1/batch. decode must decode
+// strictly (unknown fields are errors). The canonical spec doubles as the
+// body a peer is sent, so the peer derives the identical cache key.
+func (s *Server) resolveAdhoc(kind string, decode func(v any) error) (query, adhocRequest, error) {
+	k := adhocKinds[kind]
+	req := k.new()
+	if err := decode(req); err != nil {
+		return query{}, nil, err
 	}
-	for d := 2; d*d <= q; d++ {
-		if q%d == 0 {
-			return false
-		}
+	if err := req.normalize(); err != nil {
+		return query{}, nil, err
 	}
-	return true
+	req.inject(s)
+	spec := req.spec()
+	return query{k.path[1:], spec, CodeSalt, &forward{path: k.path, body: []byte(spec)}, req.run}, req, nil
 }
 
-// build constructs the topology. Call normalize first.
-func (s *TopoSpec) build() (*topology.Topology, error) {
-	rng := rand.New(rand.NewSource(s.Seed))
-	var t *topology.Topology
-	switch s.Kind {
-	case "design":
-		d, ok := topology.LookupDesign(s.Name)
-		if !ok {
-			return nil, fmt.Errorf("design %q not registered", s.Name)
-		}
-		var err error
-		if t, err = d.Build(); err != nil {
-			return nil, err
-		}
-	case "fattree":
-		t = &topology.NewFatTree(s.K).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(s.N, s.Degree, s.Servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(s.Degree, s.Lift, s.Servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(s.Q, s.Servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(s.Dim, s.Degree, s.Servers).Topology
-	default:
-		return nil, fmt.Errorf("unknown topology kind %q", s.Kind)
+// specOf is the canonical cache spec of a normalized request: its JSON
+// encoding (struct field order is fixed, so the encoding is deterministic).
+func specOf(req any) string {
+	data, err := json.Marshal(req)
+	if err != nil {
+		panic(fmt.Sprintf("serve: encode spec: %v", err)) // flat structs of scalars
 	}
-	if t.NumSwitches() > maxSwitches {
-		return nil, fmt.Errorf("topology has %d switches > limit %d", t.NumSwitches(), maxSwitches)
-	}
-	return t, nil
+	return string(data)
 }
 
 // ThroughputRequest is the body of POST /v1/throughput: evaluate a
@@ -199,7 +83,7 @@ type ThroughputRequest struct {
 	TM string `json:"tm,omitempty"`
 	// X is the fraction of active racks (default 1).
 	X float64 `json:"x,omitempty"`
-	// Epsilon is the GK approximation parameter (default 0.08).
+	// Epsilon is the GK approximation parameter (default eval.DefaultFineEps).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Seed drives workload randomness (active-rack choice, permutation
 	// pairing); independent of Topo.Seed. Default 1.
@@ -211,45 +95,20 @@ type ThroughputRequest struct {
 }
 
 func (r *ThroughputRequest) normalize() error {
-	if err := r.Topo.normalize(); err != nil {
+	if err := r.Topo.Normalize(); err != nil {
 		return err
 	}
-	if r.TM == "" {
-		r.TM = "longest-matching"
-	}
-	switch r.TM {
-	case "longest-matching", "permutation", "all-to-all":
-	default:
-		return fmt.Errorf("unknown tm %q (want longest-matching|permutation|all-to-all)", r.TM)
-	}
-	if r.X == 0 {
-		r.X = 1
-	}
-	if r.X < 0 || r.X > 1 {
-		return fmt.Errorf("x=%g: need (0,1]", r.X)
+	if err := eval.NormalizeTM(&r.TM, &r.X, &r.Seed); err != nil {
+		return err
 	}
 	if r.Epsilon == 0 {
-		r.Epsilon = 0.08
+		r.Epsilon = eval.DefaultFineEps
 	}
-	if r.Epsilon < 0.005 || r.Epsilon > 0.5 {
-		return fmt.Errorf("epsilon=%g: need [0.005,0.5]", r.Epsilon)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	return nil
+	return eval.CheckEps("epsilon", r.Epsilon)
 }
 
-// spec returns the canonical cache spec: the JSON encoding of the
-// normalized request (struct field order is fixed, so the encoding is
-// deterministic).
-func (r *ThroughputRequest) spec() string {
-	data, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("serve: encode throughput spec: %v", err)) // flat struct of scalars
-	}
-	return string(data)
-}
+func (r *ThroughputRequest) inject(s *Server) { r.metrics = s.metrics }
+func (r *ThroughputRequest) spec() string     { return specOf(r) }
 
 // ThroughputResult is the response payload of /v1/throughput.
 type ThroughputResult struct {
@@ -264,56 +123,42 @@ type ThroughputResult struct {
 	Epsilon    float64 `json:"epsilon"`
 }
 
+// instance builds the request's topology and traffic matrix from their two
+// independent seeds, with the topology build under its own span.
+func instance(ctx context.Context, topo *TopoSpec, tmFamily string, x float64, seed int64) (*topology.Topology, *tm.TM, []int, error) {
+	buildSp := obs.SpanFromContext(ctx).Child("build-topology")
+	t, err := topo.Build(rand.New(rand.NewSource(topo.Seed)))
+	buildSp.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m, racks, err := topo.TM(t, tmFamily, x, rand.New(rand.NewSource(seed)))
+	return t, m, racks, err
+}
+
 // run computes the query. ctx cancellation propagates into the GK solver
 // at phase granularity; a canceled run returns ctx.Err() rather than a
 // partial result. A span in ctx (traced requests) gets build/solve children
 // with the solver's phase and iteration counts as attributes.
 func (r *ThroughputRequest) run(ctx context.Context) (json.RawMessage, error) {
-	sp := obs.SpanFromContext(ctx)
-	buildSp := sp.Child("build-topology")
-	t, err := r.Topo.build()
-	buildSp.End()
+	t, m, racks, err := instance(ctx, &r.Topo, r.TM, r.X, r.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	racks := workload.ActiveRacks(t, r.X, r.Topo.Kind == "fattree", rng)
-	serversOf := func(rack int) int { return t.Servers[rack] }
-	var m *tm.TM
-	switch r.TM {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return nil, fmt.Errorf("traffic matrix violates hose model: %w", err)
-	}
-	nw := fluid.NewNetwork(t.G, 1.0)
-	gkSp := sp.Child("gk-solve")
-	var tel fluid.GKTelemetry
-	res := fluid.MaxConcurrentFlow(nw, fluid.Commodities(m), fluid.GKOptions{
-		Epsilon:  r.Epsilon,
-		Workers:  graph.Parallelism(),
-		Ctx:      ctx,
-		Observer: &tel,
-	})
-	gkSp.SetAttr("phases", float64(tel.Phases))
-	gkSp.SetAttr("iterations", float64(tel.Iterations))
-	gkSp.SetAttr("dual_bound", tel.Dual)
+	p := eval.ProblemOf(t.G, m)
+	gkSp := obs.SpanFromContext(ctx).Child("gk-solve")
+	res, err := eval.Solve(ctx, p, r.Epsilon, graph.Parallelism(), false)
+	gkSp.SetAttr("phases", float64(res.Phases))
+	gkSp.SetAttr("iterations", float64(res.Iterations))
+	gkSp.SetAttr("dual_bound", res.UpperBound)
 	gkSp.End()
+	if err != nil {
+		return nil, err
+	}
 	if r.metrics != nil {
 		r.metrics.GKSolves.Add(1)
-		r.metrics.GKPhases.Add(int64(tel.Phases))
-		r.metrics.GKIterations.Add(int64(tel.Iterations))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		r.metrics.GKPhases.Add(int64(res.Phases))
+		r.metrics.GKIterations.Add(int64(res.Iterations))
 	}
 	out := ThroughputResult{
 		Topology:   t.Name,
@@ -335,15 +180,9 @@ type PathStatsRequest struct {
 	Topo TopoSpec `json:"topo"`
 }
 
-func (r *PathStatsRequest) normalize() error { return r.Topo.normalize() }
-
-func (r *PathStatsRequest) spec() string {
-	data, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("serve: encode pathstats spec: %v", err))
-	}
-	return string(data)
-}
+func (r *PathStatsRequest) normalize() error { return r.Topo.Normalize() }
+func (r *PathStatsRequest) inject(*Server)   {}
+func (r *PathStatsRequest) spec() string     { return specOf(r) }
 
 // PathStatsResult is the response payload of /v1/pathstats. Mean is -1
 // when the graph is disconnected (JSON has no NaN).
@@ -357,7 +196,7 @@ type PathStatsResult struct {
 }
 
 func (r *PathStatsRequest) run(ctx context.Context) (json.RawMessage, error) {
-	t, err := r.Topo.build()
+	t, err := r.Topo.Build(rand.New(rand.NewSource(r.Topo.Seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -126,9 +126,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("POST /v1/jobs/{name}/run", s.handleJobRun)
-	s.mux.HandleFunc("POST /v1/throughput", s.handleThroughput)
-	s.mux.HandleFunc("POST /v1/pathstats", s.handlePathStats)
-	s.mux.HandleFunc("POST /v1/whatif", s.handleWhatif)
+	for kind, k := range adhocKinds {
+		s.mux.HandleFunc("POST "+k.path, s.handleAdhoc(kind))
+	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	// Peer-to-peer replication and membership plane (paths defined by the
 	// cluster package; 503 / no-op while standalone).
@@ -358,14 +358,8 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// requestCtx applies the per-request compute deadline.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return s.timeoutCtx(r.Context())
-}
-
-// timeoutCtx derives a per-attempt compute deadline from an arbitrary
-// parent (the batch path cancels attempts from its own stream context, not
-// the raw request's).
+// timeoutCtx derives a per-attempt compute deadline from a parent: the
+// request's context, or the batch path's own stream context.
 func (s *Server) timeoutCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
 		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -382,6 +376,17 @@ type queryResponse struct {
 	// Trace is the per-request span tree, present only when the request
 	// asked for it with ?trace=1.
 	Trace *obs.Record `json:"trace,omitempty"`
+}
+
+// query is one engine-backed request resolved to engine inputs: the job
+// name, canonical spec and salt its cache key derives from, how to re-issue
+// it against a peer (nil: not forwardable), and the compute.
+type query struct {
+	name    string
+	spec    string
+	salt    string
+	fwd     *forward
+	compute func(context.Context) (json.RawMessage, error)
 }
 
 // forward describes how a query is re-issued against a peer when the
@@ -409,12 +414,13 @@ type forward struct {
 //
 // Returns nil — serve purely locally — when clustering is off, the query
 // has no forwardable form, or no remote stage applies.
-func (s *Server) remoteFunc(r *http.Request, fwd *forward, name, spec, salt string) RemoteFunc {
+func (s *Server) remoteFunc(r *http.Request, q query) RemoteFunc {
 	cl := s.cluster.Load()
+	fwd := q.fwd
 	if cl == nil || fwd == nil {
 		return nil
 	}
-	key := harness.Key(name, spec, salt)
+	key := harness.Key(q.name, q.spec, q.salt)
 	owners := cl.Owners(key)
 	pos := -1
 	for i, o := range owners {
@@ -481,18 +487,17 @@ func (s *Server) siblingProbe(cl *cluster.Cluster, key string, nOwners int) Remo
 // response: metrics, deadline, engine.DoRemote, manifest record, histogram.
 // ?trace=1 roots a span in the request context; the engine and the compute
 // hang stage spans off it and the finished tree rides back in the response.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, name, spec, salt string,
-	fwd *forward, compute func(context.Context) (json.RawMessage, error)) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string, q query) {
 	start := time.Now()
 	var root *obs.Span
 	if r.URL.Query().Get("trace") == "1" {
 		root = obs.StartSpan(endpoint)
 		s.metrics.Traced.Add(1)
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.timeoutCtx(r.Context())
 	defer cancel()
 	ctx = obs.ContextWithSpan(ctx, root)
-	data, key, src, err := s.engine.DoRemote(ctx, name, spec, salt, s.remoteFunc(r, fwd, name, spec, salt), compute)
+	data, key, src, err := s.engine.DoRemote(ctx, q.name, q.spec, q.salt, s.remoteFunc(r, q), q.compute)
 	elapsed := time.Since(start)
 	s.metrics.Latency(endpoint).Observe(elapsed)
 	if err != nil {
@@ -500,7 +505,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, na
 		return
 	}
 	root.End()
-	s.record(name, key, src, elapsed)
+	s.record(q.name, key, src, elapsed)
 	writeJSON(w, http.StatusOK, queryResponse{
 		Key:        key,
 		Source:     src,
@@ -569,11 +574,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// jobQuery resolves a registry job to its forward descriptor, salt, and
-// compute — shared between POST /v1/jobs/{name}/run and batch kind=job.
-func (s *Server) jobQuery(job harness.Job) (*forward, string, func(context.Context) (json.RawMessage, error)) {
+// jobQuery resolves a registry job to engine inputs — shared between
+// POST /v1/jobs/{name}/run and batch kind=job.
+func (s *Server) jobQuery(job harness.Job) query {
 	fwd := &forward{path: "/v1/jobs/" + url.PathEscape(job.Name) + "/run"}
-	return fwd, experiments.CodeSalt, func(ctx context.Context) (json.RawMessage, error) {
+	return query{job.Name, job.Spec, experiments.CodeSalt, fwd, func(ctx context.Context) (json.RawMessage, error) {
 		v, err := job.Run(ctx)
 		if err != nil {
 			return nil, err
@@ -588,7 +593,7 @@ func (s *Server) jobQuery(job harness.Job) (*forward, string, func(context.Conte
 			return nil, fmt.Errorf("result does not round-trip: %w", err)
 		}
 		return data, nil
-	}
+	}}
 }
 
 // jobRunResult augments the generic envelope's Result with a figure count,
@@ -602,39 +607,25 @@ func (s *Server) handleJobRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q (see GET /v1/jobs)", name)})
 		return
 	}
-	fwd, salt, compute := s.jobQuery(job)
-	s.serveQuery(w, r, "/v1/jobs/run", job.Name, job.Spec, salt, fwd, compute)
+	s.serveQuery(w, r, "/v1/jobs/run", s.jobQuery(job))
 }
 
-func (s *Server) handleThroughput(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	var req ThroughputRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
-		return
+// handleAdhoc serves POST /v1/<kind> for one ad-hoc query kind: strict
+// decode and validation failures are 400s, everything else runs the shared
+// engine path. A what-if request may ask for its results as a stream.
+func (s *Server) handleAdhoc(kind string) http.HandlerFunc {
+	path := adhocKinds[kind].path
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.Requests.Add(1)
+		q, req, err := s.resolveAdhoc(kind, func(v any) error { return decodeBody(r, v) })
+		if err != nil {
+			s.writeBadRequest(w, err)
+			return
+		}
+		if wr, ok := req.(*WhatifRequest); ok && r.URL.Query().Get("stream") == "1" {
+			s.serveWhatifStream(w, r, wr)
+			return
+		}
+		s.serveQuery(w, r, path, q)
 	}
-	if err := req.normalize(); err != nil {
-		s.writeBadRequest(w, err)
-		return
-	}
-	req.metrics = s.metrics
-	spec := req.spec()
-	s.serveQuery(w, r, "/v1/throughput", "v1/throughput", spec, CodeSalt,
-		&forward{path: "/v1/throughput", body: []byte(spec)}, req.run)
-}
-
-func (s *Server) handlePathStats(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	var req PathStatsRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
-		return
-	}
-	if err := req.normalize(); err != nil {
-		s.writeBadRequest(w, err)
-		return
-	}
-	spec := req.spec()
-	s.serveQuery(w, r, "/v1/pathstats", "v1/pathstats", spec, CodeSalt,
-		&forward{path: "/v1/pathstats", body: []byte(spec)}, req.run)
 }

@@ -4,16 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"time"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/fluid"
 	"beyondft/internal/harness"
 	"beyondft/internal/obs"
-	"beyondft/internal/tm"
 	"beyondft/internal/whatif"
-	"beyondft/internal/workload"
 )
 
 // maxWhatifScenarios bounds how many scenarios one interactive request may
@@ -51,25 +49,11 @@ type WhatifRequest struct {
 }
 
 func (r *WhatifRequest) normalize() error {
-	if err := r.Topo.normalize(); err != nil {
+	if err := r.Topo.Normalize(); err != nil {
 		return err
 	}
-	if r.TM == "" {
-		r.TM = "longest-matching"
-	}
-	switch r.TM {
-	case "longest-matching", "permutation", "all-to-all":
-	default:
-		return fmt.Errorf("unknown tm %q (want longest-matching|permutation|all-to-all)", r.TM)
-	}
-	if r.X == 0 {
-		r.X = 1
-	}
-	if r.X < 0 || r.X > 1 {
-		return fmt.Errorf("x=%g: need (0,1]", r.X)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
+	if err := eval.NormalizeTM(&r.TM, &r.X, &r.Seed); err != nil {
+		return err
 	}
 	if err := r.Family.Normalize(); err != nil {
 		return err
@@ -77,14 +61,12 @@ func (r *WhatifRequest) normalize() error {
 	return r.Ladder.Normalize()
 }
 
-// spec is the canonical cache spec of the full request (normalized JSON).
-func (r *WhatifRequest) spec() string {
-	data, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("serve: encode whatif spec: %v", err))
-	}
-	return string(data)
+func (r *WhatifRequest) inject(s *Server) {
+	r.metrics, r.wm, r.cache = s.metrics, s.whatifMetrics, s.engine.l2
 }
+
+// spec is the canonical cache spec of the full request (normalized JSON).
+func (r *WhatifRequest) spec() string { return specOf(r) }
 
 // baseSpec canonically describes everything a single scenario's result
 // depends on besides its delta and ε: the base topology and traffic
@@ -92,16 +74,12 @@ func (r *WhatifRequest) spec() string {
 // cache entries are shared across families and ladder configs that touch
 // the same deltas.
 func (r *WhatifRequest) baseSpec() string {
-	data, err := json.Marshal(struct {
+	return specOf(struct {
 		Topo TopoSpec `json:"topo"`
 		TM   string   `json:"tm"`
 		X    float64  `json:"x"`
 		Seed int64    `json:"seed"`
 	}{r.Topo, r.TM, r.X, r.Seed})
-	if err != nil {
-		panic(fmt.Sprintf("serve: encode whatif base spec: %v", err))
-	}
-	return string(data)
 }
 
 // WhatifResult is the response payload of /v1/whatif (the `done` line of a
@@ -120,30 +98,9 @@ type WhatifResult struct {
 // run evaluates the sweep. Deterministic for a given spec, so the whole
 // response is content-addressable like every other engine compute.
 func (r *WhatifRequest) run(ctx context.Context) (json.RawMessage, error) {
-	sp := obs.SpanFromContext(ctx)
-	buildSp := sp.Child("build-topology")
-	t, err := r.Topo.build()
-	buildSp.End()
+	t, m, racks, err := instance(ctx, &r.Topo, r.TM, r.X, r.Seed)
 	if err != nil {
 		return nil, err
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	racks := workload.ActiveRacks(t, r.X, r.Topo.Kind == "fattree", rng)
-	serversOf := func(rack int) int { return t.Servers[rack] }
-	var m *tm.TM
-	switch r.TM {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return nil, fmt.Errorf("traffic matrix violates hose model: %w", err)
 	}
 	scens, err := whatif.Scenarios(t.G, r.Family)
 	if err != nil {
@@ -153,16 +110,12 @@ func (r *WhatifRequest) run(ctx context.Context) (json.RawMessage, error) {
 		return nil, fmt.Errorf("family %q enumerates %d scenarios > limit %d (run it through the batch harness)",
 			r.Family.Kind, len(scens), maxWhatifScenarios)
 	}
-	var sc *whatif.ScenarioCache
-	if r.cache != nil {
-		sc = &whatif.ScenarioCache{Cache: r.cache, BaseSpec: r.baseSpec()}
-	}
 	rep, err := whatif.Evaluate(t.G, fluid.Commodities(m), scens, whatif.Options{
 		Ladder:   r.Ladder,
 		Ctx:      ctx,
-		Cache:    sc,
+		Cache:    &whatif.ScenarioCache{Cache: r.cache, BaseSpec: r.baseSpec()}, // inert without a disk tier
 		Metrics:  r.wm,
-		Span:     sp,
+		Span:     obs.SpanFromContext(ctx),
 		OnResult: r.stream,
 	})
 	if err != nil {
@@ -194,36 +147,13 @@ type whatifStreamLine struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	var req WhatifRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
-		return
-	}
-	if err := req.normalize(); err != nil {
-		s.writeBadRequest(w, err)
-		return
-	}
-	req.metrics = s.metrics
-	req.wm = s.whatifMetrics
-	req.cache = s.engine.l2
-	if r.URL.Query().Get("stream") == "1" {
-		s.serveWhatifStream(w, r, &req)
-		return
-	}
-	spec := req.spec()
-	s.serveQuery(w, r, "/v1/whatif", "v1/whatif", spec, CodeSalt,
-		&forward{path: "/v1/whatif", body: []byte(spec)}, req.run)
-}
-
 // serveWhatifStream runs the sweep outside the result cache (a stream
 // cannot be replayed from a cache entry — though the per-scenario L2
 // entries still make re-streams cheap), but inside admission control: a
 // sweep is a compute like any other and must not bypass load shedding.
 func (s *Server) serveWhatifStream(w http.ResponseWriter, r *http.Request, req *WhatifRequest) {
 	start := time.Now()
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.timeoutCtx(r.Context())
 	defer cancel()
 	if err := s.engine.adm.acquire(ctx); err != nil {
 		if err == errSaturated {

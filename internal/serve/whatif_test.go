@@ -110,6 +110,51 @@ func TestServeWhatifScenarioCacheShared(t *testing.T) {
 	}
 }
 
+// TestServeWhatifCacheHistoryIndependent: two requests that differ only in
+// ladder.top_k share per-scenario L2 entries, and the second must still
+// answer exactly what a fresh daemon answers — the scenario cache is an
+// accelerator, never an input. (It used to be one: scenarios promoted over a
+// cached coarse rung were fine-solved from the wrong duals, so a daemon's
+// answer, and the bytes it persisted and replicated, depended on what it
+// had been asked before.)
+func TestServeWhatifCacheHistoryIndependent(t *testing.T) {
+	post := func(cacheDir string, bodies ...string) WhatifResult {
+		t.Helper()
+		s, err := New(testConfig(t, cacheDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var last WhatifResult
+		for _, body := range bodies {
+			qr, code := postJSON(t, ts.URL+"/v1/whatif", body)
+			if code != http.StatusOK || qr.Source != SourceComputed {
+				t.Fatalf("code=%d source=%q, want 200 computed", code, qr.Source)
+			}
+			last = decodeWhatifResult(t, qr.Result)
+		}
+		return last
+	}
+	narrow := strings.Replace(smallWhatifBody, `"top_k":4`, `"top_k":2`, 1)
+	wide := strings.Replace(smallWhatifBody, `"top_k":4`, `"top_k":8`, 1)
+	warm := post(t.TempDir(), narrow, wide)
+	cold := post(t.TempDir(), wide)
+	if warm.Report.CacheHits == 0 || warm.Report.Promoted != 6 {
+		t.Fatalf("second request: %d scenario-cache hits, %d promoted; want hits and 6 fresh promotions",
+			warm.Report.CacheHits, warm.Report.Promoted)
+	}
+	// Everything but the run accounting must match.
+	for _, r := range []*whatif.Report{warm.Report, cold.Report} {
+		r.Evaluated, r.CacheHits, r.Promoted, r.WarmHits = 0, 0, 0, 0
+	}
+	a, _ := json.Marshal(warm)
+	b, _ := json.Marshal(cold)
+	if string(a) != string(b) {
+		t.Fatalf("top_k=8 after top_k=2 on one daemon differs from a fresh daemon:\n%s\nvs\n%s", a, b)
+	}
+}
+
 // TestServeWhatifStream: ?stream=1 yields NDJSON — scenario lines (one per
 // scenario plus one per promotion) then a terminal done line that matches
 // the non-streamed result shape.

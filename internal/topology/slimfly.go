@@ -26,7 +26,7 @@ type SlimFly struct {
 // Because q ≡ 1 (mod 4), −1 is a quadratic residue, so both generator sets
 // are symmetric and the graph is undirected.
 func NewSlimFly(q, serversPerSwitch int) *SlimFly {
-	if !isPrime(q) || q%4 != 1 {
+	if !SlimFlyQ(q) {
 		panic(fmt.Sprintf("slimfly: q=%d must be a prime ≡ 1 (mod 4)", q))
 	}
 	n := 2 * q * q
@@ -81,6 +81,10 @@ func NewSlimFly(q, serversPerSwitch int) *SlimFly {
 
 // NetworkDegree returns the SlimFly network degree (3q−1)/2.
 func (s *SlimFly) NetworkDegree() int { return (3*s.Q - 1) / 2 }
+
+// SlimFlyQ reports whether q is a valid SlimFly parameter: a prime ≡ 1
+// (mod 4). Callers taking q from outside check it before NewSlimFly panics.
+func SlimFlyQ(q int) bool { return isPrime(q) && q%4 == 1 }
 
 func isPrime(n int) bool {
 	if n < 2 {

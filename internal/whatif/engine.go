@@ -2,12 +2,15 @@ package whatif
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
 	"beyondft/internal/obs"
@@ -17,28 +20,24 @@ import (
 // histBins is the fixed bin count of the report histogram over [0,1].
 const histBins = 20
 
+// linkCap is the capacity of one unit of link multiplicity: server line
+// rate, the unit of every throughput in the repo.
+const linkCap = 1.0
+
 // Options tunes an Evaluate sweep.
 type Options struct {
-	// Ladder is the ε-ladder policy; zero values take the defaults
-	// (coarse 0.25, fine 0.08, top-k 8).
+	// Ladder is the ε-ladder policy; zero values take the defaults (the
+	// evaluation core's rungs, top-k 8).
 	Ladder Ladder
 	// Workers is the scenario-level parallelism (scenarios are solved
 	// concurrently, each solve single-threaded — at family scale that
 	// beats intra-solve parallelism). 0 means graph.Parallelism(). The
 	// report is identical at any worker count.
 	Workers int
-	// LinkCap is the per-unit-multiplicity link capacity (default 1.0,
-	// matching the rest of the repo's server-line-rate units).
-	LinkCap float64
 	// Ctx, if non-nil, cancels the sweep: Evaluate returns ctx.Err() and
-	// no report. Propagated into every GK solve at iteration granularity.
+	// no report. Propagated into every GK solve at iteration granularity;
+	// a solve it cuts short is neither reported nor cached.
 	Ctx context.Context
-	// NoWarm disables warm starts (every solve runs cold). Used by the
-	// cost-comparison tests and available for A/B-ing the mechanism.
-	NoWarm bool
-	// NoLadder solves every scenario directly at FineEps (no coarse rung,
-	// no promotion).
-	NoLadder bool
 	// Cache, if non-nil, serves and stores per-scenario results by
 	// content address, making sweeps resumable.
 	Cache *ScenarioCache
@@ -57,7 +56,7 @@ type Options struct {
 // Evaluate runs the scenario family against the base graph and commodity
 // set. The report's Results are index-aligned with scenarios, and the
 // whole report is deterministic: same inputs give bit-identical results at
-// any worker count, with or without a populated cache.
+// any worker count and over any cache, however it was populated.
 func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt Options) (*Report, error) {
 	if err := opt.Ladder.Normalize(); err != nil {
 		return nil, err
@@ -69,94 +68,81 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	if workers <= 0 {
 		workers = graph.Parallelism()
 	}
-	linkCap := opt.LinkCap
-	if linkCap == 0 {
-		linkCap = 1.0
-	}
-	coarseEps, fineEps := opt.Ladder.CoarseEps, opt.Ladder.FineEps
-	if opt.NoLadder {
-		coarseEps = fineEps
-	}
+	ladder := eval.Ladder{CoarseEps: opt.Ladder.CoarseEps, FineEps: opt.Ladder.FineEps, Ctx: opt.Ctx}
+	coarseKey, fineKey := ladder.CoarseKey(), ladder.FineKey()
 
 	base := g.Frozen()
 	baseNW := fluid.NewNetworkFromView(base, linkCap)
 	rep := &Report{Results: make([]Result, len(scenarios))}
 	var iterations atomic.Int64
 
-	solve := func(nw *fluid.Network, eps float64, warm []float64, export bool) fluid.GKResult {
-		var tel fluid.GKTelemetry
-		res := fluid.MaxConcurrentFlow(nw, comms, fluid.GKOptions{
-			Epsilon:     eps,
-			Workers:     1,
-			Ctx:         opt.Ctx,
-			WarmStart:   warm,
-			ExportDuals: export,
-			Observer:    &tel,
-		})
-		iterations.Add(int64(tel.Iterations))
-		return res
-	}
-
 	// Base rung: one cold coarse solve exports the duals every scenario
-	// warm-starts from; the reported base result is a fine solve
-	// warm-started from it (same network, duals map 1:1).
+	// warm-starts from; the reported base result is the ladder's fine solve
+	// of the same network.
 	baseSp := opt.Span.Child("base-solve")
-	baseCoarse := solve(baseNW, coarseEps, nil, true)
-	var baseFine fluid.GKResult
-	if opt.NoLadder {
-		baseFine = baseCoarse
-	} else {
-		var warm []float64
-		if !opt.NoWarm {
-			warm = baseCoarse.Duals
-		}
-		baseFine = solve(baseNW, fineEps, warm, false)
+	baseP := eval.Problem{NW: baseNW, Comms: comms}
+	baseCoarse, err := ladder.Coarse(baseP)
+	baseFine := baseCoarse
+	if err == nil && ladder.TwoRungs() {
+		baseFine, err = ladder.Fine(baseP, baseCoarse)
+		iterations.Add(int64(baseFine.Iterations))
 	}
+	iterations.Add(int64(baseCoarse.Iterations))
 	baseSp.SetAttr("phases", float64(baseCoarse.Phases+baseFine.Phases))
 	baseSp.End()
-	if opt.Ctx != nil && opt.Ctx.Err() != nil {
-		return nil, opt.Ctx.Err()
+	if err != nil {
+		return nil, err
 	}
 	rep.Base = Result{
 		ID:         "base",
 		Throughput: baseFine.Throughput,
 		UpperBound: baseFine.UpperBound,
-		Epsilon:    fineEps,
+		Epsilon:    ladder.FineEps,
 		Phases:     baseFine.Phases,
-	}
-	baseDuals := baseCoarse.Duals
-	if opt.NoWarm {
-		baseDuals = nil
 	}
 
 	var mu sync.Mutex // guards rep counters and OnResult
-	emit := func(r Result) {
-		if opt.OnResult == nil {
-			return
+	finish := func(i int, r Result) {
+		rep.Results[i] = r
+		if opt.OnResult != nil {
+			mu.Lock()
+			opt.OnResult(r)
+			mu.Unlock()
 		}
-		mu.Lock()
-		opt.OnResult(r)
-		mu.Unlock()
 	}
 
-	// Coarse rung: every scenario, overlay-patched and warm-started from
-	// the base duals. coarseDuals[i] keeps each solved scenario's own
-	// duals to warm its fine re-solve if it makes the frontier.
-	coarseSp := opt.Span.Child("rung-coarse")
-	coarseDuals := make([][]float64, len(scenarios))
+	// rung evaluates scenario i at one rung of the ladder: cache probe,
+	// overlay patch, solve, cache store. The coarse rung warm-starts from
+	// the mapped base duals and keeps its result (duals included) in
+	// coarse[i]; the fine rung hands that to the ladder's refine rule, which
+	// re-runs the coarse solve if it came from the cache.
+	coarse := make([]eval.Rung, len(scenarios))
 	errs := make([]error, len(scenarios))
-	runScenario := func(i int) {
+	rung := func(i int, fine bool) {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return
 		}
 		s := scenarios[i]
-		if r, ok := opt.Cache.get(s, coarseEps); ok {
+		key, lat := coarseKey, opt.Metrics.RungCoarse
+		if fine {
+			key, lat = fineKey, opt.Metrics.RungFine
+		}
+		var slot eval.Slot // the scenario's address within the base: its delta
+		if opt.Cache != nil && opt.Cache.Cache != nil {
+			delta, err := json.Marshal(s.Delta)
+			if err != nil {
+				panic(fmt.Sprintf("whatif: encode delta: %v", err)) // plain slices of ints
+			}
+			slot = opt.Cache.Slot("whatif-scenario", key, "delta="+string(delta))
+		}
+		var r Result
+		if slot.Get(&r) && r.ID == s.ID { // ID mismatch: aliased entry, recompute
 			mu.Lock()
 			rep.CacheHits++
 			mu.Unlock()
 			opt.Metrics.CacheHits.Inc()
-			rep.Results[i] = r
-			emit(r)
+			r.Promoted = fine
+			finish(i, r)
 			return
 		}
 		ov, err := graph.NewOverlay(base, s.Delta)
@@ -164,51 +150,80 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 			errs[i] = fmt.Errorf("scenario %s: %w", s.ID, err)
 			return
 		}
-		r := Result{ID: s.ID, Epsilon: coarseEps}
-		if !reachable(ov, comms) {
-			r.Disconnected = true
+		r = Result{ID: s.ID}
+		if !fine && !reachable(ov, comms) {
+			r.Epsilon, r.Disconnected = ladder.CoarseEps, true
 			opt.Metrics.Disconnected.Inc()
 		} else {
 			nw := fluid.NewNetworkFromView(ov, linkCap)
-			warm := mapDuals(baseNW, baseDuals, nw)
-			if warm != nil {
+			p := eval.Problem{NW: nw, Comms: comms, Warm: mapDuals(baseNW, baseCoarse.Duals, nw)}
+			warm := fine || p.Warm != nil // the fine rung always starts from coarse duals
+			if warm {
 				opt.Metrics.WarmHits.Inc()
 			} else {
 				opt.Metrics.WarmMisses.Inc()
 			}
 			t0 := time.Now()
-			res := solve(nw, coarseEps, warm, true)
-			opt.Metrics.RungCoarse.Observe(time.Since(t0))
-			coarseDuals[i] = res.Duals
-			r.Throughput, r.UpperBound, r.Phases = res.Throughput, res.UpperBound, res.Phases
+			var res eval.Rung
+			if fine {
+				res, err = ladder.Fine(p, coarse[i])
+			} else {
+				res, err = ladder.Coarse(p)
+				coarse[i] = res
+			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			lat.Observe(time.Since(t0))
+			iterations.Add(int64(res.Iterations))
+			r.Throughput, r.UpperBound, r.Epsilon, r.Phases = res.Throughput, res.UpperBound, res.Epsilon, res.Phases
 			mu.Lock()
 			rep.Evaluated++
-			if warm != nil {
+			if warm {
 				rep.WarmHits++
+			}
+			if fine {
+				rep.Promoted++
 			}
 			mu.Unlock()
 		}
-		opt.Metrics.Scenarios.Inc()
-		opt.Cache.put(s, coarseEps, r)
-		rep.Results[i] = r
-		emit(r)
+		if fine {
+			opt.Metrics.Promotions.Inc()
+		} else {
+			opt.Metrics.Scenarios.Inc()
+		}
+		slot.Put(&r)
+		r.Promoted = fine
+		finish(i, r)
 	}
-	parallelFor(workers, len(scenarios), runScenario)
+	// sweep runs one rung over a set of scenario indices and surfaces
+	// cancellation and the first scenario error.
+	sweep := func(idx []int, fine bool) error {
+		graph.ParallelFor(workers, len(idx), func(_, k int) { rung(idx[k], fine) })
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			return opt.Ctx.Err()
+		}
+		return errors.Join(errs...)
+	}
+
+	// Coarse rung: every scenario.
+	coarseSp := opt.Span.Child("rung-coarse")
+	all := make([]int, len(scenarios))
+	for i := range all {
+		all[i] = i
+	}
+	err = sweep(all, false)
 	coarseSp.SetAttr("scenarios", float64(len(scenarios)))
 	coarseSp.End()
-	if opt.Ctx != nil && opt.Ctx.Err() != nil {
-		return nil, opt.Ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Fine rung: promote the worst-k connected scenarios. Ranking is by
 	// (coarse throughput, ID) so the frontier — like everything else — is
 	// independent of completion order.
-	if !opt.NoLadder && opt.Ladder.TopK > 0 {
+	if ladder.TwoRungs() && opt.Ladder.TopK > 0 {
 		fineSp := opt.Span.Child("rung-fine")
 		frontier := make([]int, 0, len(scenarios))
 		for i, r := range rep.Results {
@@ -226,73 +241,11 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 		if len(frontier) > opt.Ladder.TopK {
 			frontier = frontier[:opt.Ladder.TopK]
 		}
-		promote := func(k int) {
-			if opt.Ctx != nil && opt.Ctx.Err() != nil {
-				return
-			}
-			i := frontier[k]
-			s := scenarios[i]
-			if r, ok := opt.Cache.get(s, fineEps); ok {
-				r.Promoted = true
-				mu.Lock()
-				rep.CacheHits++
-				mu.Unlock()
-				opt.Metrics.CacheHits.Inc()
-				rep.Results[i] = r
-				emit(r)
-				return
-			}
-			ov, err := graph.NewOverlay(base, s.Delta)
-			if err != nil {
-				errs[i] = fmt.Errorf("scenario %s: %w", s.ID, err)
-				return
-			}
-			nw := fluid.NewNetworkFromView(ov, linkCap)
-			// Prefer the scenario's own coarse duals (same arc layout, no
-			// mapping); a cache-hit coarse rung has none, so fall back to
-			// the mapped base duals.
-			warm := coarseDuals[i]
-			if warm == nil {
-				warm = mapDuals(baseNW, baseDuals, nw)
-			}
-			if warm != nil {
-				opt.Metrics.WarmHits.Inc()
-			} else {
-				opt.Metrics.WarmMisses.Inc()
-			}
-			t0 := time.Now()
-			res := solve(nw, fineEps, warm, false)
-			opt.Metrics.RungFine.Observe(time.Since(t0))
-			opt.Metrics.Promotions.Inc()
-			r := Result{
-				ID:         s.ID,
-				Throughput: res.Throughput,
-				UpperBound: res.UpperBound,
-				Epsilon:    fineEps,
-				Phases:     res.Phases,
-			}
-			opt.Cache.put(s, fineEps, r)
-			r.Promoted = true
-			mu.Lock()
-			rep.Promoted++
-			rep.Evaluated++
-			if warm != nil {
-				rep.WarmHits++
-			}
-			mu.Unlock()
-			rep.Results[i] = r
-			emit(r)
-		}
-		parallelFor(workers, len(frontier), promote)
+		err := sweep(frontier, true)
 		fineSp.SetAttr("promoted", float64(len(frontier)))
 		fineSp.End()
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return nil, opt.Ctx.Err()
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 		for _, i := range frontier {
 			rep.WorstIDs = append(rep.WorstIDs, rep.Results[i].ID)
@@ -350,35 +303,4 @@ func mapDuals(base *fluid.Network, duals []float64, scen *fluid.Network) []float
 		}
 	}
 	return out
-}
-
-// parallelFor runs f(i) for i in [0,n) on up to `workers` goroutines. Each
-// index is handled exactly once; callers write results by index, so the
-// outcome is schedule-independent.
-func parallelFor(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -8,30 +8,25 @@
 //  2. warm-started GK (fluid.GKOptions.WarmStart) seeds every scenario's
 //     dual lengths from the base solve's exported duals, mapped arc-by-arc
 //     through fluid.Network.ArcIndex;
-//  3. an epsilon ladder solves the whole family at coarse ε to rank it,
-//     then re-solves only the worst-k frontier at fine ε, warm-started
-//     from each scenario's own coarse duals.
+//  3. the shared ε-ladder (internal/eval) solves the whole family at coarse
+//     ε to rank it, then re-solves only the worst-k frontier at fine ε,
+//     warm-started from each scenario's own coarse duals.
 //
-// Results are deterministic at any worker count and content-addressable
-// per scenario (harness cache keys), so interrupted sweeps resume.
-// DESIGN.md §12 documents the architecture.
+// Results are deterministic at any worker count and any cache history, and
+// content-addressable per scenario (eval.Store), so interrupted sweeps
+// resume. DESIGN.md §12 documents the architecture.
 package whatif
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"math/rand"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/graph"
-	"beyondft/internal/harness"
 	"beyondft/internal/obs"
 	"beyondft/internal/stats"
 )
-
-// CodeSalt versions the engine's numeric output for the per-scenario
-// content-addressed cache: bump it whenever the solver, the overlay
-// semantics, or the ladder policy change results.
-const CodeSalt = "whatif-v1"
 
 // FamilySpec names a scenario family to enumerate against a base topology.
 // Fields irrelevant to the chosen kind are zeroed during normalization so
@@ -53,34 +48,21 @@ type FamilySpec struct {
 	Seed    int64  `json:"seed,omitempty"`    // sampled families: RNG seed
 }
 
-// Normalize fills defaults, zeroes ignored fields and validates.
+// Normalize fills defaults, zeroes ignored fields and validates. Each kind
+// rebuilds the spec from the fields it reads; the rest is zero by
+// construction.
 func (f *FamilySpec) Normalize() error {
-	def := func(p *int, d int) {
-		if *p == 0 {
-			*p = d
-		}
-	}
 	switch f.Kind {
 	case "single-link", "single-switch":
-		f.K, f.Samples, f.Racks, f.Degree, f.Seed = 0, 0, 0, 0, 0
+		*f = FamilySpec{Kind: f.Kind}
 	case "k-link-sample":
-		def(&f.K, 3)
-		def(&f.Samples, 32)
-		if f.Seed == 0 {
-			f.Seed = 1
-		}
-		f.Racks, f.Degree = 0, 0
+		*f = FamilySpec{Kind: f.Kind, K: cmp.Or(f.K, 3), Samples: cmp.Or(f.Samples, 32), Seed: cmp.Or(f.Seed, 1)}
 		if f.K < 1 || f.K > 64 {
 			return fmt.Errorf("whatif: k=%d: need [1,64]", f.K)
 		}
 	case "rack-add":
-		def(&f.Racks, 1)
-		def(&f.Degree, 4)
-		def(&f.Samples, 8)
-		if f.Seed == 0 {
-			f.Seed = 1
-		}
-		f.K = 0
+		*f = FamilySpec{Kind: f.Kind, Racks: cmp.Or(f.Racks, 1), Degree: cmp.Or(f.Degree, 4),
+			Samples: cmp.Or(f.Samples, 8), Seed: cmp.Or(f.Seed, 1)}
 		if f.Racks < 1 || f.Racks > 64 {
 			return fmt.Errorf("whatif: racks=%d: need [1,64]", f.Racks)
 		}
@@ -167,29 +149,21 @@ func Scenarios(g *graph.Graph, f FamilySpec) ([]Scenario, error) {
 
 // Ladder is the epsilon-ladder policy: rank everything at CoarseEps, then
 // re-solve the worst TopK scenarios at FineEps. Unpromoted scenarios keep
-// their coarse result (tagged with the ε it was solved at).
+// their coarse result (tagged with the ε it was solved at). Equal rungs make
+// a one-rung sweep: everything solved once at that ε, nothing promoted.
 type Ladder struct {
-	CoarseEps float64 `json:"coarse_eps,omitempty"` // default 0.25
-	FineEps   float64 `json:"fine_eps,omitempty"`   // default 0.08
+	CoarseEps float64 `json:"coarse_eps,omitempty"` // default eval.DefaultCoarseEps
+	FineEps   float64 `json:"fine_eps,omitempty"`   // default eval.DefaultFineEps
 	TopK      int     `json:"top_k,omitempty"`      // frontier size; default 8
 }
 
 // Normalize fills defaults and validates.
 func (l *Ladder) Normalize() error {
-	if l.CoarseEps == 0 {
-		l.CoarseEps = 0.25
-	}
-	if l.FineEps == 0 {
-		l.FineEps = 0.08
-	}
 	if l.TopK == 0 {
 		l.TopK = 8
 	}
-	if l.FineEps < 0.005 || l.FineEps > 0.5 {
-		return fmt.Errorf("whatif: fine_eps=%g: need [0.005,0.5]", l.FineEps)
-	}
-	if l.CoarseEps < l.FineEps || l.CoarseEps > 0.5 {
-		return fmt.Errorf("whatif: coarse_eps=%g: need [fine_eps,0.5]", l.CoarseEps)
+	if err := eval.NormalizeRungs(&l.CoarseEps, &l.FineEps); err != nil {
+		return fmt.Errorf("whatif: %w", err)
 	}
 	if l.TopK < 0 {
 		return fmt.Errorf("whatif: top_k=%d: need >= 0", l.TopK)
@@ -206,9 +180,9 @@ type Result struct {
 	UpperBound float64 `json:"upper_bound"` // GK dual bound
 	Epsilon    float64 `json:"epsilon"`     // the ε this result was solved at
 	Phases     int     `json:"phases"`
-	// Promoted marks frontier scenarios re-solved at fine ε. Not part of
-	// the cached content (promotion depends on the family, not the
-	// scenario): it is re-derived on cache hits.
+	// Promoted marks frontier scenarios re-solved at fine ε: family state
+	// (promotion depends on the family, not the scenario), set per sweep
+	// and never read back from a cached entry.
 	Promoted bool `json:"promoted,omitempty"`
 	// Disconnected means the delta cut off at least one commodity
 	// endpoint: throughput is exactly 0 and no solve ran.
@@ -267,58 +241,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 // ScenarioCache is the content-addressed per-scenario result store: one
-// harness cache entry per (base instance, delta, ε), so an interrupted
-// sweep resumes where it stopped and a re-ranked family reuses every
-// already-solved rung. BaseSpec must canonically describe everything a
-// scenario result depends on besides its delta — topology spec, traffic
-// matrix, link capacity.
-type ScenarioCache struct {
-	Cache    *harness.Cache
-	BaseSpec string
-}
-
-// key derives the scenario's content address.
-func (c *ScenarioCache) key(s Scenario, eps float64) string {
-	delta, err := json.Marshal(s.Delta)
-	if err != nil {
-		panic(fmt.Sprintf("whatif: encode delta: %v", err)) // plain slices of ints
-	}
-	spec := fmt.Sprintf("base=%s|eps=%g|delta=%s", c.BaseSpec, eps, delta)
-	return harness.Key("whatif-scenario", spec, CodeSalt)
-}
-
-// get returns the cached result for (s, eps), if any.
-func (c *ScenarioCache) get(s Scenario, eps float64) (Result, bool) {
-	if c == nil || c.Cache == nil {
-		return Result{}, false
-	}
-	raw, ok, err := c.Cache.Get(c.key(s, eps))
-	if err != nil || !ok {
-		return Result{}, false
-	}
-	var r Result
-	if json.Unmarshal(raw, &r) != nil || r.ID != s.ID {
-		return Result{}, false // corrupt or aliased: recompute
-	}
-	r.Promoted = false // promotion is family state, re-derived per sweep
-	return r, true
-}
-
-// put stores a result under (s, eps). Errors are dropped: a failed cache
-// write degrades to recomputation next sweep, never to a wrong answer.
-func (c *ScenarioCache) put(s Scenario, eps float64, r Result) {
-	if c == nil || c.Cache == nil {
-		return
-	}
-	r.Promoted = false
-	raw, err := json.Marshal(&r)
-	if err != nil {
-		return
-	}
-	_ = c.Cache.Put(c.key(s, eps), harness.Entry{
-		Job:    "whatif-scenario",
-		Spec:   fmt.Sprintf("base=%s|eps=%g|id=%s", c.BaseSpec, eps, s.ID),
-		Salt:   CodeSalt,
-		Result: raw,
-	})
-}
+// entry per (base instance, rung, delta), so an interrupted sweep resumes
+// where it stopped and a re-ranked family reuses every already-solved rung.
+// BaseSpec must canonically describe everything a scenario result depends
+// on besides its delta — topology spec, traffic matrix, link capacity.
+type ScenarioCache = eval.Store

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"beyondft/internal/fluid"
@@ -270,29 +271,157 @@ func TestWhatifCacheResume(t *testing.T) {
 	}
 	// The scenario content (base, per-scenario results, histogram, frontier)
 	// must be identical; the bookkeeping counters naturally differ.
-	content := func(r *Report) string {
-		data, err := json.Marshal(struct {
-			Base    Result
-			Results []Result
-			Hist    stats.Hist
-			Worst   []string
-		}{r.Base, r.Results, r.Hist, r.WorstIDs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
+	content := func(r *Report) string { return reportContent(t, r) }
 	if content(rep1) != content(rep2) {
 		t.Fatalf("cached report content differs:\n%s\nvs\n%s", content(rep2), content(rep1))
 	}
-	// A different ε must not alias: NoLadder run at fine ε only hits the
-	// fine entries the promotion pass stored.
-	rep3, err := Evaluate(g, comms, scens, Options{Cache: sc, NoLadder: true})
+	// "No ladder" is equal rungs: everything solved once at that ε, nothing
+	// promoted. Its results are warm-started from the base duals, not from
+	// own coarse duals like the ladder's fine entries at the same ε — a
+	// different computation, so it must not alias them.
+	flat := Ladder{CoarseEps: 0.08, FineEps: 0.08}
+	rep3, err := Evaluate(g, comms, scens, Options{Cache: sc, Ladder: flat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.CacheHits != rep1.Promoted {
-		t.Fatalf("NoLadder sweep: %d cache hits, want %d fine entries", rep3.CacheHits, rep1.Promoted)
+	if rep3.CacheHits != 0 || rep3.Promoted != 0 || len(rep3.WorstIDs) != 0 {
+		t.Fatalf("one-rung sweep: %d cache hits (want 0: the ladder's fine entries are another computation), promoted %d",
+			rep3.CacheHits, rep3.Promoted)
+	}
+	cold3, err := Evaluate(g, comms, scens, Options{Ladder: flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if content(rep3) != content(cold3) {
+		t.Fatalf("one-rung sweep over a ladder-populated cache differs from a cold one:\n%s\nvs\n%s", content(rep3), content(cold3))
+	}
+	rep4, err := Evaluate(g, comms, scens, Options{Cache: sc, Ladder: flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep4.Evaluated != 0 || rep4.CacheHits != len(scens) {
+		t.Fatalf("one-rung resume: evaluated %d, cache hits %d, want 0 and %d", rep4.Evaluated, rep4.CacheHits, len(scens))
+	}
+}
+
+// reportContent is everything of a report that is a function of the inputs
+// alone: the bookkeeping counters (cache hits, evaluated) naturally vary
+// with cache state and are left out.
+func reportContent(t *testing.T, r *Report) string {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Base    Result
+		Results []Result
+		Hist    stats.Hist
+		Worst   []string
+	}{r.Base, r.Results, r.Hist, r.WorstIDs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestWhatifCacheHistoryIndependent is the regression test for the refine
+// rule: a sweep that promotes scenarios whose coarse rung is served from the
+// cache (here: a TopK=8 sweep after a TopK=2 sweep populated it) must
+// re-run their coarse solves to get the duals the fine solve starts from.
+// Falling back to mapped base duals — what the engine used to do — makes
+// the fine results, and the bytes persisted under their content addresses,
+// depend on which sweeps ran before.
+func TestWhatifCacheHistoryIndependent(t *testing.T) {
+	g := testFabric(16)
+	comms := testComms(16)
+	scens, err := Scenarios(g, FamilySpec{Kind: "single-link"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := harness.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &ScenarioCache{Cache: c, BaseSpec: "test-fabric-16"}
+	if _, err := Evaluate(g, comms, scens, Options{Cache: sc, Ladder: Ladder{TopK: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Evaluate(g, comms, scens, Options{Cache: sc, Ladder: Ladder{TopK: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Evaluate(g, comms, scens, Options{Ladder: Ladder{TopK: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheHits != len(scens)+2 || warm.Promoted != 6 {
+		t.Fatalf("second sweep: %d cache hits, %d promoted; want %d and 6", warm.CacheHits, warm.Promoted, len(scens)+2)
+	}
+	if reportContent(t, warm) != reportContent(t, cold) {
+		t.Fatalf("TopK=8 sweep over a TopK=2 cache differs from a cold TopK=8 sweep:\n%s\nvs\n%s",
+			reportContent(t, warm), reportContent(t, cold))
+	}
+	// The six re-run coarse solves are real work and are accounted as such.
+	again, err := Evaluate(g, comms, scens, Options{Cache: sc, Ladder: Ladder{TopK: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Evaluated != 0 || again.Iterations >= warm.Iterations {
+		t.Fatalf("third sweep: evaluated %d, %d iterations vs %d for the sweep that promoted", again.Evaluated, again.Iterations, warm.Iterations)
+	}
+	if reportContent(t, again) != reportContent(t, cold) {
+		t.Fatal("fully cached sweep differs from the cold one")
+	}
+}
+
+// pollLimitCtx is a context that reports cancellation from its n-th Err
+// poll on: the solver polls every few dozen routing iterations, so this
+// cuts a sweep at the same point of the same solve on every run.
+type pollLimitCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollLimitCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestWhatifCanceledSolveNotCached: a solve cut short by cancellation
+// returns a feasible but far-from-optimal flow; storing it under the
+// scenario's content address would poison every later sweep of the base.
+func TestWhatifCanceledSolveNotCached(t *testing.T) {
+	g := testFabric(16)
+	comms := testComms(16)
+	scens, err := Scenarios(g, FamilySpec{Kind: "single-link"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Evaluate(g, comms, scens, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := harness.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &ScenarioCache{Cache: c, BaseSpec: "test-fabric-16"}
+	for _, polls := range []int64{40, 90, 200} {
+		ctx := &pollLimitCtx{Context: context.Background()}
+		ctx.left.Store(polls)
+		if _, err := Evaluate(g, comms, scens, Options{Workers: 1, Cache: sc, Ctx: ctx}); err != context.Canceled {
+			t.Fatalf("sweep cut after %d polls returned %v", polls, err)
+		}
+	}
+	resumed, err := Evaluate(g, comms, scens, Options{Workers: 1, Cache: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.CacheHits == 0 {
+		t.Fatal("the cut sweeps left nothing to resume from")
+	}
+	if reportContent(t, resumed) != reportContent(t, cold) {
+		t.Fatalf("sweep resumed over canceled runs differs from a cold one:\n%s\nvs\n%s",
+			reportContent(t, resumed), reportContent(t, cold))
 	}
 }
 
@@ -355,38 +484,6 @@ func TestWhatifStreamingAndMetrics(t *testing.T) {
 	}
 	if m.RungCoarse.Count() == 0 || m.RungFine.Count() == 0 {
 		t.Fatal("rung latency histograms empty")
-	}
-}
-
-// TestWhatifNoWarmNoLadder: the mechanism switches work and the plain
-// cold full-fine sweep still agrees with the accelerated one.
-func TestWhatifNoWarmNoLadder(t *testing.T) {
-	g := testFabric(12)
-	comms := testComms(12)
-	scens, err := Scenarios(g, FamilySpec{Kind: "single-link"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Evaluate(g, comms, scens, Options{NoWarm: true, NoLadder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Evaluate(g, comms, scens, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmHits != 0 || cold.Promoted != 0 {
-		t.Fatalf("NoWarm+NoLadder still warmed/promoted: %+v", cold)
-	}
-	if fast.Iterations >= cold.Iterations {
-		t.Fatalf("accelerated sweep (%d iters) not cheaper than cold (%d)", fast.Iterations, cold.Iterations)
-	}
-	for i := range scens {
-		a, b := cold.Results[i].Throughput, fast.Results[i].Throughput
-		tol := 0.25 + 0.08 // coarse+fine ε budgets
-		if rel := math.Abs(a-b) / a; rel > tol {
-			t.Fatalf("%s: cold %.6f vs fast %.6f", scens[i].ID, a, b)
-		}
 	}
 }
 
