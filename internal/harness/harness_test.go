@@ -90,6 +90,28 @@ func TestKeyDistinguishesFields(t *testing.T) {
 	}
 }
 
+// TestKeyKnownAnswers pins the digest itself: cache directories and peers
+// outlive a binary, so a faster Key must be the same function. The two
+// serve triples are spec_golden.json's fat-tree and Xpander requests (their
+// keys also appear in serve's reply goldens); the last spec is longer than
+// any buffer a Key implementation might keep on its stack.
+func TestKeyKnownAnswers(t *testing.T) {
+	for _, c := range []struct{ name, spec, salt, want string }{
+		{"", "", "", "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"},
+		{"a", "b", "s", "e37ff9be8e942dba63bc8440e98ca5b70087cb0fabd1cec43fd5ac7b26b0054e"},
+		{"v1/throughput", `{"topo":{"kind":"fattree","k":4},"tm":"longest-matching","x":1,"epsilon":0.08,"seed":1}`, "eval-v2",
+			"a32973828a4c10b04d446adf7e07dc7082fb30799aff3ac1b741552fe3635a5a"},
+		{"v1/pathstats", `{"topo":{"kind":"xpander","degree":4,"lift":3,"servers":6,"seed":1}}`, "eval-v2",
+			"68318b528f04c71e21bd62c3b557d022dc58c2f46a233ba73cdef1b758a28b3b"},
+		{"fig5a", strings.Repeat("scale=laptop;", 400), "harness-v1",
+			"235a40f43affd73596bc29836b42d9bfbeb18c6e82f0d9b712c285349251ba07"},
+	} {
+		if got := Key(c.name, c.spec, c.salt); got != c.want {
+			t.Errorf("Key(%q, %.40q…, %q) = %s, want %s", c.name, c.spec, c.salt, got, c.want)
+		}
+	}
+}
+
 func TestCacheRoundTripAndCorruption(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {

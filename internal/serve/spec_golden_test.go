@@ -47,13 +47,20 @@ type specGoldenEntry struct {
 	Result   json.RawMessage `json:"result,omitempty"`    // cold compute; "defaults" cases skip it (paper-scale instances)
 }
 
-func TestSpecGolden(t *testing.T) {
+// registerGoldenDesign registers the design the "throughput/design" case
+// names, for the length of the test.
+func registerGoldenDesign(t *testing.T) {
+	t.Helper()
 	d := topology.DesignOf(topology.NewJellyfish(12, 3, 2, rand.New(rand.NewSource(4))))
 	d.Name = "spec-golden-design"
 	if err := topology.RegisterDesign(d); err != nil {
 		t.Fatal(err)
 	}
-	defer topology.UnregisterDesign(d.Name)
+	t.Cleanup(func() { topology.UnregisterDesign(d.Name) })
+}
+
+func TestSpecGolden(t *testing.T) {
+	registerGoldenDesign(t)
 
 	strict := func(body string, v any) {
 		t.Helper()
