@@ -103,7 +103,7 @@ search-smoke:
 
 # The native fuzz targets' seed corpora, run as plain tests so `make test`
 # catches postcondition regressions without fuzzing time.
-FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/fluid ./internal/sim ./internal/topology ./internal/search
+FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/fluid ./internal/sim ./internal/topology ./internal/search ./internal/harness
 fuzz-smoke:
 	go test -run '^Fuzz' $(FUZZ_PKGS)
 
@@ -119,6 +119,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzEngineVsFrozen$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
+	go test -run '^$$' -fuzz '^FuzzLRUAliases$$' -fuzztime $(FUZZTIME) ./internal/harness
 
 vet:
 	go vet ./...
@@ -166,7 +167,10 @@ bench-smoke:
 
 # End-to-end smoke of the query daemon (see DESIGN.md §8): boot it on a
 # free port, probe it exactly like a client would (curl /healthz and one
-# /v1/throughput), and check SIGTERM drains cleanly. Wired into `make test`.
+# /v1/throughput), and check SIGTERM drains cleanly. The /v1/throughput body
+# is posted twice: the second reply must come from L1 — through the alias
+# probe, since its bytes are the first's — with the first reply's key and
+# result. Wired into `make test`.
 SMOKE_DIR := .serve-smoke
 serve-smoke:
 	@rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
@@ -179,13 +183,19 @@ serve-smoke:
 	addr=$$(cat $(SMOKE_DIR)/port); \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/healthz"); \
 	[ "$$code" = 200 ] || { echo "serve-smoke: GET /healthz -> $$code"; kill $$pid; exit 1; }; \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$$addr/v1/throughput" \
-		-d '{"topo":{"kind":"jellyfish","n":24,"degree":5,"servers":4},"tm":"permutation","x":0.5}'); \
-	[ "$$code" = 200 ] || { echo "serve-smoke: POST /v1/throughput -> $$code"; kill $$pid; exit 1; }; \
+	body='{"topo":{"kind":"jellyfish","n":24,"degree":5,"servers":4},"tm":"permutation","x":0.5}'; \
+	for n in 1 2; do \
+		code=$$(curl -s -o $(SMOKE_DIR)/reply$$n -w '%{http_code}' -X POST "http://$$addr/v1/throughput" -d "$$body"); \
+		[ "$$code" = 200 ] || { echo "serve-smoke: POST /v1/throughput ($$n) -> $$code"; kill $$pid; exit 1; }; \
+	done; \
+	grep -q '"source":"l1"' $(SMOKE_DIR)/reply2 || { echo "serve-smoke: repeated body not served from L1"; cat $(SMOKE_DIR)/reply2; kill $$pid; exit 1; }; \
+	strip='s/"source":"[a-z0-9]*","duration_ms":[^,]*,//'; \
+	[ "$$(sed "$$strip" $(SMOKE_DIR)/reply1)" = "$$(sed "$$strip" $(SMOKE_DIR)/reply2)" ] || { echo "serve-smoke: L1 reply differs from the computed one in key or result"; cat $(SMOKE_DIR)/reply1 $(SMOKE_DIR)/reply2; kill $$pid; exit 1; }; \
+	curl -s "http://$$addr/metrics" | grep -q '^beyondftd_alias_hits_total 1$$' || { echo "serve-smoke: the L1 reply did not come from the alias probe"; kill $$pid; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "serve-smoke: daemon exited non-zero"; cat $(SMOKE_DIR)/log; exit 1; }; \
 	grep -q 'drained cleanly' $(SMOKE_DIR)/log || { echo "serve-smoke: no clean drain"; cat $(SMOKE_DIR)/log; exit 1; }; \
-	echo "serve-smoke: ok ($$addr: /healthz 200, /v1/throughput 200, clean drain)"; \
+	echo "serve-smoke: ok ($$addr: /healthz 200, /v1/throughput 200 computed then 200 from L1 by alias with equal key and result, clean drain)"; \
 	rm -rf $(SMOKE_DIR)
 
 # End-to-end smoke of the cluster tier (DESIGN.md §14): three in-process

@@ -23,15 +23,21 @@ const Version = "harness-v1"
 // Key derives the content address of a job result: a hex SHA-256 over the
 // length-prefixed (name, spec, salt) triple. Length prefixes keep distinct
 // triples from colliding by concatenation (e.g. "ab"+"c" vs "a"+"bc").
+//
+// The daemon derives a key for every request it resolves, so the message is
+// laid out in a stack buffer and hashed in one call: the returned string is
+// the only allocation (a triple longer than the buffer costs one more).
 func Key(name, spec, salt string) string {
-	h := sha256.New()
-	for _, field := range []string{name, spec, salt} {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(field)))
-		h.Write(n[:])
-		h.Write([]byte(field))
+	var stack [1024]byte
+	msg := stack[:0]
+	for _, field := range [...]string{name, spec, salt} {
+		msg = binary.LittleEndian.AppendUint64(msg, uint64(len(field)))
+		msg = append(msg, field...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(msg)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Entry is the on-disk envelope of one cached result.

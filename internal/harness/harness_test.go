@@ -110,6 +110,10 @@ func TestKeyKnownAnswers(t *testing.T) {
 			t.Errorf("Key(%q, %.40q…, %q) = %s, want %s", c.name, c.spec, c.salt, got, c.want)
 		}
 	}
+	spec := `{"topo":{"kind":"fattree","k":4},"tm":"longest-matching","x":1,"epsilon":0.08,"seed":1}`
+	if n := testing.AllocsPerRun(100, func() { Key("v1/throughput", spec, "eval-v2") }); n > 1 {
+		t.Errorf("Key allocates %v times per call, want 1 (the returned string)", n)
+	}
 }
 
 func TestCacheRoundTripAndCorruption(t *testing.T) {

@@ -149,6 +149,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := 0
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), maxBatchLine)
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
 	for sc.Scan() {
 		if bctx.Err() != nil || streamBroken() {
 			break // writer failed or client vanished: stop accepting lines
@@ -169,6 +171,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			emit(batchLine{Index: batchIndex(idx), Error: fmt.Sprintf("decode line: %v", err)})
 			continue
 		}
+		// The same alias probe as POST /v1/<kind>: an item whose spec bytes
+		// were resolved before and whose result is in L1 needs no resolver.
+		var alias []byte
+		if _, adhoc := adhocKinds[it.Kind]; adhoc && len(it.Spec) <= maxAliasBody {
+			start := time.Now()
+			*bp = appendAlias((*bp)[:0], it.Kind, it.Spec)
+			if key, data, ok := s.engine.LookupAlias(*bp); ok {
+				emit(batchLine{
+					Index:      batchIndex(idx),
+					Key:        key,
+					Source:     SourceL1,
+					DurationMs: float64(time.Since(start)) / float64(time.Millisecond),
+					Result:     data,
+				})
+				continue
+			}
+			alias = bytes.Clone(*bp) // registered by the item's goroutine, after the next line reuses bp
+		}
 		q, err := s.resolveBatchItem(it)
 		if err != nil {
 			emit(batchLine{Index: batchIndex(idx), Error: err.Error()})
@@ -179,7 +199,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			emit(s.runBatchQuery(bctx, r, idx, q))
+			emit(s.runBatchQuery(bctx, r, idx, q, alias))
 		}()
 	}
 	if err := sc.Err(); err != nil {
@@ -192,15 +212,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatchQuery runs one resolved item through the engine, retrying
 // admission rejections (local and peer) with backoff while the batch
 // stream lives. Each attempt gets its own RequestTimeout deadline under
-// ctx, so a failed response write cancels the attempt mid-flight.
-func (s *Server) runBatchQuery(ctx context.Context, r *http.Request, idx int, q query) batchLine {
+// ctx, so a failed response write cancels the attempt mid-flight. alias (nil
+// for none) names the served result's L1 entry from then on.
+func (s *Server) runBatchQuery(ctx context.Context, r *http.Request, idx int, q query, alias []byte) batchLine {
 	start := time.Now()
 	backoff := batchSaturatedBackoff
 	for {
 		actx, cancel := s.timeoutCtx(ctx)
-		data, key, src, err := s.engine.DoRemote(actx, q.name, q.spec, q.salt, s.remoteFunc(r, q), q.compute)
+		data, key, src, err := s.engine.DoRemote(actx, q.name, q.spec, q.salt, s.remoteStage(r, q.fwd), q.compute)
 		cancel()
 		if err == nil {
+			s.engine.Alias(key, alias)
 			return batchLine{
 				Index:      batchIndex(idx),
 				Key:        key,

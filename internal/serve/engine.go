@@ -43,7 +43,8 @@ const l2PruneEvery = 64
 //
 // The request path, cheapest to most expensive:
 //
-//	L1 (lock + map probe)
+//	alias (lock + map probe on the request's own bytes; LookupAlias)
+//	→ L1 (lock + map probe on the content key)
 //	→ singleflight join (identical concurrent requests compute once)
 //	→ L2 (one file read; hit repopulates L1)
 //	→ admission (worker slots + bounded queue; overflow → errSaturated)
@@ -140,6 +141,12 @@ func (e *Engine) L1Stats() harness.LRUStats { return e.l1.Stats() }
 // shed it); any other error falls back to local compute.
 type RemoteFunc func(ctx context.Context) (json.RawMessage, error)
 
+// RemoteStage builds a request's RemoteFunc from its cache key. The engine
+// calls it only once the L1 probe has missed and this request leads the
+// flight, so a hit or a coalesced wait never pays for the ring walk. A nil
+// stage, or one returning nil, means "serve purely locally".
+type RemoteStage func(key string) RemoteFunc
+
 // Do returns the encoded result for the (name, spec, salt) triple,
 // computing it with compute only if no tier has it and no identical request
 // is already computing it. The returned key is the content address
@@ -151,16 +158,16 @@ func (e *Engine) Do(ctx context.Context, name, spec, salt string,
 }
 
 // DoRemote is Do with an optional remote stage between the cache probes and
-// local compute: when this node is not the key's ring owner, remote
-// forwards to the owner instead of computing, making the singleflight
-// cluster-wide (the local flightGroup collapses identical local requests
-// into one forward; the owner's flightGroup collapses forwards from every
-// node into one compute).
+// local compute: when this node is not the key's ring owner, the stage's
+// RemoteFunc forwards to the owner instead of computing, making the
+// singleflight cluster-wide (the local flightGroup collapses identical local
+// requests into one forward; the owner's flightGroup collapses forwards from
+// every node into one compute).
 //
 // The work runs detached from ctx: if this caller's context expires, the
 // flight keeps going for any joiners still listening and is canceled only
 // when the last participant leaves (see flightGroup).
-func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, remote RemoteFunc,
+func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, stage RemoteStage,
 	compute func(context.Context) (json.RawMessage, error)) (data json.RawMessage, key string, src Source, err error) {
 	sp := obs.SpanFromContext(ctx)
 	key = harness.Key(name, spec, salt)
@@ -196,6 +203,10 @@ func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, remote R
 	// deadline; the flight's refcount supplies cancellation instead.
 	cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	e.flights.setCancel(c, cancel)
+	var remote RemoteFunc
+	if stage != nil {
+		remote = stage(key)
+	}
 	go func() {
 		defer cancel()
 		c.data, c.src, c.err = e.lookupOrCompute(cctx, sp, key, name, spec, salt, remote, compute)
@@ -226,7 +237,7 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 		}
 		if err == nil && hit {
 			e.metrics.L2Hits.Add(1)
-			e.l1.Put(key, data)
+			e.putL1(key, data)
 			return data, SourceL2, nil
 		}
 	}
@@ -292,34 +303,17 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 	return data, SourceComputed, nil
 }
 
-// Cached returns the locally cached bytes for key — L1 then L2, promoting a
-// disk hit into memory — without ever computing or forwarding. It backs the
-// cluster tier's cache-only entry reads, which must be loop-safe by
-// construction.
-func (e *Engine) Cached(key string) (json.RawMessage, bool) {
-	if data, ok := e.l1.Get(key); ok {
-		return data, true
-	}
-	if e.l2 != nil {
-		if data, hit, err := e.l2.Get(key); err == nil && hit {
-			e.l1.Put(key, data)
-			return data, true
-		}
-	}
-	return nil, false
-}
-
 // Has reports whether key is present in the node's durable tier (L2 when
 // configured, else L1) — the answer to an anti-entropy "have you got"
 // probe. It deliberately ignores an L1-only copy when a disk tier exists:
-// the durable tier is what replica placement counts.
+// the durable tier is what replica placement counts. A probe is not a use:
+// it counts no L1 hit and leaves the key's recency alone.
 func (e *Engine) Has(key string) bool {
 	if e.l2 != nil {
 		_, hit, err := e.l2.Get(key)
 		return err == nil && hit
 	}
-	_, ok := e.l1.Get(key)
-	return ok
+	return e.l1.Contains(key)
 }
 
 // Fill stores a replica-push result into the local tiers unless the key is
@@ -346,7 +340,7 @@ func (e *Engine) fill(key, name, spec, salt string, data json.RawMessage) {
 // its byte budget. A failed disk write is logged (as a `what`) and costs a
 // recomputation later; the result is still served from memory.
 func (e *Engine) store(what, key, name, spec, salt string, data json.RawMessage) {
-	e.l1.Put(key, data)
+	e.putL1(key, data)
 	if e.l2 == nil {
 		return
 	}
@@ -360,6 +354,44 @@ func (e *Engine) store(what, key, name, spec, salt string, data json.RawMessage)
 		if _, _, err := e.l2.Prune(e.l2MaxBytes, e.logf); err != nil && e.logf != nil {
 			e.logf("serve: l2 prune: %v", err)
 		}
+	}
+}
+
+// putL1 is the one place bytes enter the memory tier (compute store, L2
+// promote, peer fill). What a hit replies with is the entry's bytes spliced
+// into an envelope, so the work encoding/json would do on them in every
+// reply — validate, compact, escape <, >, & and U+2028/9 — is done here,
+// once. A payload that is not JSON is refused: it is served (and fails) on
+// the ordinary path, never from memory.
+func (e *Engine) putL1(key string, data json.RawMessage) {
+	canon, err := json.Marshal(data)
+	if err != nil {
+		if e.logf != nil {
+			e.logf("serve: l1 put key=%.12s…: %v (not cached in memory)", key, err)
+		}
+		return
+	}
+	e.l1.Put(key, canon)
+}
+
+// LookupAlias probes L1 by a request's own bytes (see appendAlias) instead of
+// its content key. A hit is an L1 hit in every counter. An alias exists only
+// because Alias registered it after the same bytes went through the strict
+// resolver, so the probe is a memo of that pure function — it interprets
+// nothing — and it dies with its entry.
+func (e *Engine) LookupAlias(alias []byte) (key string, data json.RawMessage, ok bool) {
+	if key, data, ok = e.l1.Lookup(alias); ok {
+		e.metrics.L1Hits.Add(1)
+		e.metrics.AliasHits.Add(1)
+	}
+	return key, data, ok
+}
+
+// Alias names key's L1 entry (if it has one) by the request bytes that
+// resolved to it.
+func (e *Engine) Alias(key string, alias []byte) {
+	if len(alias) > 0 {
+		e.l1.Alias(key, alias)
 	}
 }
 

@@ -13,14 +13,16 @@ import (
 // two can never drift: a counter registered here is on /metrics by
 // construction.
 //
-// The hot path touches only atomics; histograms are created on first use
-// per endpoint and handlers cache their pointer at route-registration time.
+// The hot path touches only atomics: Latency takes the registry's lock and
+// formats a series name, so handlers call it once, at route registration,
+// and keep the histogram pointer.
 type Metrics struct {
 	reg *obs.Registry
 
 	Requests   *obs.Counter // requests entering a /v1 handler
 	Coalesced  *obs.Counter // requests served by joining an identical in-flight compute
 	L1Hits     *obs.Counter // in-memory LRU hits
+	AliasHits  *obs.Counter // L1 hits found by the request's own bytes, without a decode (a subset of L1Hits)
 	L2Hits     *obs.Counter // on-disk cache hits
 	Computed   *obs.Counter // results computed fresh
 	Rejected   *obs.Counter // 429s from admission control
@@ -44,6 +46,7 @@ func NewMetrics() *Metrics {
 		Requests:     reg.Counter("beyondftd_requests_total"),
 		Coalesced:    reg.Counter("beyondftd_coalesced_total"),
 		L1Hits:       reg.Counter(`beyondftd_cache_hits_total{tier="l1"}`),
+		AliasHits:    reg.Counter("beyondftd_alias_hits_total"),
 		L2Hits:       reg.Counter(`beyondftd_cache_hits_total{tier="l2"}`),
 		Computed:     reg.Counter("beyondftd_computed_total"),
 		Rejected:     reg.Counter("beyondftd_rejected_total"),
@@ -62,6 +65,7 @@ func NewMetrics() *Metrics {
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // Latency returns (creating on first use) the histogram for an endpoint.
+// Not for the request path: resolve it once and hold the pointer.
 func (m *Metrics) Latency(endpoint string) *obs.Histogram {
 	return m.reg.Histogram(fmt.Sprintf("beyondftd_request_duration_ms{endpoint=%q}", endpoint), nil)
 }

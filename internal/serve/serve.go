@@ -16,10 +16,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -125,9 +127,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("POST /v1/jobs/{name}/run", s.handleJobRun)
+	s.mux.HandleFunc("POST /v1/jobs/{name}/run", s.handleJobRun(s.routeOf("/v1/jobs/run")))
 	for kind, k := range adhocKinds {
-		s.mux.HandleFunc("POST "+k.path, s.handleAdhoc(kind))
+		s.mux.HandleFunc("POST "+k.path, s.handleAdhoc(kind, s.routeOf(k.path)))
 	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	// Peer-to-peer replication and membership plane (paths defined by the
@@ -314,10 +316,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	w.Write(data)
+	w.Write(newline) // a second write into net/http's buffer, not a copy of data grown by a byte
 }
+
+var newline = []byte{'\n'}
 
 // writeEngineError maps engine/compute failures onto HTTP status codes:
 // saturation → 429 + Retry-After, deadline → 504, client gone → 499-style
@@ -348,9 +353,14 @@ func (s *Server) writeBadRequest(w http.ResponseWriter, err error) {
 
 // decodeBody strictly decodes a JSON request body into v (unknown fields
 // are errors — a typoed parameter silently meaning "default" is how wrong
-// what-if answers get trusted).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+// what-if answers get trusted). consumed is what the alias probe already
+// read of the body; the decoder sees it first, then the rest.
+func decodeBody(consumed []byte, r *http.Request, v any) error {
+	var body io.Reader = http.MaxBytesReader(nil, r.Body, 1<<20)
+	if len(consumed) > 0 {
+		body = io.MultiReader(bytes.NewReader(consumed), body)
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
@@ -365,6 +375,19 @@ func (s *Server) timeoutCtx(ctx context.Context) (context.Context, context.Cance
 		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	}
 	return context.WithCancel(ctx)
+}
+
+// route is what an engine-backed handler resolves once, when it is
+// registered: the endpoint label (root span name) and its latency histogram,
+// so an observation on the request path is the histogram's atomic increments
+// and nothing else.
+type route struct {
+	endpoint string
+	latency  *obs.Histogram
+}
+
+func (s *Server) routeOf(endpoint string) route {
+	return route{endpoint, s.metrics.Latency(endpoint)}
 }
 
 // queryResponse is the envelope of every engine-backed endpoint.
@@ -398,7 +421,9 @@ type forward struct {
 	body []byte
 }
 
-// remoteFunc builds the engine's remote stage for one request, by this
+// remoteStage hands the engine this request's remote stage: a constructor the
+// engine calls with the cache key only after the L1 probe missed, so a hit
+// costs neither the ring walk nor the closures. The stage depends on this
 // node's role for the key:
 //
 //   - primary owner (first of the key's R replica owners): on a local cache
@@ -412,59 +437,60 @@ type forward struct {
 //     probe endpoint cannot cascade); elsewhere it serves locally and
 //     counts the ownership disagreement.
 //
-// Returns nil — serve purely locally — when clustering is off, the query
-// has no forwardable form, or no remote stage applies.
-func (s *Server) remoteFunc(r *http.Request, q query) RemoteFunc {
+// Nil — serve purely locally — when clustering is off or the query has no
+// forwardable form; the constructor itself returns nil when no remote stage
+// applies.
+func (s *Server) remoteStage(r *http.Request, fwd *forward) RemoteStage {
 	cl := s.cluster.Load()
-	fwd := q.fwd
 	if cl == nil || fwd == nil {
 		return nil
 	}
-	key := harness.Key(q.name, q.spec, q.salt)
-	owners := cl.Owners(key)
-	pos := -1
-	for i, o := range owners {
-		if o == cl.Self() {
-			pos = i
-			break
-		}
-	}
-	if cluster.Forwarded(r) {
-		if pos < 0 {
-			// Ownership views disagree (membership change in flight); serving
-			// locally is still correct — results are content-addressed.
-			cl.Metrics().LoopGuard.Add(1)
-			return nil
-		}
-		return s.siblingProbe(cl, key, len(owners))
-	}
-	if pos == 0 {
-		return s.siblingProbe(cl, key, len(owners))
-	}
-	// Sibling replica (pos > 0) or non-owner: forward. A replica with the
-	// bytes never reaches here (the engine probes local tiers first); on a
-	// miss it joins the primary's flight like everyone else, and the owner
-	// chain leads back to itself right after the primary, so a dead primary
-	// means ErrSelf → compute locally.
-	return func(ctx context.Context) (json.RawMessage, error) {
-		body, peer, err := cl.Forward(ctx, key, fwd.path, fwd.body)
-		if err != nil {
-			if errors.Is(err, cluster.ErrSelf) {
-				return nil, nil // live owner chain leads here: compute locally
+	return func(key string) RemoteFunc {
+		owners := cl.Owners(key)
+		pos := -1
+		for i, o := range owners {
+			if o == cl.Self() {
+				pos = i
+				break
 			}
-			if errors.Is(err, cluster.ErrPeerSaturated) {
-				return nil, fmt.Errorf("%w: %v", errSaturated, err)
+		}
+		if cluster.Forwarded(r) {
+			if pos < 0 {
+				// Ownership views disagree (membership change in flight); serving
+				// locally is still correct — results are content-addressed.
+				cl.Metrics().LoopGuard.Add(1)
+				return nil
 			}
-			return nil, err
+			return s.siblingProbe(cl, key, len(owners))
 		}
-		var env queryResponse
-		if err := json.Unmarshal(body, &env); err != nil {
-			return nil, fmt.Errorf("peer %s: bad response envelope: %v", peer, err)
+		if pos == 0 {
+			return s.siblingProbe(cl, key, len(owners))
 		}
-		if len(env.Result) == 0 {
-			return nil, fmt.Errorf("peer %s: response envelope without result", peer)
+		// Sibling replica (pos > 0) or non-owner: forward. A replica with the
+		// bytes never reaches here (the engine probes local tiers first); on a
+		// miss it joins the primary's flight like everyone else, and the owner
+		// chain leads back to itself right after the primary, so a dead primary
+		// means ErrSelf → compute locally.
+		return func(ctx context.Context) (json.RawMessage, error) {
+			body, peer, err := cl.Forward(ctx, key, fwd.path, fwd.body)
+			if err != nil {
+				if errors.Is(err, cluster.ErrSelf) {
+					return nil, nil // live owner chain leads here: compute locally
+				}
+				if errors.Is(err, cluster.ErrPeerSaturated) {
+					return nil, fmt.Errorf("%w: %v", errSaturated, err)
+				}
+				return nil, err
+			}
+			var env queryResponse
+			if err := json.Unmarshal(body, &env); err != nil {
+				return nil, fmt.Errorf("peer %s: bad response envelope: %v", peer, err)
+			}
+			if len(env.Result) == 0 {
+				return nil, fmt.Errorf("peer %s: response envelope without result", peer)
+			}
+			return env.Result, nil
 		}
-		return env.Result, nil
 	}
 }
 
@@ -487,25 +513,28 @@ func (s *Server) siblingProbe(cl *cluster.Cluster, key string, nOwners int) Remo
 // response: metrics, deadline, engine.DoRemote, manifest record, histogram.
 // ?trace=1 roots a span in the request context; the engine and the compute
 // hang stage spans off it and the finished tree rides back in the response.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string, q query) {
+// alias, when the request had one (see handleAdhoc), is registered for the
+// result's L1 entry once the request has been served.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, rt route, q query, alias []byte) {
 	start := time.Now()
 	var root *obs.Span
 	if r.URL.Query().Get("trace") == "1" {
-		root = obs.StartSpan(endpoint)
+		root = obs.StartSpan(rt.endpoint)
 		s.metrics.Traced.Add(1)
 	}
 	ctx, cancel := s.timeoutCtx(r.Context())
 	defer cancel()
 	ctx = obs.ContextWithSpan(ctx, root)
-	data, key, src, err := s.engine.DoRemote(ctx, q.name, q.spec, q.salt, s.remoteFunc(r, q), q.compute)
+	data, key, src, err := s.engine.DoRemote(ctx, q.name, q.spec, q.salt, s.remoteStage(r, q.fwd), q.compute)
 	elapsed := time.Since(start)
-	s.metrics.Latency(endpoint).Observe(elapsed)
+	rt.latency.Observe(elapsed)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
 	root.End()
 	s.record(q.name, key, src, elapsed)
+	s.engine.Alias(key, alias)
 	writeJSON(w, http.StatusOK, queryResponse{
 		Key:        key,
 		Source:     src,
@@ -513,6 +542,27 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 		Result:     data,
 		Trace:      root.Record(),
 	})
+}
+
+// serveAliasHit answers a request whose bytes are an alias of an L1-resident
+// entry, and reports whether it did. A hit counts where serveQuery's L1 hit
+// counts (L1 counter, histogram, manifest record) and its reply is
+// serveQuery's, byte for byte — assembled from the cached bytes in the
+// request's scratch buffer instead of marshalled.
+func (s *Server) serveAliasHit(w http.ResponseWriter, rt route, name string, alias []byte, bp *[]byte) bool {
+	start := time.Now()
+	key, data, ok := s.engine.LookupAlias(alias)
+	if !ok {
+		return false
+	}
+	elapsed := time.Since(start)
+	rt.latency.Observe(elapsed)
+	s.record(name, key, SourceL1, elapsed)
+	*bp = appendEnvelope((*bp)[:0], key, SourceL1, elapsed, data) // the alias is spent; its buffer takes the reply
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	w.Write(*bp)
+	return true
 }
 
 // ---- handlers ----
@@ -598,34 +648,45 @@ func (s *Server) jobQuery(job harness.Job) query {
 
 // jobRunResult augments the generic envelope's Result with a figure count,
 // exercising the exported JobResult JSON round-trip.
-func (s *Server) handleJobRun(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	name := r.PathValue("name")
-	job, ok := s.reg.Lookup(name)
-	if !ok {
-		s.metrics.Errors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q (see GET /v1/jobs)", name)})
-		return
-	}
-	s.serveQuery(w, r, "/v1/jobs/run", s.jobQuery(job))
-}
-
-// handleAdhoc serves POST /v1/<kind> for one ad-hoc query kind: strict
-// decode and validation failures are 400s, everything else runs the shared
-// engine path. A what-if request may ask for its results as a stream.
-func (s *Server) handleAdhoc(kind string) http.HandlerFunc {
-	path := adhocKinds[kind].path
+func (s *Server) handleJobRun(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Requests.Add(1)
-		q, req, err := s.resolveAdhoc(kind, func(v any) error { return decodeBody(r, v) })
+		name := r.PathValue("name")
+		job, ok := s.reg.Lookup(name)
+		if !ok {
+			s.metrics.Errors.Add(1)
+			writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q (see GET /v1/jobs)", name)})
+			return
+		}
+		s.serveQuery(w, r, rt, s.jobQuery(job), nil)
+	}
+}
+
+// handleAdhoc serves POST /v1/<kind> for one ad-hoc query kind. A request
+// whose exact bytes were resolved before and whose result is still in L1 is
+// answered by the alias probe; everything else is interpreted by the
+// resolver: strict decode and validation failures are 400s, the rest runs
+// the shared engine path. A what-if request may ask for its results as a
+// stream.
+func (s *Server) handleAdhoc(kind string, rt route) http.HandlerFunc {
+	name := adhocKinds[kind].path[1:]
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.Requests.Add(1)
+		bp := bufPool.Get().(*[]byte)
+		defer putBuf(bp)
+		alias, body := readAlias(*bp, kind, r)
+		if alias != nil && s.serveAliasHit(w, rt, name, alias, bp) {
+			return
+		}
+		q, req, err := s.resolveAdhoc(kind, func(v any) error { return decodeBody(body, r, v) })
 		if err != nil {
 			s.writeBadRequest(w, err)
 			return
 		}
 		if wr, ok := req.(*WhatifRequest); ok && r.URL.Query().Get("stream") == "1" {
-			s.serveWhatifStream(w, r, wr)
+			s.serveWhatifStream(w, r, rt, wr)
 			return
 		}
-		s.serveQuery(w, r, path, q)
+		s.serveQuery(w, r, rt, q, alias)
 	}
 }

@@ -151,7 +151,7 @@ type whatifStreamLine struct {
 // cannot be replayed from a cache entry — though the per-scenario L2
 // entries still make re-streams cheap), but inside admission control: a
 // sweep is a compute like any other and must not bypass load shedding.
-func (s *Server) serveWhatifStream(w http.ResponseWriter, r *http.Request, req *WhatifRequest) {
+func (s *Server) serveWhatifStream(w http.ResponseWriter, r *http.Request, rt route, req *WhatifRequest) {
 	start := time.Now()
 	ctx, cancel := s.timeoutCtx(r.Context())
 	defer cancel()
@@ -176,7 +176,7 @@ func (s *Server) serveWhatifStream(w http.ResponseWriter, r *http.Request, req *
 	}
 	data, err := req.run(ctx)
 	elapsed := time.Since(start)
-	s.metrics.Latency("/v1/whatif").Observe(elapsed)
+	rt.latency.Observe(elapsed)
 	if err != nil {
 		// Headers (200) are already on the wire once scenario lines have
 		// streamed; errors terminate the stream in-band.
