@@ -115,6 +115,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzDeltaOverlay$$' -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
 	go test -run '^$$' -fuzz '^FuzzGKDijkstraKernel$$' -fuzztime $(FUZZTIME) ./internal/fluid
+	go test -run '^$$' -fuzz '^FuzzGKPipelineVsSerial$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzEngineVsFrozen$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology

@@ -65,8 +65,11 @@ func BenchmarkMaxConcurrentFlow(b *testing.B) {
 
 // BenchmarkGKRoutingDijkstra times the unit of GK work (DESIGN.md §7): one
 // early-terminated routing Dijkstra between the farthest pair of a
-// Jellyfish-54 under tie-heavy lengths. It must not allocate — `make bench`
-// gates it at 0 allocs/op.
+// Jellyfish-54. Consecutive ops run on the length functions of consecutive
+// phase boundaries of a real solve: on one fixed vector the branch predictor
+// learns the whole pop sequence and the benchmark cannot see what the heap's
+// data-dependent choices cost in a solve, where no two searches repeat. It
+// must not allocate — `make bench` gates it at 0 allocs/op.
 func BenchmarkGKRoutingDijkstra(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	jf := topology.NewJellyfish(54, 9, 6, rng)
@@ -83,13 +86,23 @@ func BenchmarkGKRoutingDijkstra(b *testing.B) {
 		}
 	}
 	nw := NewNetwork(jf.G, 1.0)
-	length := kernelTestLengths(len(nw.Arcs), 1, rng) // δ·(1+ε)^k: tie-heavy
+	const skip, keep = 8, 96 // past the all-equal opening phases, then 96 boundaries
+	var lengths [][]float64
+	gkDebugBoundary = func(_ float64, length []float64) {
+		lengths = append(lengths, append([]float64(nil), length...))
+	}
+	MaxConcurrentFlow(nw, Commodities(tm.LongestMatching(jf.G, all, tm.Uniform(6))),
+		GKOptions{Epsilon: 0.08, Workers: 1, MaxPhases: skip + keep})
+	gkDebugBoundary = nil
+	if lengths = lengths[skip:]; len(lengths) < 64 {
+		b.Fatalf("solve ended after %d phases; need 64 length vectors", skip+len(lengths))
+	}
 	sp := newSPState(nw)
-	sp.dijkstra(src, length, nil, dst) // grow the heap to its working size
+	sp.dijkstra(src, lengths[0], nil, dst) // grow the heap to its working size
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d := sp.dijkstra(src, length, nil, dst); math.IsInf(d[dst], 1) {
+		if d := sp.dijkstra(src, lengths[i%len(lengths)], nil, dst); math.IsInf(d[dst], 1) {
 			b.Fatal("farthest pair unreachable")
 		}
 	}

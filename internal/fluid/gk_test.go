@@ -37,8 +37,13 @@ func gkTestInstance(seed int64) (*Network, []Commodity) {
 // a full rescan over the arcs.
 func TestGKIncrementalDMatchesRescan(t *testing.T) {
 	checks := 0
-	gkDebugCheckD = func(incremental, rescan float64) {
+	var nw *Network
+	gkDebugBoundary = func(incremental float64, length []float64) {
 		checks++
+		rescan := 0.0
+		for i, a := range nw.Arcs {
+			rescan += a.Cap * length[i]
+		}
 		diff := math.Abs(incremental - rescan)
 		if rescan > 0 {
 			diff /= rescan
@@ -47,10 +52,11 @@ func TestGKIncrementalDMatchesRescan(t *testing.T) {
 			t.Fatalf("incremental D(l) drifted: %v vs rescan %v (rel %g)", incremental, rescan, diff)
 		}
 	}
-	defer func() { gkDebugCheckD = nil }()
+	defer func() { gkDebugBoundary = nil }()
 
 	for seed := int64(0); seed < 10; seed++ {
-		nw, comms := gkTestInstance(seed)
+		var comms []Commodity
+		nw, comms = gkTestInstance(seed)
 		if len(comms) == 0 {
 			continue
 		}
@@ -175,13 +181,13 @@ func TestGKContextCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	fired := 0
-	gkDebugCheckD = func(incremental, rescan float64) {
+	gkDebugBoundary = func(float64, []float64) {
 		fired++
 		if fired == 2 {
 			cancel2()
 		}
 	}
-	defer func() { gkDebugCheckD = nil }()
+	defer func() { gkDebugBoundary = nil }()
 	partial := MaxConcurrentFlow(nw, comms, GKOptions{Epsilon: 0.05, Ctx: ctx2})
 	if partial.Phases != 2 {
 		t.Fatalf("canceled after 2 phases, solver ran %d", partial.Phases)

@@ -1,6 +1,7 @@
 package minheap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -70,7 +71,22 @@ func FuzzHeapVsSortOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{200, 1, 220, 2, 3, 250, 4})
 	f.Add([]byte{5, 5, 5, 5, 255, 255, 0, 0})
+	// +0 and −0 as siblings: the left one must win.
+	f.Add([]byte{157, 151, 150, 3, 255, 255, 255, 255})
+	// Three spellings of zero, negative ties, −Inf.
+	f.Add([]byte{100, 150, 151, 100, 116, 116, 159, 159, 157, 250, 250, 250, 250, 250})
 	f.Fuzz(checkHeapOps)
+}
+
+// hostile are priorities whose float order and bit patterns disagree, or
+// that sit at the edges of the format: the two zeros (equal as floats, one
+// bit apart), subnormals of both signs, the smallest normal, the extreme
+// finite values and both infinities. Pop orders by an integer image of the
+// float (see key), so these are where it could part from frozenHeap's float
+// comparisons.
+var hostile = [...]float64{
+	math.Copysign(0, -1), 0, 5e-324, -5e-324, 2.2250738585072014e-308,
+	-math.MaxFloat64, math.MaxFloat64, math.Inf(-1), math.Inf(1), -0.25,
 }
 
 // TestHeapTieOrderMatchesFrozen runs the fuzz body over seeded tie-heavy op
@@ -108,8 +124,14 @@ func checkHeapOps(t *testing.T, data []byte) {
 			continue
 		}
 		// Derive a priority that collides often (exercises ties) but also
-		// varies with position.
+		// varies with position; bytes 100–149 mirror it below zero (−0 when
+		// it is 0) and 150–199 draw from hostile.
 		pri := float64(b%16) + float64(i%3)*0.25
+		if b >= 150 {
+			pri = hostile[int(b)%len(hostile)]
+		} else if b >= 100 {
+			pri = -pri
+		}
 		h.Push(Item{Node: int32(pushed), Pri: pri})
 		frozen.push(Item{Node: int32(pushed), Pri: pri})
 		pushed++
@@ -121,7 +143,7 @@ func checkHeapOps(t *testing.T, data []byte) {
 	if h.Len() != len(oracle) {
 		t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(oracle))
 	}
-	prev := -1.0
+	prev := math.Inf(-1)
 	for h.Len() > 0 {
 		it := h.Pop()
 		if want := frozen.pop(); it != want {

@@ -1,6 +1,7 @@
 package minheap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -61,5 +62,28 @@ func TestHeapDuplicatePriorities(t *testing.T) {
 		if got := h.Pop(); got.Pri != 1.0 {
 			t.Fatalf("bad pri %v", got.Pri)
 		}
+	}
+}
+
+// TestKeyOrdersLikeFloats pins the integer image Pop compares: over hostile
+// and random values of every magnitude, key(a) < key(b) exactly when a < b
+// and key(a) == key(b) exactly when a == b (so −0 and +0 share a key). NaN
+// is outside the contract; the test records where it lands.
+func TestKeyOrdersLikeFloats(t *testing.T) {
+	vals := append([]float64{-1, 1, -2.2250738585072014e-308}, hostile[:]...)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(600)-300)))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if (a < b) != (key(a) < key(b)) || (a == b) != (key(a) == key(b)) {
+				t.Fatalf("key(%g)=%#x key(%g)=%#x disagree with the float order", a, key(a), b, key(b))
+			}
+		}
+	}
+	nan := math.NaN()
+	if key(nan) <= key(math.Inf(1)) || key(math.Copysign(nan, -1)) >= key(math.Inf(-1)) {
+		t.Fatalf("NaN keys moved: %#x, %#x", key(nan), key(math.Copysign(nan, -1)))
 	}
 }
