@@ -138,12 +138,9 @@ func Solve(ctx context.Context, p Problem, eps float64, workers int, exportDuals
 }
 
 // Ladder is the two-rung ε policy: rank many instances cheaply at CoarseEps,
-// re-solve the few that matter at FineEps. Coarse and Fine take the solve's
-// worker count (results are identical at any): 1 when the caller already
-// runs one solve per processor across instances — at family scale that beats
-// intra-solve parallelism — and the caller's own count for a solve that runs
-// alone, where a second worker takes GK's dual-bound sweeps off the routing
-// goroutine. Ctx, if non-nil, cancels every solve.
+// re-solve the few that matter at FineEps. Solves run single-threaded —
+// callers parallelise across instances, which at family scale beats
+// intra-solve parallelism. Ctx, if non-nil, cancels every solve.
 type Ladder struct {
 	CoarseEps, FineEps float64
 	Ctx                context.Context
@@ -165,8 +162,8 @@ func (l Ladder) FineKey() string {
 
 // Coarse solves p at the coarse rung from p.Warm, exporting the duals a
 // later Fine starts from.
-func (l Ladder) Coarse(p Problem, workers int) (Rung, error) {
-	return Solve(l.Ctx, p, l.CoarseEps, workers, true)
+func (l Ladder) Coarse(p Problem) (Rung, error) {
+	return Solve(l.Ctx, p, l.CoarseEps, 1, true)
 }
 
 // Fine solves p at the fine rung, warm-started from p's own coarse duals.
@@ -174,17 +171,17 @@ func (l Ladder) Coarse(p Problem, workers int) (Rung, error) {
 // coarse solve is run again first — it is deterministic, so the fine result
 // does not depend on where the coarse one came from. The recomputed solve's
 // iterations are charged to the returned rung.
-func (l Ladder) Fine(p Problem, coarse Rung, workers int) (Rung, error) {
+func (l Ladder) Fine(p Problem, coarse Rung) (Rung, error) {
 	extra := 0
 	if coarse.Duals == nil {
 		var err error
-		if coarse, err = l.Coarse(p, workers); err != nil {
+		if coarse, err = l.Coarse(p); err != nil {
 			return Rung{}, err
 		}
 		extra = coarse.Iterations
 	}
 	p.Warm = coarse.Duals
-	fine, err := Solve(l.Ctx, p, l.FineEps, workers, false)
+	fine, err := Solve(l.Ctx, p, l.FineEps, 1, false)
 	fine.Iterations += extra
 	return fine, err
 }

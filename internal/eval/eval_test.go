@@ -155,14 +155,14 @@ func TestFineIndependentOfCoarseSource(t *testing.T) {
 	if !l.TwoRungs() || (Ladder{CoarseEps: 0.1, FineEps: 0.1}).TwoRungs() {
 		t.Fatal("TwoRungs")
 	}
-	coarse, err := l.Coarse(p, 1)
+	coarse, err := l.Coarse(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coarse.Duals == nil || coarse.Iterations == 0 || coarse.Epsilon != 0.3 {
 		t.Fatalf("coarse rung: %+v", coarse)
 	}
-	fresh, err := l.Fine(p, coarse, 2)
+	fresh, err := l.Fine(p, coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFineIndependentOfCoarseSource(t *testing.T) {
 	if cached.Duals != nil || cached.Iterations != 0 || cached.Throughput != coarse.Throughput {
 		t.Fatalf("cached form: %+v", cached)
 	}
-	resumed, err := l.Fine(p, cached, 1)
+	resumed, err := l.Fine(p, cached)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSolveCanceledReturnsNoRung(t *testing.T) {
 	if r.Throughput != 0 || r.Duals != nil {
 		t.Fatalf("a canceled solve leaked a partial rung: %+v", r)
 	}
-	if _, err := (Ladder{CoarseEps: 0.3, FineEps: 0.1, Ctx: ctx}).Fine(testProblem(), Rung{}, 1); err != context.Canceled {
+	if _, err := (Ladder{CoarseEps: 0.3, FineEps: 0.1, Ctx: ctx}).Fine(testProblem(), Rung{}); err != context.Canceled {
 		t.Fatalf("Fine over a canceled ctx: %v", err)
 	}
 }

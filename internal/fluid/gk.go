@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync/atomic"
 
 	"beyondft/internal/graph"
 	"beyondft/internal/minheap"
@@ -17,13 +16,10 @@ type GKOptions struct {
 	Epsilon float64
 	// MaxPhases caps the number of phases as a safety valve. Default 1e6.
 	MaxPhases int
-	// Workers bounds the goroutines of a solve. Routing is sequential and
-	// runs on the caller's goroutine; on instances of at least
-	// gkPipelineMinWork the per-phase dual-bound distances (one Dijkstra per
-	// distinct commodity source, over the lengths as they stood at the phase
-	// boundary) run beside it on the other Workers−1. 1 starts no goroutine
-	// at all; 0 means GOMAXPROCS. The result, and the observer stream, are
-	// identical at any worker count.
+	// Workers bounds the goroutines used for the per-phase dual-bound
+	// distance computations (one Dijkstra per distinct commodity source,
+	// read-only on the length function within the phase). 0 means
+	// GOMAXPROCS. The result is identical at any worker count.
 	Workers int
 	// Ctx, if non-nil, is polled at every phase boundary and every
 	// gkCtxPollEvery routing iterations within a phase: once it is done the
@@ -62,12 +58,10 @@ type GKOptions struct {
 // be cheap: GKPhase fires once per phase while lengths and flows are
 // mid-update, so it must not call back into the solver.
 type GKObserver interface {
-	// GKPhase fires once per phase, in phase order, on the goroutine that
-	// called the solver: the 1-based phase number, the routing Dijkstras done
-	// and the D(l) potential when the phase began, and the best dual bound
-	// observed up to and including that phase's (OPT ≤ dualBound). With one
-	// worker it fires at the phase boundary, before the phase's routing; with
-	// more, when the phase's bound is folded in, which can be after it.
+	// GKPhase fires at every phase boundary, after the phase's dual-bound
+	// update and before its routing loop: the 1-based phase number, total
+	// routing Dijkstras so far, the current D(l) potential, and the best
+	// dual bound observed (OPT ≤ dualBound).
 	GKPhase(phase, iterations int, d, dualBound float64)
 	// GKDone fires exactly once for every solve that enters the phase loop
 	// (degenerate inputs — no commodities, no arcs — skip it), with the
@@ -112,19 +106,9 @@ type GKResult struct {
 
 // gkDebugBoundary, when non-nil (set only by tests), receives the
 // incrementally maintained D(l) = Σ cap·length and the live length function
-// at every phase boundary, before the phase's sweep starts: the drift check
-// rescans it, the routing benchmark copies it.
+// at every phase boundary, before the phase's dual-bound step: the drift
+// check rescans it, the routing benchmark copies it.
 var gkDebugBoundary func(d float64, length []float64)
-
-// gkPipelineMinWork is the sweep size (distinct sources × arcs, what a
-// phase's dual-bound Dijkstras cost) from which a solve with Workers > 1
-// starts its sweep helper. Below it a phase is over in a fraction of a
-// millisecond and waking a second processor twice per phase costs what the
-// helper saves (Jellyfish-24, 5 184: 3% slower with it; Jellyfish-36,
-// 11 664: 2% faster; DESIGN.md §7) — and the daemon runs its small solves
-// several at a time, where no processor is idle to help. A variable only so
-// the tests can pipeline their small instances.
-var gkPipelineMinWork = 1 << 13
 
 // gkCtxPollEvery is how many routing Dijkstras run between Ctx polls inside
 // a phase. Phases on paper-scale instances run hundreds of routing
@@ -223,9 +207,6 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	if workers > len(sources) {
 		workers = len(sources)
 	}
-	if len(sources)*m < gkPipelineMinWork {
-		workers = 1
-	}
 	states := make([]*spState, workers)
 	for w := range states {
 		states[w] = newSPState(nw)
@@ -236,83 +217,12 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	}
 
 	dualBound := math.Inf(1)
-	// fold turns a finished sweep of srcDist rows into its phase's dual bound
-	// D(l) / Σ_j d_j·dist_l(j), with D as it stood at the phase boundary, and
-	// reports the phase. The sum runs in fixed commodity order and the sweeps
-	// fold in phase order, so the result is identical at any worker count.
-	fold := func(phase, iters int, d float64) {
-		z := 0.0
-		for j, c := range live {
-			z += c.Demand * srcDist[srcOf[j]][c.Dst]
-		}
-		if z > 0 {
-			if b := d / z; b < dualBound {
-				dualBound = b
-			}
-		}
-		if opt.Observer != nil {
-			opt.Observer.GKPhase(phase, iters, d, dualBound)
-		}
-	}
-	// A sweep is one full Dijkstra per distinct source over snap, claimed off
-	// a shared counter by whoever has time: each claim writes only its own
-	// srcDist row. With one worker, or an instance under gkPipelineMinWork, snap
-	// is the live length function and join, called right at the boundary, does
-	// the whole sweep. Otherwise a phase's sweep runs beside that phase's
-	// routing: the boundary copies the lengths into snap and wakes one helper
-	// goroutine per solve, which fans out over states[1:] while worker 0 routes
-	// on the live lengths; join takes what is still unclaimed and waits for
-	// the rest. Nothing between a boundary and the next reader of dualBound
-	// depends on the bound, so join — called wherever it is read, and before
-	// every return — folds exactly the value the synchronous path has there.
-	// The two goroutines take turns on one unbuffered channel: true starts a
-	// sweep, the helper sends true back when its share is done, false
-	// (deferred) ends the helper.
-	var (
-		snap         = length
-		turn         chan bool
-		next         atomic.Int64 // sources claimed in the current sweep
-		pending      bool         // a sweep is open, for the boundary recorded in:
-		bPhase, bIts int
-		bD           float64
-	)
 	sp := states[0] // routing reuses worker 0's scratch between phases
-	sweep := func(s *spState) {
-		for k := int(next.Add(1)) - 1; k < len(sources); k = int(next.Add(1)) - 1 {
-			s.dijkstra(sources[k], snap, srcDist[k], -1)
-		}
-	}
-	join := func() {
-		if pending {
-			pending = false
-			sweep(sp)
-			if turn != nil {
-				<-turn
-			}
-			fold(bPhase, bIts, bD)
-		}
-	}
-	if workers > 1 {
-		snap, turn = make([]float64, m), make(chan bool)
-		go func() {
-			for <-turn {
-				graph.ParallelFor(workers-1, workers-1, func(w, _ int) { sweep(states[w+1]) })
-				turn <- true
-			}
-		}()
-		defer func() {
-			if pending { // only a panic gets here with a sweep open
-				<-turn
-			}
-			turn <- false
-		}()
-	}
 	parent, arcFrom, arcCap := sp.parent, nw.arcFrom, nw.arcCap
 	phases := 0
 	iters := 0 // routing Dijkstras, reported through the observer
 	canceled := false
 	for phases < maxPhases {
-		join()
 		if D >= 1 {
 			// Cold solves stop on the potential budget: the classic analysis
 			// certifies (1−O(ε)) at D = 1. A warm seed reshapes the length
@@ -333,18 +243,28 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		if gkDebugBoundary != nil {
 			gkDebugBoundary(D, length)
 		}
-		// Dual bound for this phase, from the lengths as they stand here.
-		next.Store(0)
-		pending, bPhase, bIts, bD = true, phases, iters, D
-		if turn != nil {
-			copy(snap, length)
-			turn <- true
-		} else {
-			join()
+		// Dual bound for this phase: D(l) / Σ_j d_j·dist_l(j). Lengths are
+		// read-only within this step, so the per-source Dijkstras fan out
+		// across the workers; each writes only its own srcDist row and the
+		// reduction below runs in fixed commodity order, so the result is
+		// identical at any worker count.
+		graph.ParallelFor(workers, len(sources), func(w, k int) {
+			states[w].dijkstra(sources[k], length, srcDist[k], -1)
+		})
+		z := 0.0
+		for j, c := range live {
+			z += c.Demand * srcDist[srcOf[j]][c.Dst]
+		}
+		if z > 0 {
+			if b := D / z; b < dualBound {
+				dualBound = b
+			}
+		}
+		if opt.Observer != nil {
+			opt.Observer.GKPhase(phases, iters, D, dualBound)
 		}
 		// Early exit once the certified primal is within ε of the dual bound.
 		if phases%8 == 0 {
-			join()
 			if p := primalValue(nw, live, flow, routed); p >= (1-eps)*dualBound {
 				break
 			}
@@ -366,7 +286,6 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				d := sp.dijkstra(c.Src, length, nil, c.Dst)
 				iters++
 				if math.IsInf(d[c.Dst], 1) {
-					join()
 					if opt.Observer != nil {
 						opt.Observer.GKDone(phases, iters, 0, 0)
 					}
@@ -402,7 +321,6 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 			break
 		}
 	}
-	join()
 
 	thr := primalValue(nw, live, flow, routed)
 	if thr > dualBound {

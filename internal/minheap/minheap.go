@@ -66,9 +66,9 @@ func key(p float64) uint64 {
 // That choice is computed as l plus the borrow of key(right) − key(left),
 // not branched on — on GK's tie-heavy lengths the branch is a coin toss. The
 // vacated slot s[last] still holds moved, so a right child at index last
-// needs no bounds test: if it loses, left is taken as before; if it wins,
-// moved < left, and the step stops on moved <= s[last] exactly where the
-// old one stopped on moved <= left.
+// needs no bounds test: if it loses, left is taken; if it wins, moved < left,
+// and the step stops on moved <= s[last] exactly where a bounds-tested one
+// (frozenHeap in the tests) stops on moved <= left.
 func (h *Heap) Pop() Item {
 	s := *h
 	top := s[0]

@@ -124,9 +124,8 @@ type Options struct {
 	// Temp is the initial annealing temperature (throughput units);
 	// default 0.02, decaying by annealDecay per step.
 	Temp float64
-	// Workers bounds candidate-level parallelism (each GK solve of a batch
-	// runs single-threaded, like the what-if engine; the baseline and the
-	// winner's fine solve run alone and get all of them). 0 means
+	// Workers bounds candidate-level parallelism (each GK solve runs
+	// single-threaded, like the what-if engine). 0 means
 	// graph.Parallelism(). Results are identical at any worker count.
 	Workers int
 	// Name is the best-found design's registered name. Default
@@ -306,24 +305,22 @@ func (r *runner) rung(c *candidate, key string, solve func(eval.Problem) (eval.R
 	return e, err
 }
 
-// coarse evaluates every candidate at the coarse rung, in parallel, the
-// workers divided among the solves: one each for a batch, all of them for
-// the baseline's single solve. Results are index-aligned with cands.
+// coarse evaluates every candidate at the coarse rung, in parallel. Results
+// are index-aligned with cands.
 func (r *runner) coarse(cands []*candidate) ([]eval.Rung, error) {
 	evals := make([]eval.Rung, len(cands))
 	errs := make([]error, len(cands))
-	per := max(1, r.workers/max(1, len(cands)))
 	graph.ParallelFor(r.workers, len(cands), func(_, i int) {
-		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, func(p eval.Problem) (eval.Rung, error) { return r.ladder.Coarse(p, per) })
+		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, r.ladder.Coarse)
 	})
 	return evals, errors.Join(errs...)
 }
 
 // fine re-solves one candidate at the fine rung under the ladder's refine
 // rule: warm from its own coarse duals, re-running the coarse solve when
-// coarse came from the cache. It runs alone, so the solve gets every worker.
+// coarse came from the cache.
 func (r *runner) fine(c *candidate, coarse eval.Rung) (eval.Rung, error) {
-	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return r.ladder.Fine(p, coarse, r.workers) })
+	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return r.ladder.Fine(p, coarse) })
 }
 
 // Run searches for a same-cost design that beats the starting topology's

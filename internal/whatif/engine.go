@@ -31,9 +31,8 @@ type Options struct {
 	Ladder Ladder
 	// Workers is the scenario-level parallelism (scenarios are solved
 	// concurrently, each solve single-threaded — at family scale that
-	// beats intra-solve parallelism); the base solves, which run alone, get
-	// all of them. 0 means graph.Parallelism(). The report is identical at
-	// any worker count.
+	// beats intra-solve parallelism). 0 means graph.Parallelism(). The
+	// report is identical at any worker count.
 	Workers int
 	// Ctx, if non-nil, cancels the sweep: Evaluate returns ctx.Err() and
 	// no report. Propagated into every GK solve at iteration granularity;
@@ -82,10 +81,10 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	// of the same network.
 	baseSp := opt.Span.Child("base-solve")
 	baseP := eval.Problem{NW: baseNW, Comms: comms}
-	baseCoarse, err := ladder.Coarse(baseP, workers)
+	baseCoarse, err := ladder.Coarse(baseP)
 	baseFine := baseCoarse
 	if err == nil && ladder.TwoRungs() {
-		baseFine, err = ladder.Fine(baseP, baseCoarse, workers)
+		baseFine, err = ladder.Fine(baseP, baseCoarse)
 		iterations.Add(int64(baseFine.Iterations))
 	}
 	iterations.Add(int64(baseCoarse.Iterations))
@@ -167,9 +166,9 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 			t0 := time.Now()
 			var res eval.Rung
 			if fine {
-				res, err = ladder.Fine(p, coarse[i], 1)
+				res, err = ladder.Fine(p, coarse[i])
 			} else {
-				res, err = ladder.Coarse(p, 1)
+				res, err = ladder.Coarse(p)
 				coarse[i] = res
 			}
 			if err != nil {
