@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race vet loc bench bench-all bench-smoke bench-cluster serve-smoke cluster-smoke validate-smoke whatif-smoke sim-scale-smoke search-smoke fuzz-smoke fuzz cover figures figures-full run examples clean
+.PHONY: all build test test-race vet loc bench pairs bench-all bench-smoke bench-cluster serve-smoke cluster-smoke validate-smoke whatif-smoke sim-scale-smoke search-smoke fuzz-smoke fuzz cover figures figures-full run examples clean
 
 all: build test
 
@@ -149,7 +149,7 @@ loc:
 # under "baseline" so the checked-in file carries its own before/after.
 BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
-BENCH_OUT := BENCH_pr17.json
+BENCH_OUT := BENCH_pr18.json
 BENCH_COUNT := 3
 BENCH_BASELINE :=
 bench:
@@ -159,6 +159,59 @@ bench:
 			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
 			-max-allocs BenchmarkGKRoutingDijkstra=0 \
 			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
+
+# Paired end-to-end runs, the procedure behind every claimed number
+# (benchmark/README.md "Citing a number"; choosing-metrics §8):
+#   make pairs WORKLOAD=cold_query PARENT=HEAD~1 [SEEDS="501 502 ... 510"]
+# builds ./benchmark once from PARENT's committed files and once from this
+# tree (uncommitted edits included), then runs the two binaries alternately
+# on the same seeds — odd rounds parent first, even rounds change first —
+# each with its own -tmp directory, and prints every reading of the five
+# end-to-end metrics and the failed count, each side's median [q1, q3] (the
+# exclusive method benchmark/aa.go uses) and how many pairs the change won.
+# PARENT is unpacked with `git archive`, which leaves nothing in .git.
+PAIRS_DIR := .pairs
+WORKLOAD :=
+PARENT :=
+SEEDS := 501 502 503 504 505 506 507 508 509 510
+pairs:
+	@[ -n "$(WORKLOAD)" ] && [ -n "$(PARENT)" ] || { echo 'usage: make pairs WORKLOAD=<name> PARENT=<rev> [SEEDS="501 ... 510"]'; exit 2; }
+	@rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/parent
+	@git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
+	@cd $(PAIRS_DIR)/parent && go build -o ../bench.parent ./benchmark
+	@go build -o $(PAIRS_DIR)/bench.change ./benchmark
+	@round=0; for seed in $(SEEDS); do \
+		round=$$((round + 1)); order="parent change"; \
+		[ $$((round % 2)) = 1 ] || order="change parent"; \
+		for side in $$order; do \
+			$(PAIRS_DIR)/bench.$$side -workload $(WORKLOAD) -seed $$seed -tmp $(PAIRS_DIR)/tmp.$$side 2> $(PAIRS_DIR)/stderr.$$side \
+				| tail -n 1 > $(PAIRS_DIR)/last.$$side; \
+			grep -q '"correct":true' $(PAIRS_DIR)/last.$$side \
+				|| { echo "pairs: $$side failed on seed $$seed"; cat $(PAIRS_DIR)/stderr.$$side $(PAIRS_DIR)/last.$$side; exit 1; }; \
+			grep -o '"[a-z_]*":{"value":[^,]*\|"failed":[0-9]*' $(PAIRS_DIR)/last.$$side \
+				| sed 's/[":{}]/ /g; s/ value / /' | while read -r metric value; do echo "$$seed $$side $$metric $$value"; done; \
+		done; \
+	done > $(PAIRS_DIR)/readings
+	@awk -v title='$(WORKLOAD): $(PARENT) (parent) vs this tree (change)' ' \
+		{ if (!($$1 in seeds)) { seeds[$$1]; seedv[++ns] = $$1 } \
+		  if (!($$3 in mets)) { mets[$$3]; metv[++nm] = $$3 } \
+		  val[$$1, $$2, $$3] = $$4 } \
+		function quart(side, m,   i, j, n, t, k, d) { \
+			n = ns; for (i = 1; i <= n; i++) s[i] = val[seedv[i], side, m] + 0; \
+			for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t } \
+			if (n < 2) return sprintf("%.5g", s[1]); \
+			for (k = 1; k <= 3; k++) { j = int(k * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1; \
+				d = k * (n + 1) - j * 4; q[k] = (s[j] * (4 - d) + s[j + 1] * d) / 4 } \
+			return sprintf("%.5g [%.5g, %.5g]", q[2], q[1], q[3]) } \
+		END { print title; \
+			for (a = 1; a <= nm; a++) { m = metv[a]; up = 0; down = 0; line = ""; \
+				for (b = 1; b <= ns; b++) { p = val[seedv[b], "parent", m] + 0; c = val[seedv[b], "change", m] + 0; \
+					if (c > p) up++; else if (c < p) down++; \
+					line = line sprintf("%s%.5g→%.5g", b > 1 ? ", " : "", p, c) } \
+				printf "%s, seeds %s–%s, parent→change: %s\n", m, seedv[1], seedv[ns], line; \
+				printf "  median [q1, q3]: parent %s, change %s; change higher in %d, lower in %d of %d pairs\n", quart("parent", m), quart("change", m), up, down, ns } }' \
+		$(PAIRS_DIR)/readings
+	@rm -rf $(PAIRS_DIR)
 
 # One iteration of the tracked benchmarks, wired into `make test` so they
 # cannot bit-rot between perf PRs.

@@ -69,34 +69,10 @@ func BenchmarkMaxConcurrentFlow(b *testing.B) {
 // phase boundaries of a real solve: on one fixed vector the branch predictor
 // learns the whole pop sequence and the benchmark cannot see what the heap's
 // data-dependent choices cost in a solve, where no two searches repeat. It
-// must not allocate — `make bench` gates it at 0 allocs/op.
+// must not allocate — `make bench` gates it at 0 allocs/op, and
+// TestGKRoutingDijkstraAllocs does for `go test`.
 func BenchmarkGKRoutingDijkstra(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	jf := topology.NewJellyfish(54, 9, 6, rng)
-	all := make([]int, jf.G.N())
-	for i := range all {
-		all[i] = i
-	}
-	src, dst, far := 0, 0, -1
-	for u, row := range jf.G.Frozen().BFSMany(all) {
-		for v, d := range row {
-			if d > far {
-				src, dst, far = u, v, d
-			}
-		}
-	}
-	nw := NewNetwork(jf.G, 1.0)
-	const skip, keep = 8, 96 // past the all-equal opening phases, then 96 boundaries
-	var lengths [][]float64
-	gkDebugBoundary = func(_ float64, length []float64) {
-		lengths = append(lengths, append([]float64(nil), length...))
-	}
-	MaxConcurrentFlow(nw, Commodities(tm.LongestMatching(jf.G, all, tm.Uniform(6))),
-		GKOptions{Epsilon: 0.08, Workers: 1, MaxPhases: skip + keep})
-	gkDebugBoundary = nil
-	if lengths = lengths[skip:]; len(lengths) < 64 {
-		b.Fatalf("solve ended after %d phases; need 64 length vectors", skip+len(lengths))
-	}
+	nw, src, dst, lengths := routingDijkstraInputs(b)
 	sp := newSPState(nw)
 	sp.dijkstra(src, lengths[0], nil, dst) // grow the heap to its working size
 	b.ReportAllocs()
@@ -106,4 +82,54 @@ func BenchmarkGKRoutingDijkstra(b *testing.B) {
 			b.Fatal("farthest pair unreachable")
 		}
 	}
+}
+
+// TestGKRoutingDijkstraAllocs is the benchmark's 0 allocs/op gate for plain
+// `go test`: the routing kernel, and the heap once it has grown to the size
+// these searches need, must not allocate per call. One pass over every
+// length vector first, so growth is behind it.
+func TestGKRoutingDijkstraAllocs(t *testing.T) {
+	nw, src, dst, lengths := routingDijkstraInputs(t)
+	sp := newSPState(nw)
+	for _, l := range lengths {
+		sp.dijkstra(src, l, nil, dst)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(4*len(lengths), func() {
+		sp.dijkstra(src, lengths[i%len(lengths)], nil, dst)
+		i++
+	}); n != 0 {
+		t.Fatalf("routing Dijkstra allocates %v times per call, want 0", n)
+	}
+}
+
+// routingDijkstraInputs is the farthest pair of a Jellyfish-54 and the
+// length functions of 96 consecutive phase boundaries of a real solve on it.
+func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths [][]float64) {
+	rng := rand.New(rand.NewSource(2))
+	jf := topology.NewJellyfish(54, 9, 6, rng)
+	all := make([]int, jf.G.N())
+	for i := range all {
+		all[i] = i
+	}
+	far := -1
+	for u, row := range jf.G.Frozen().BFSMany(all) {
+		for v, d := range row {
+			if d > far {
+				src, dst, far = u, v, d
+			}
+		}
+	}
+	nw = NewNetwork(jf.G, 1.0)
+	const skip, keep = 8, 96 // past the all-equal opening phases, then 96 boundaries
+	gkDebugBoundary = func(_ float64, length []float64) {
+		lengths = append(lengths, append([]float64(nil), length...))
+	}
+	MaxConcurrentFlow(nw, Commodities(tm.LongestMatching(jf.G, all, tm.Uniform(6))),
+		GKOptions{Epsilon: 0.08, Workers: 1, MaxPhases: skip + keep})
+	gkDebugBoundary = nil
+	if lengths = lengths[skip:]; len(lengths) < 64 {
+		tb.Fatalf("solve ended after %d phases; need 64 length vectors", skip+len(lengths))
+	}
+	return nw, src, dst, lengths
 }

@@ -188,17 +188,15 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 
 	// Distinct commodity sources, in first-appearance order; the per-phase
 	// dual bound needs one full Dijkstra per distinct source.
-	srcIndex := map[int]int{}
+	srcIndex := make([]int, nw.N) // 1 + a node's index into sources; 0 = not a source yet
 	var sources []int
 	srcOf := make([]int, len(live)) // live[j].Src's index into sources
 	for j, c := range live {
-		k, ok := srcIndex[c.Src]
-		if !ok {
-			k = len(sources)
-			srcIndex[c.Src] = k
+		if srcIndex[c.Src] == 0 {
 			sources = append(sources, c.Src)
+			srcIndex[c.Src] = len(sources)
 		}
-		srcOf[j] = k
+		srcOf[j] = srcIndex[c.Src] - 1
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -376,7 +374,7 @@ func newSPState(nw *Network) *spState {
 		nw:     nw,
 		dist:   make([]float64, nw.N),
 		parent: make([]int32, nw.N),
-		heap:   make(minheap.Heap, 0, nw.N),
+		heap:   minheap.New(nw.N),
 	}
 }
 

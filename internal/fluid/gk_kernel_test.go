@@ -24,7 +24,7 @@ func newLegacySP(nw *Network) *legacySP {
 		nw:   nw,
 		dist: make([]float64, nw.N),
 		done: make([]bool, nw.N),
-		heap: make(minheap.Heap, 0, nw.N),
+		heap: minheap.New(nw.N),
 	}
 }
 
@@ -160,5 +160,37 @@ func FuzzGKDijkstraKernel(f *testing.F) {
 	f.Add(int64(2), uint8(1))
 	f.Add(int64(3), uint8(2))
 	f.Add(int64(-77), uint8(1))
+	for _, s := range heapGrowthSeeds {
+		f.Add(s.seed, s.mode)
+	}
 	f.Fuzz(checkKernelAgainstLegacy)
+}
+
+// heapGrowthSeeds are draws — dense multigraphs under tie-heavy and random
+// lengths — on which a Dijkstra holds more live heap entries than the nw.N
+// slots newSPState gives it, so the kernel-vs-legacy check crosses the
+// heap's growth path mid-search.
+var heapGrowthSeeds = []struct {
+	seed int64
+	mode uint8
+}{{130, 1}, {5, 2}}
+
+// TestGKDijkstraKernelSeedsGrowHeap keeps heapGrowthSeeds honest: on each,
+// both calling modes of a fresh spState allocate beyond what newSPState did,
+// and the only thing in dijkstra that can allocate is the heap growing.
+func TestGKDijkstraKernelSeedsGrowHeap(t *testing.T) {
+	for _, s := range heapGrowthSeeds {
+		rng := rand.New(rand.NewSource(s.seed))
+		nw := kernelTestNetwork(rng)
+		length := kernelTestLengths(len(nw.Arcs), s.mode, rng)
+		src, dst := rng.Intn(nw.N), rng.Intn(nw.N)
+		dist := make([]float64, nw.N)
+		fresh := testing.AllocsPerRun(2, func() { newSPState(nw) })
+		full := testing.AllocsPerRun(2, func() { newSPState(nw).dijkstra(src, length, dist, -1) })
+		early := testing.AllocsPerRun(2, func() { newSPState(nw).dijkstra(src, length, nil, dst) })
+		if full <= fresh || early <= fresh {
+			t.Errorf("seed %d mode %d (N=%d, %d arcs): allocations fresh %v, full sweep %v, early stop %v: the heap did not grow",
+				s.seed, s.mode, nw.N, len(nw.Arcs), fresh, full, early)
+		}
+	}
 }

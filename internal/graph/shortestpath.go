@@ -78,7 +78,7 @@ func (g *Graph) Dijkstra(src int, w func(u, v int) float64) ([]float64, []int) {
 		parent[i] = -1
 	}
 	dist[src] = 0
-	h := make(minheap.Heap, 0, g.n)
+	h := minheap.New(g.n)
 	h.Push(minheap.Item{Node: int32(src), Pri: 0})
 	for h.Len() > 0 {
 		it := h.Pop()

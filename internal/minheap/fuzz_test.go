@@ -81,9 +81,9 @@ func FuzzHeapVsSortOracle(f *testing.F) {
 // hostile are priorities whose float order and bit patterns disagree, or
 // that sit at the edges of the format: the two zeros (equal as floats, one
 // bit apart), subnormals of both signs, the smallest normal, the extreme
-// finite values and both infinities. Pop orders by an integer image of the
-// float (see key), so these are where it could part from frozenHeap's float
-// comparisons.
+// finite values and both infinities. The heap orders by an integer image of
+// the float (see key), so these are where it could part from frozenHeap's
+// float comparisons.
 var hostile = [...]float64{
 	math.Copysign(0, -1), 0, 5e-324, -5e-324, 2.2250738585072014e-308,
 	-math.MaxFloat64, math.MaxFloat64, math.Inf(-1), math.Inf(1), -0.25,
@@ -106,8 +106,30 @@ func TestHeapTieOrderMatchesFrozen(t *testing.T) {
 	}
 }
 
+// checkHeapOps runs one op stream against frozenHeap on three heaps that
+// reach the same states through different slot histories: the zero value and
+// New(1), which between them cross every doubling, and a heap reused after
+// Reset, whose slots past the length hold stale entries — Pop reads one slot
+// past the shrunk heap, and what it finds there must be the item it just
+// took out, never a leftover.
 func checkHeapOps(t *testing.T, data []byte) {
-	var h Heap
+	checkHeapOpsOn(t, "zero-value", new(Heap), data)
+	grown := New(1)
+	checkHeapOpsOn(t, "New(1)", &grown, data)
+	reused := New(len(data))
+	for i := range data {
+		reused.Push(Item{Node: int32(-1 - i), Pri: float64(i%5) - 7})
+	}
+	reused.Reset()
+	checkHeapOpsOn(t, "reused", &reused, data)
+}
+
+func checkHeapOpsOn(t *testing.T, which string, h *Heap, data []byte) {
+	defer func() {
+		if t.Failed() {
+			t.Logf("on the %s heap", which)
+		}
+	}()
 	var frozen frozenHeap
 	var oracle []float64 // kept sorted ascending
 	pushed := 0

@@ -1,8 +1,8 @@
 // Package minheap provides the hand-rolled binary min-heap shared by the
 // shortest-path kernels in internal/graph and internal/fluid. container/heap
 // would box every item through interface{} on Push/Pop, allocating once per
-// edge relaxation; this implementation keeps items inline in a slice and
-// allocates only when the backing array grows.
+// edge relaxation; this implementation keeps items inline in two flat arrays
+// and allocates only when they grow.
 package minheap
 
 import (
@@ -18,30 +18,58 @@ type Item struct {
 }
 
 // Heap is a binary min-heap ordered by Item.Pri. The zero value is an empty
-// heap ready for use; for hot loops, allocate once with make(Heap, 0, n) and
-// Reset between runs.
-type Heap []Item
+// heap ready for use; for hot loops, allocate once with New(n) and Reset
+// between runs.
+//
+// An item is stored as keys[i] = key(Pri) beside nodes[i] = Node: the image
+// is taken once in Push and inverted once in Pop's return, so the sift loops
+// compare and move bare integers. Slots [0, n) are the heap in the usual
+// array order; slots past n hold whatever was left there.
+type Heap struct {
+	keys  []uint64
+	nodes []int32 // len(nodes) == len(keys)
+	n     int
+}
+
+// New returns an empty heap with room for n items. Pushing more grows it.
+func New(n int) Heap {
+	return Heap{keys: make([]uint64, n), nodes: make([]int32, n)}
+}
 
 // Len returns the number of items in the heap.
-func (h Heap) Len() int { return len(h) }
+func (h *Heap) Len() int { return h.n }
 
-// Reset empties the heap, keeping the backing array.
-func (h *Heap) Reset() { *h = (*h)[:0] }
+// Reset empties the heap, keeping the backing arrays.
+func (h *Heap) Reset() { h.n = 0 }
 
 // Push adds an item.
 func (h *Heap) Push(it Item) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
+	i := h.n
+	if i == len(h.keys) {
+		h.grow()
+	}
+	h.n = i + 1
+	keys := h.keys
+	nodes := h.nodes[:len(keys)]
+	k := key(it.Pri)
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].Pri <= it.Pri {
+		if keys[p] <= k {
 			break
 		}
-		s[i] = s[p]
+		keys[i], nodes[i] = keys[p], nodes[p]
 		i = p
 	}
-	s[i] = it
+	keys[i], nodes[i] = k, it.Node
+}
+
+// grow doubles the capacity of a full heap.
+func (h *Heap) grow() {
+	c := max(2*len(h.keys), 4)
+	keys, nodes := make([]uint64, c), make([]int32, c)
+	copy(keys, h.keys)
+	copy(nodes, h.nodes)
+	h.keys, h.nodes = keys, nodes
 }
 
 // key is an order-preserving uint64 image of a priority: key(a) < key(b)
@@ -58,37 +86,45 @@ func key(p float64) uint64 {
 	return (b ^ neg) - (neg | 1<<63)
 }
 
-// Pop removes and returns the minimum-priority item. It panics on an empty
-// heap (callers loop on Len() > 0).
+// unkey inverts key: unkey(key(p)) has p's bits for every p, NaNs included,
+// except that −0 comes back as +0, the float that owns their shared key.
+func unkey(k uint64) float64 {
+	neg := ^uint64(int64(k) >> 63)
+	return math.Float64frombits((k ^ neg) - (neg | 1<<63))
+}
+
+// Pop removes and returns the minimum-priority item; a −0 priority comes
+// back as +0. It panics on an empty heap (callers loop on Len() > 0).
 //
 // Which child a sift-down step descends to is output-defining for the GK
 // kernel (DESIGN.md §7): the right one only when it is strictly smaller.
-// That choice is computed as l plus the borrow of key(right) − key(left),
-// not branched on — on GK's tie-heavy lengths the branch is a coin toss. The
-// vacated slot s[last] still holds moved, so a right child at index last
-// needs no bounds test: if it loses, left is taken; if it wins, moved < left,
-// and the step stops on moved <= s[last] exactly where a bounds-tested one
+// That choice is computed as l plus the borrow of keys[l+1] − keys[l], not
+// branched on — on GK's tie-heavy lengths the branch is a coin toss. The
+// vacated slot last still holds moved, so a right child at index last needs
+// no bounds test: if it loses, left is taken; if it wins, moved < left, and
+// the step stops on moved <= keys[last] exactly where a bounds-tested one
 // (frozenHeap in the tests) stops on moved <= left.
 func (h *Heap) Pop() Item {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	moved := s[last]
-	*h = s[:last]
+	keys := h.keys
+	nodes := h.nodes[:len(keys)]
+	last := h.n - 1
+	top := Item{Node: nodes[0], Pri: unkey(keys[0])}
+	moved, movedNode := keys[last], nodes[last]
+	h.n = last
 	i := 0
 	for {
 		l := 2*i + 1
 		if l >= last {
 			break
 		}
-		_, right := bits.Sub64(key(s[l+1].Pri), key(s[l].Pri), 0)
+		_, right := bits.Sub64(keys[l+1], keys[l], 0)
 		m := l + int(right)
-		if moved.Pri <= s[m].Pri {
+		if moved <= keys[m] {
 			break
 		}
-		s[i] = s[m]
+		keys[i], nodes[i] = keys[m], nodes[m]
 		i = m
 	}
-	s[i] = moved
+	keys[i], nodes[i] = moved, movedNode
 	return top
 }

@@ -32,7 +32,7 @@ func TestHeapSortsRandomInputs(t *testing.T) {
 }
 
 func TestHeapResetKeepsCapacity(t *testing.T) {
-	h := make(Heap, 0, 16)
+	h := New(16)
 	for i := 0; i < 10; i++ {
 		h.Push(Item{Node: int32(i), Pri: float64(i)})
 	}
@@ -40,8 +40,8 @@ func TestHeapResetKeepsCapacity(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("len after reset = %d", h.Len())
 	}
-	if cap(h) < 10 {
-		t.Fatalf("reset dropped capacity: %d", cap(h))
+	if len(h.keys) != 16 || len(h.nodes) != 16 {
+		t.Fatalf("reset changed capacity: %d keys, %d nodes", len(h.keys), len(h.nodes))
 	}
 	h.Push(Item{Node: 3, Pri: 3})
 	if got := h.Pop(); got.Node != 3 {
@@ -65,7 +65,7 @@ func TestHeapDuplicatePriorities(t *testing.T) {
 	}
 }
 
-// TestKeyOrdersLikeFloats pins the integer image Pop compares: over hostile
+// TestKeyOrdersLikeFloats pins the integer image the heap compares: over hostile
 // and random values of every magnitude, key(a) < key(b) exactly when a < b
 // and key(a) == key(b) exactly when a == b (so −0 and +0 share a key). NaN
 // is outside the contract; the test records where it lands.
@@ -85,5 +85,30 @@ func TestKeyOrdersLikeFloats(t *testing.T) {
 	nan := math.NaN()
 	if key(nan) <= key(math.Inf(1)) || key(math.Copysign(nan, -1)) >= key(math.Inf(-1)) {
 		t.Fatalf("NaN keys moved: %#x, %#x", key(nan), key(math.Copysign(nan, -1)))
+	}
+}
+
+// TestHeapPriorityRoundTrip states what Pop hands back now that a slot holds
+// key(Pri) and not Pri: the pushed bits, for every float — NaNs of either sign
+// and any payload included, though a heap holding one has no defined order —
+// with one exception. −0 pops as +0: the two share a key because they compare
+// equal, and both callers only push sums of non-negative lengths.
+func TestHeapPriorityRoundTrip(t *testing.T) {
+	vals := append([]float64{1, -1, math.Pi,
+		math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000001),
+		math.Float64frombits(0x7fffffffffffffff), math.Float64frombits(0xffffffffffffffff),
+	}, hostile[:]...)
+	for _, p := range vals {
+		var h Heap
+		h.Push(Item{Node: 7, Pri: p})
+		got := h.Pop()
+		want := math.Float64bits(p)
+		if want == 1<<63 {
+			want = 0
+		}
+		if got.Node != 7 || math.Float64bits(got.Pri) != want {
+			t.Errorf("pushed %v (%#x), popped %+v (%#x)", p, math.Float64bits(p), got, math.Float64bits(got.Pri))
+		}
 	}
 }

@@ -53,6 +53,10 @@ type Options struct {
 	OnResult func(Result)
 }
 
+// debugCoarseSwept, when non-nil (set only by tests), sees every scenario's
+// coarse rung when the coarse sweep ends, before anything is promoted.
+var debugCoarseSwept func(coarse []eval.Rung)
+
 // Evaluate runs the scenario family against the base graph and commodity
 // set. The report's Results are index-aligned with scenarios, and the
 // whole report is deterministic: same inputs give bit-identical results at
@@ -111,11 +115,32 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 		}
 	}
 
+	// before is the frontier order, worst first: (coarse throughput, ID), so
+	// the frontier — like everything else — is independent of completion
+	// order.
+	before := func(a, b int) bool {
+		ra, rb := rep.Results[a], rep.Results[b]
+		if ra.Throughput != rb.Throughput {
+			return ra.Throughput < rb.Throughput
+		}
+		return ra.ID < rb.ID
+	}
+	// keep is how many scenarios the fine rung will promote. Only they need
+	// their coarse duals, and duals are one float per arc per scenario, so the
+	// coarse sweep holds them for its running worst-keep only (kept, under
+	// mu). The final frontier is the worst-keep of everything and hence of
+	// every subset it was ranked in along the way: it never loses its duals.
+	keep := opt.Ladder.TopK
+	if !ladder.TwoRungs() {
+		keep = 0
+	}
+	var kept []int
+
 	// rung evaluates scenario i at one rung of the ladder: cache probe,
 	// overlay patch, solve, cache store. The coarse rung warm-starts from
-	// the mapped base duals and keeps its result (duals included) in
-	// coarse[i]; the fine rung hands that to the ladder's refine rule, which
-	// re-runs the coarse solve if it came from the cache.
+	// the mapped base duals and leaves its result in coarse[i]; the fine rung
+	// hands that to the ladder's refine rule, which re-runs the coarse solve
+	// if its duals are gone (it came from the cache).
 	coarse := make([]eval.Rung, len(scenarios))
 	errs := make([]error, len(scenarios))
 	rung := func(i int, fine bool) {
@@ -196,6 +221,22 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 		slot.Put(&r)
 		r.Promoted = fine
 		finish(i, r)
+		if !fine && coarse[i].Duals != nil {
+			mu.Lock()
+			kept = append(kept, i)
+			if len(kept) > keep {
+				last := 0
+				for k := range kept {
+					if before(kept[last], kept[k]) {
+						last = k
+					}
+				}
+				coarse[kept[last]].Duals = nil
+				kept[last] = kept[len(kept)-1]
+				kept = kept[:len(kept)-1]
+			}
+			mu.Unlock()
+		}
 	}
 	// sweep runs one rung over a set of scenario indices and surfaces
 	// cancellation and the first scenario error.
@@ -219,11 +260,12 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	if err != nil {
 		return nil, err
 	}
+	if debugCoarseSwept != nil {
+		debugCoarseSwept(coarse)
+	}
 
-	// Fine rung: promote the worst-k connected scenarios. Ranking is by
-	// (coarse throughput, ID) so the frontier — like everything else — is
-	// independent of completion order.
-	if ladder.TwoRungs() && opt.Ladder.TopK > 0 {
+	// Fine rung: promote the worst-keep connected scenarios.
+	if keep > 0 {
 		fineSp := opt.Span.Child("rung-fine")
 		frontier := make([]int, 0, len(scenarios))
 		for i, r := range rep.Results {
@@ -231,15 +273,9 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 				frontier = append(frontier, i)
 			}
 		}
-		sort.Slice(frontier, func(a, b int) bool {
-			ra, rb := rep.Results[frontier[a]], rep.Results[frontier[b]]
-			if ra.Throughput != rb.Throughput {
-				return ra.Throughput < rb.Throughput
-			}
-			return ra.ID < rb.ID
-		})
-		if len(frontier) > opt.Ladder.TopK {
-			frontier = frontier[:opt.Ladder.TopK]
+		sort.Slice(frontier, func(a, b int) bool { return before(frontier[a], frontier[b]) })
+		if len(frontier) > keep {
+			frontier = frontier[:keep]
 		}
 		err := sweep(frontier, true)
 		fineSp.SetAttr("promoted", float64(len(frontier)))
