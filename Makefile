@@ -79,9 +79,11 @@ sim-scale-smoke:
 	@rm -rf $(SIMSCALE_DIR)
 
 # Design-search smoke (DESIGN.md §15): a tiny fixed-seed annealing search
-# via cmd/search, run at 1 and 8 workers and then resumed from the candidate
-# cache — stdout (trace + summary) must be byte-identical every time and the
-# best-found design must be >= the seed baseline. The written design file is
+# via cmd/search, run at 1, 2 (the smallest count that flies a second step
+# beside the first) and 8 workers and then resumed from the candidate cache,
+# and a hill-climb (the reject-heavy case) at 1 and 2 — stdout (trace +
+# summary) must be byte-identical every time and the best-found design must
+# be >= the seed baseline. The written design file is
 # then evaluated by name through cmd/throughput, closing the loop from
 # search output to first-class topology. Wired into `make test`.
 SEARCH_DIR := .search-smoke
@@ -91,10 +93,15 @@ search-smoke:
 	@go build -o $(SEARCH_DIR)/search ./cmd/search
 	@go build -o $(SEARCH_DIR)/throughput ./cmd/throughput
 	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 1 > $(SEARCH_DIR)/s1.out 2>/dev/null
+	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 2 > $(SEARCH_DIR)/s2.out 2>/dev/null
 	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 8 -cache $(SEARCH_DIR)/cache -out $(SEARCH_DIR)/designs > $(SEARCH_DIR)/s8.out 2>/dev/null
 	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 4 -cache $(SEARCH_DIR)/cache > $(SEARCH_DIR)/resumed.out 2>/dev/null
+	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -strategy hillclimb -workers 1 > $(SEARCH_DIR)/h1.out 2>/dev/null
+	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -strategy hillclimb -workers 2 > $(SEARCH_DIR)/h2.out 2>/dev/null
+	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/s2.out || { echo "search-smoke: a second step in flight (2 workers) changed the search"; exit 1; }
 	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/s8.out || { echo "search-smoke: worker count changed the search"; exit 1; }
 	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/resumed.out || { echo "search-smoke: cache resume changed the search"; exit 1; }
+	@cmp $(SEARCH_DIR)/h1.out $(SEARCH_DIR)/h2.out || { echo "search-smoke: a second step in flight changed the hill-climb (the reject-heavy case)"; exit 1; }
 	@awk '/^summary:/ { split($$2, b, "="); split($$3, v, "="); if (v[2] + 0 < b[2] + 0) { print "search-smoke: best " v[2] " below baseline " b[2]; exit 1 } found = 1 } END { if (!found) { print "search-smoke: no summary line"; exit 1 } }' $(SEARCH_DIR)/s1.out
 	@$(SEARCH_DIR)/throughput -designs $(SEARCH_DIR)/designs -topo design -name search-best -eps 0.15 > $(SEARCH_DIR)/thr.out
 	@grep -q '^topology: search-best' $(SEARCH_DIR)/thr.out || { echo "search-smoke: best design not evaluable by name"; cat $(SEARCH_DIR)/thr.out; exit 1; }

@@ -127,7 +127,9 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "search: wrote best design to %s\n", path)
 	}
 
-	// Run-specific accounting: varies with cache state, never with -workers.
+	// Run-specific accounting. spent, fine_solves and steps are the
+	// trajectory's; cache_hits varies with cache state and, rarely, with
+	// timing at -workers > 1 (two steps in flight that evaluate one design).
 	fmt.Fprintf(os.Stderr, "search: spent=%d fine_solves=%d cache_hits=%d steps=%d\n",
 		res.Spent, res.FineSolves, res.CacheHits, len(res.Steps))
 	return nil

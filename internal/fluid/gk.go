@@ -188,30 +188,54 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 
 	// Distinct commodity sources, in first-appearance order; the per-phase
 	// dual bound needs one full Dijkstra per distinct source.
-	srcIndex := make([]int, nw.N) // 1 + a node's index into sources; 0 = not a source yet
-	var sources []int
-	srcOf := make([]int, len(live)) // live[j].Src's index into sources
-	for j, c := range live {
+	srcIndex := make([]int32, nw.N) // 1 + a node's index into sources; 0 = not a source yet
+	nSrc := 0
+	for _, c := range live {
 		if srcIndex[c.Src] == 0 {
-			sources = append(sources, c.Src)
-			srcIndex[c.Src] = len(sources)
+			nSrc++
+			srcIndex[c.Src] = int32(nSrc)
 		}
-		srcOf[j] = srcIndex[c.Src] - 1
 	}
+	// The live commodities grouped by source, CSR style: source k's are
+	// bySrc[srcStart[k]:srcStart[k+1]], as ascending indices into live. Counts
+	// go in two slots up, so that after the prefix sum slot k+1 is group k's
+	// fill cursor and, once the group is filled, its end.
+	sources := make([]int, nSrc)
+	srcStart := make([]int32, nSrc+2)
+	for _, c := range live {
+		sources[srcIndex[c.Src]-1] = c.Src
+		srcStart[srcIndex[c.Src]+1]++
+	}
+	for k := 2; k < len(srcStart); k++ {
+		srcStart[k] += srcStart[k-1]
+	}
+	bySrc := make([]int32, len(live))
+	for j, c := range live {
+		k := srcIndex[c.Src]
+		bySrc[srcStart[k]] = int32(j)
+		srcStart[k]++
+	}
+	distTo := make([]float64, len(live)) // this phase's dist_l(src, dst) per live commodity
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sources) {
-		workers = len(sources)
+	if workers > nSrc {
+		workers = nSrc
 	}
 	states := make([]*spState, workers)
 	for w := range states {
 		states[w] = newSPState(nw)
 	}
-	srcDist := make([][]float64, len(sources))
-	for k := range srcDist {
-		srcDist[k] = make([]float64, nw.N)
+
+	// sweep is one source's share of a phase's dual bound: a full Dijkstra
+	// into its worker's own scratch, from which the source's commodities take
+	// their distances. (One closure per solve, not per phase.)
+	sweep := func(w, k int) {
+		d := states[w].dijkstra(sources[k], length, nil, -1)
+		for _, j := range bySrc[srcStart[k]:srcStart[k+1]] {
+			distTo[j] = d[live[j].Dst]
+		}
 	}
 
 	dualBound := math.Inf(1)
@@ -243,15 +267,12 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		}
 		// Dual bound for this phase: D(l) / Σ_j d_j·dist_l(j). Lengths are
 		// read-only within this step, so the per-source Dijkstras fan out
-		// across the workers; each writes only its own srcDist row and the
-		// reduction below runs in fixed commodity order, so the result is
-		// identical at any worker count.
-		graph.ParallelFor(workers, len(sources), func(w, k int) {
-			states[w].dijkstra(sources[k], length, srcDist[k], -1)
-		})
+		// across the workers, and the reduction below runs in fixed
+		// commodity order, so the result is identical at any worker count.
+		graph.ParallelFor(workers, nSrc, sweep)
 		z := 0.0
 		for j, c := range live {
-			z += c.Demand * srcDist[srcOf[j]][c.Dst]
+			z += c.Demand * distTo[j]
 		}
 		if z > 0 {
 			if b := D / z; b < dualBound {

@@ -196,3 +196,25 @@ func TestGKContextCancellation(t *testing.T) {
 		t.Fatalf("partial %.6f exceeds dual bound %.6f", partial.Throughput, full.UpperBound)
 	}
 }
+
+// TestGKAllocationsIndependentOfSources gates a solve's allocation count at
+// one constant on two instances that differ only in how many distinct sources
+// their 48 commodities have: the dual-bound sweep keeps one distance per
+// commodity and one closure per solve, so neither sources nor phases cost
+// anything (24 at both). With a distance row per source and a closure per
+// phase the same solves took 66 and 157.
+func TestGKAllocationsIndependentOfSources(t *testing.T) {
+	nw := NewNetwork(goldenTopology("jellyfish54").G, 1.0)
+	const limit = 32
+	for _, sources := range []int{8, 48} {
+		comms := make([]Commodity, 48)
+		for j := range comms {
+			src := j % sources
+			comms[j] = Commodity{Src: src, Dst: (src + 1 + j/sources) % nw.N, Demand: 1}
+		}
+		opt := GKOptions{Epsilon: 0.25, Workers: 1}
+		if got := testing.AllocsPerRun(5, func() { MaxConcurrentFlow(nw, comms, opt) }); got > limit {
+			t.Errorf("%d sources: %.0f allocations per solve, want <= %d", sources, got, limit)
+		}
+	}
+}

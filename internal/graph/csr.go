@@ -197,11 +197,12 @@ func (c *CSR) APSP() [][]int {
 
 // BFSMany returns the BFS distance rows for the given sources (rows[i] is
 // the row for sources[i]), computed in parallel. Identical at any
-// parallelism setting.
+// parallelism setting. The rows share one backing array.
 func (c *CSR) BFSMany(sources []int) [][]int {
 	rows := make([][]int, len(sources))
+	all := make([]int, len(sources)*c.n)
 	c.bfsWorkers(sources, func(i int, dist []int32) {
-		row := make([]int, c.n)
+		row := all[i*c.n : (i+1)*c.n : (i+1)*c.n]
 		for v, d := range dist {
 			row[v] = int(d)
 		}

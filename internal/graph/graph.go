@@ -140,17 +140,19 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g: every adjacency row copied into a map made
+// at its final size. It only reads g (no freeze, no lock), so concurrent
+// Clones and other readers of one graph are safe.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v, mult := range g.adj[u] {
-			if v > u {
-				c.AddEdgeMulti(u, v, mult)
-			}
+	adj := make([]map[int]int, g.n)
+	for u, row := range g.adj {
+		c := make(map[int]int, len(row))
+		for v, mult := range row {
+			c[v] = mult
 		}
+		adj[u] = c
 	}
-	return c
+	return &Graph{n: g.n, adj: adj, m: g.m}
 }
 
 // IsRegular reports whether every node has the same degree, and that degree.

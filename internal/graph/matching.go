@@ -13,14 +13,16 @@ func MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
 	if n < 2 {
 		return nil
 	}
+	// One candidate per node pair: 16 bytes each with 32-bit indices, the
+	// largest allocation of a longest-matching TM.
 	type cand struct {
-		a, b int // indices into nodes
+		a, b int32 // indices into nodes
 		w    float64
 	}
 	cands := make([]cand, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cands = append(cands, cand{a: i, b: j, w: w(nodes[i], nodes[j])})
+			cands = append(cands, cand{a: int32(i), b: int32(j), w: w(nodes[i], nodes[j])})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -37,9 +39,9 @@ func MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
 		mate[i] = -1
 	}
 	for _, c := range cands {
-		if mate[c.a] == -1 && mate[c.b] == -1 {
-			mate[c.a] = c.b
-			mate[c.b] = c.a
+		if a, b := int(c.a), int(c.b); mate[a] == -1 && mate[b] == -1 {
+			mate[a] = b
+			mate[b] = a
 		}
 	}
 

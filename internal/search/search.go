@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"beyondft/internal/cost"
 	"beyondft/internal/eval"
@@ -126,7 +125,9 @@ type Options struct {
 	Temp float64
 	// Workers bounds candidate-level parallelism (each GK solve runs
 	// single-threaded, like the what-if engine). 0 means
-	// graph.Parallelism(). Results are identical at any worker count.
+	// graph.Parallelism(). With more than one, the next step is planned and
+	// fine-solved beside the current winner's fine solve (see Run). Results
+	// are identical at any worker count.
 	Workers int
 	// Name is the best-found design's registered name. Default
 	// "search-best".
@@ -138,8 +139,8 @@ type Options struct {
 	// Cache, if non-nil, makes the search resumable via content-addressed
 	// candidate entries.
 	Cache *CandidateCache
-	// OnStep, if non-nil, observes each appended trace step (tests use it
-	// to kill a search mid-run).
+	// OnStep, if non-nil, observes each appended trace step, in step order
+	// on Run's own goroutine (tests use it to kill a search mid-run).
 	OnStep func(Step)
 }
 
@@ -215,8 +216,11 @@ type Result struct {
 	Spent int `json:"spent"`
 	// FineSolves counts fine-rung evaluations (deterministic).
 	FineSolves int `json:"fine_solves"`
-	// CacheHits counts evaluations served from the candidate cache. Run
-	// accounting — varies with cache state, excluded from Trace.
+	// CacheHits counts the evaluations on the trajectory that were served
+	// from the candidate cache; a flight that was dropped counts for nothing.
+	// Run accounting, excluded from Trace: it varies with cache state, and —
+	// when two steps in flight at once evaluate the same design — with which
+	// of them got there first.
 	CacheHits int `json:"-"`
 }
 
@@ -278,40 +282,57 @@ func mix(parts ...int64) int64 {
 // caching: every rung result is a pure function of (design, rung), whatever
 // the worker count and whatever the cache already holds.
 type runner struct {
-	ladder             eval.Ladder
-	workers            int
+	opt                Options
+	env                Envelope
+	ladder             eval.Ladder // Ctx unset: every flight solves under its own
 	store              eval.Store
 	coarseKey, fineKey string
-	cacheHits          atomic.Int64
 }
 
-// rung returns c's cached result at the rung named key, or solves and
-// stores it. The instance is the longest-matching TM over the candidate's
-// own racks (the near-worst-case demand is a function of the design, so
-// every candidate is judged on its own worst case), cold, at unit capacity.
-func (r *runner) rung(c *candidate, key string, solve func(eval.Problem) (eval.Rung, error)) (eval.Rung, error) {
-	slot := r.store.Slot("search-cand", key, "design="+c.hash)
-	var e eval.Rung
-	if slot.Get(&e) {
-		r.cacheHits.Add(1)
-		return e, nil
+// rungResult is a rung with where it came from: the cache, or a solve whose
+// entry is written to slot only if the trajectory consumes the result (see
+// runner.commit), so what a search leaves in the cache is a function of its
+// trajectory and not of which flights happened to run.
+type rungResult struct {
+	eval.Rung
+	slot eval.Slot
+	hit  bool
+}
+
+// rung returns c's cached result at the rung named key, or solves it. The
+// instance is the longest-matching TM over the candidate's own racks (the
+// near-worst-case demand is a function of the design, so every candidate is
+// judged on its own worst case), cold, at unit capacity.
+func (r *runner) rung(c *candidate, key string, solve func(eval.Problem) (eval.Rung, error)) (rungResult, error) {
+	res := rungResult{slot: r.store.Slot("search-cand", key, "design="+c.hash)}
+	if res.slot.Get(&res.Rung) {
+		res.hit = true
+		return res, nil
 	}
 	t := c.topo
 	m := tm.LongestMatching(t.G, t.ToRs(), func(rack int) int { return t.Servers[rack] })
-	e, err := solve(eval.ProblemOf(t.G, m))
-	if err == nil {
-		slot.Put(&e)
-	}
-	return e, err
+	var err error
+	res.Rung, err = solve(eval.ProblemOf(t.G, m))
+	return res, err
 }
 
-// coarse evaluates every candidate at the coarse rung, in parallel. Results
-// are index-aligned with cands.
-func (r *runner) coarse(cands []*candidate) ([]eval.Rung, error) {
-	evals := make([]eval.Rung, len(cands))
+// commit takes a result the trajectory consumed into the run's accounts: a
+// hit is counted, a solve is stored.
+func (r *runner) commit(res *Result, e *rungResult) {
+	if e.hit {
+		res.CacheHits++
+	} else {
+		e.slot.Put(&e.Rung)
+	}
+}
+
+// coarse evaluates every candidate at the coarse rung on up to `workers`
+// goroutines. Results are index-aligned with cands.
+func (r *runner) coarse(l eval.Ladder, workers int, cands []*candidate) ([]rungResult, error) {
+	evals := make([]rungResult, len(cands))
 	errs := make([]error, len(cands))
-	graph.ParallelFor(r.workers, len(cands), func(_, i int) {
-		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, r.ladder.Coarse)
+	graph.ParallelFor(workers, len(cands), func(_, i int) {
+		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, l.Coarse)
 	})
 	return evals, errors.Join(errs...)
 }
@@ -319,15 +340,138 @@ func (r *runner) coarse(cands []*candidate) ([]eval.Rung, error) {
 // fine re-solves one candidate at the fine rung under the ladder's refine
 // rule: warm from its own coarse duals, re-running the coarse solve when
 // coarse came from the cache.
-func (r *runner) fine(c *candidate, coarse eval.Rung) (eval.Rung, error) {
-	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return r.ladder.Fine(p, coarse) })
+func (r *runner) fine(l eval.Ladder, c *candidate, coarse eval.Rung) (rungResult, error) {
+	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return l.Fine(p, coarse) })
 }
+
+// plan is one step taken as far as the coarse rung: a proposal batch drawn
+// from a state, ranked by proxy, its top few solved coarsely and the winner
+// picked. It is a pure function of (state, step, remaining budget).
+type plan struct {
+	proposals int          // batch size; 0 means no valid move
+	coarse    []rungResult // one per candidate solved, each a unit of budget
+	win       int          // the winner's index into coarse
+	winner    *candidate
+	proxy     float64 // the winner's
+}
+
+func (r *runner) plan(l eval.Ladder, workers int, from *candidate, step, rem int) (plan, error) {
+	opt := r.opt
+	rng := rand.New(rand.NewSource(mix(opt.Seed, int64(step), 0x50524f50))) // "PROP"
+	cands := proposeBatch(from.topo, from.params, r.env, rng, opt, step)
+	if len(cands) == 0 {
+		return plan{}, nil
+	}
+
+	// Proxy rung: rank the whole batch cheaply, keep the top few.
+	proxies := make([]float64, len(cands))
+	graph.ParallelFor(workers, len(cands), func(_, i int) {
+		proxies[i] = Proxy(cands[i].topo)
+	})
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if proxies[order[a]] != proxies[order[b]] {
+			return proxies[order[a]] > proxies[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	top := order
+	if len(top) > opt.ProxyTop {
+		top = top[:opt.ProxyTop]
+	}
+	if len(top) > rem {
+		top = top[:rem]
+	}
+	sel := make([]*candidate, len(top))
+	for i, idx := range top {
+		sel[i] = cands[idx]
+	}
+
+	// Coarse rung: GK on the survivors, in parallel.
+	evals, err := r.coarse(l, workers, sel)
+	if err != nil {
+		return plan{}, err
+	}
+	win := 0
+	for i := 1; i < len(evals); i++ {
+		if evals[i].Throughput > evals[win].Throughput {
+			win = i
+		}
+	}
+	return plan{proposals: len(cands), coarse: evals, win: win, winner: sel[win], proxy: proxies[top[win]]}, nil
+}
+
+// flight is one step computed ahead of the decision that leads to it: the
+// plan from a state, then the fine solve of the plan's winner, on a
+// goroutine of its own under a context of its own. Which flights run is not
+// output-defining — only the accept decisions are — so Run may launch one
+// from the state it expects a pending decision to leave and drop it if the
+// decision goes the other way.
+type flight struct {
+	from    *candidate // the state it was planned from
+	cancel  context.CancelFunc
+	planned chan struct{} // closed once plan and planErr are set
+	done    chan struct{} // closed once fine and fineErr are set as well
+	plan    plan
+	planErr error
+	fine    rungResult // the winner's fine rung, on a two-rung ladder
+	fineErr error
+}
+
+// launch starts the flight of one step from a state, planning on up to
+// `workers` goroutines.
+func (r *runner) launch(ctx context.Context, workers int, from *candidate, step, rem int) *flight {
+	ctx, cancel := context.WithCancel(ctx)
+	f := &flight{from: from, cancel: cancel, planned: make(chan struct{}), done: make(chan struct{})}
+	l := r.ladder
+	l.Ctx = ctx
+	go func() {
+		defer close(f.done)
+		f.plan, f.planErr = r.plan(l, workers, from, step, rem)
+		close(f.planned)
+		if f.planErr == nil && f.plan.winner != nil && l.TwoRungs() {
+			f.fine, f.fineErr = r.fine(l, f.plan.winner, f.plan.coarse[f.plan.win].Rung)
+		}
+	}()
+	return f
+}
+
+// drop cancels a flight and waits for its goroutine. What it had computed is
+// discarded, its error with it: a dropped flight ends in context.Canceled by
+// design.
+func (f *flight) drop() {
+	if f != nil {
+		f.cancel()
+		<-f.done
+	}
+}
+
+// flightCounts says what became of a run's flights. Flights launched ahead
+// of a decision are counted by the outcome they were launched on: [0]
+// predicted reject, [1] predicted accept.
+type flightCounts struct {
+	launched      int
+	kept, dropped [2]int
+}
+
+// debugFlights, when non-nil (set only by tests), receives the counts of
+// every Run as it returns.
+var debugFlights func(flightCounts)
 
 // Run searches for a same-cost design that beats the starting topology's
 // near-worst-case GK throughput. params may be the zero value (rewiring
 // moves only). The returned result is deterministic: a pure function of
 // (base, params, Options.{Seed,Budget,Batch,ProxyTop,CoarseEps,FineEps,
 // Strategy,Temp,Name}) — never of Workers, Cache state, or wall clock.
+//
+// With more than one worker and a fine rung, two steps are in flight at a
+// time: as soon as a step's winner is known the next step is launched beside
+// the winner's fine solve, from the state the accept decision is predicted to
+// leave, and relaunched if the decision disagrees (DESIGN.md §15, "Two steps
+// in flight"). No goroutine Run starts outlives it.
 func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
@@ -339,15 +483,15 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	env := EnvelopeOf(base)
 
 	// The cache's default base spec is read into the runner's own copy: the
 	// caller's value is shared between concurrent runs and is not ours to
 	// write.
 	rn := &runner{
-		ladder:  eval.Ladder{CoarseEps: opt.CoarseEps, FineEps: opt.FineEps, Ctx: ctx},
-		workers: opt.Workers,
-		store:   eval.Store{BaseSpec: DefaultBaseSpec},
+		opt:    opt,
+		env:    EnvelopeOf(base),
+		ladder: eval.Ladder{CoarseEps: opt.CoarseEps, FineEps: opt.FineEps},
+		store:  eval.Store{BaseSpec: DefaultBaseSpec},
 	}
 	if opt.Cache != nil {
 		rn.store.Cache = opt.Cache.Cache
@@ -356,123 +500,145 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 		}
 	}
 	rn.coarseKey, rn.fineKey = rn.ladder.CoarseKey(), rn.ladder.FineKey()
+	twoRungs := rn.ladder.TwoRungs()
 
 	// Baseline rung: the starting design is candidate zero — it spends one
 	// budget unit and sets the value every move must beat.
-	cur := cloneTopo(base)
-	curParams := params
 	baseDesign := topology.DesignOf(base)
-	baseCand := &candidate{topo: cur, params: params, hash: baseDesign.Hash()}
+	cur := &candidate{topo: cloneTopo(base), params: params, hash: baseDesign.Hash()}
 	res := &Result{
 		BaselineName: base.Name,
-		BaselineHash: baseCand.hash,
-		Envelope:     env,
+		BaselineHash: cur.hash,
+		Envelope:     rn.env,
 	}
-	coarseEvals, err := rn.coarse([]*candidate{baseCand})
+	l := rn.ladder
+	l.Ctx = ctx
+	coarseEvals, err := rn.coarse(l, 1, []*candidate{cur})
 	if err != nil {
 		return nil, err
 	}
+	rn.commit(res, &coarseEvals[0])
 	res.Spent = 1
 	baseFine := coarseEvals[0]
-	if rn.ladder.TwoRungs() {
-		if baseFine, err = rn.fine(baseCand, coarseEvals[0]); err != nil {
+	if twoRungs {
+		if baseFine, err = rn.fine(l, cur, coarseEvals[0].Rung); err != nil {
 			return nil, err
 		}
+		rn.commit(res, &baseFine)
 		res.FineSolves++
 	}
 	res.Baseline = baseFine.Throughput
 	stateVal := baseFine.Throughput
 
-	best := topology.DesignOf(base)
-	best.Name = opt.Name
-	res.Best, res.BestHash, res.BestVal, res.BestStep = best, baseCand.hash, stateVal, 0
+	baseDesign.Name = opt.Name
+	res.Best, res.BestHash, res.BestVal, res.BestStep = baseDesign, cur.hash, stateVal, 0
 
+	// head is the flight of the step being decided, next the one launched
+	// ahead of that decision. Every return drops whatever is still in the air.
+	var head, next *flight
+	var air flightCounts
+	defer func() {
+		head.drop()
+		next.drop()
+		if debugFlights != nil {
+			debugFlights(air)
+		}
+	}()
 	emptyStreak := 0
-	for step := 1; res.Spent < opt.Budget && emptyStreak < maxEmptySteps; step++ {
+	launch := func(workers int, from *candidate, step int) *flight {
+		if res.Spent >= opt.Budget || emptyStreak >= maxEmptySteps {
+			return nil
+		}
+		air.launched++
+		return rn.launch(ctx, workers, from, step, opt.Budget-res.Spent)
+	}
+	// A second flight pays when there is a fine solve to run it beside and a
+	// goroutine to run it on; it plans on one worker fewer, so that the fine
+	// solve the decision waits for keeps a processor.
+	ahead := twoRungs && opt.Workers > 1
+	var deltas []float64 // fine − state of every move so far
+
+	head = launch(opt.Workers, cur, 1)
+	for step := 1; head != nil; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(mix(opt.Seed, int64(step), 0x50524f50))) // "PROP"
-		cands := proposeBatch(cur, curParams, env, rng, opt, step)
-		if len(cands) == 0 {
+		<-head.planned
+		if head.planErr != nil {
+			return nil, head.planErr
+		}
+		p := head.plan
+		if p.winner == nil {
 			emptyStreak++
 			st := Step{Step: step, Move: "none", State: stateVal, Best: res.BestVal}
 			res.Steps = append(res.Steps, st)
 			if opt.OnStep != nil {
 				opt.OnStep(st)
 			}
+			head.cancel()
+			head = launch(opt.Workers, cur, step+1)
 			continue
 		}
 		emptyStreak = 0
+		res.Spent += len(p.coarse)
 
-		// Proxy rung: rank the whole batch cheaply, keep the top few.
-		proxies := make([]float64, len(cands))
-		graph.ParallelFor(opt.Workers, len(cands), func(_, i int) {
-			proxies[i] = Proxy(cands[i].topo)
-		})
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if proxies[order[a]] != proxies[order[b]] {
-				return proxies[order[a]] > proxies[order[b]]
+		// The step's acceptance threshold is fixed by (Seed, step), so the
+		// run's own past deltas say which way this one will probably go.
+		rule := acceptanceAt(step, opt)
+		likely := rule.likely(deltas)
+		if ahead {
+			from := cur
+			if likely {
+				from = p.winner
 			}
-			return order[a] < order[b]
-		})
-		top := order
-		if len(top) > opt.ProxyTop {
-			top = top[:opt.ProxyTop]
+			next = launch(opt.Workers-1, from, step+1)
 		}
-		if rem := opt.Budget - res.Spent; len(top) > rem {
-			top = top[:rem]
+		for i := range p.coarse {
+			rn.commit(res, &p.coarse[i])
 		}
-		sel := make([]*candidate, len(top))
-		for i, idx := range top {
-			sel[i] = cands[idx]
-		}
-
-		// Coarse rung: GK on the survivors, in parallel.
-		evals, err := rn.coarse(sel)
-		if err != nil {
-			return nil, err
-		}
-		res.Spent += len(sel)
-		win := 0
-		for i := 1; i < len(evals); i++ {
-			if evals[i].Throughput > evals[win].Throughput {
-				win = i
-			}
-		}
-		winner, winEval := sel[win], evals[win]
 
 		// Fine rung: the batch winner only, warm from its own coarse duals.
-		fineEval := winEval
-		if rn.ladder.TwoRungs() {
-			if fineEval, err = rn.fine(winner, winEval); err != nil {
-				return nil, err
+		<-head.done
+		fineEval := p.coarse[p.win]
+		if twoRungs {
+			if head.fineErr != nil {
+				return nil, head.fineErr
 			}
+			fineEval = head.fine
+			rn.commit(res, &fineEval)
 			res.FineSolves++
 		}
 
 		delta := fineEval.Throughput - stateVal
-		accepted := acceptMove(delta, step, opt)
+		deltas = append(deltas, delta)
+		accepted := rule.admits(delta)
 		if accepted {
-			cur = winner.topo
-			curParams = winner.params
+			cur = p.winner
 			stateVal = fineEval.Throughput
 		}
+		if next != nil {
+			if next.from == cur {
+				air.kept[btoi(likely)]++
+			} else {
+				air.dropped[btoi(likely)]++
+				next.drop()
+				next = nil
+			}
+		}
+		if next == nil {
+			next = launch(opt.Workers, cur, step+1)
+		}
 		if fineEval.Throughput > res.BestVal {
-			d := topology.DesignOf(winner.topo)
+			d := topology.DesignOf(p.winner.topo)
 			d.Name = opt.Name
-			res.Best, res.BestHash, res.BestVal, res.BestStep = d, winner.hash, fineEval.Throughput, step
+			res.Best, res.BestHash, res.BestVal, res.BestStep = d, p.winner.hash, fineEval.Throughput, step
 		}
 		st := Step{
 			Step:      step,
-			Move:      winner.move.String(),
-			Proposals: len(cands),
-			Proxy:     proxies[top[win]],
-			Coarse:    winEval.Throughput,
+			Move:      p.winner.move.String(),
+			Proposals: p.proposals,
+			Proxy:     p.proxy,
+			Coarse:    p.coarse[p.win].Throughput,
 			Fine:      fineEval.Throughput,
 			Accepted:  accepted,
 			State:     stateVal,
@@ -482,27 +648,53 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 		if opt.OnStep != nil {
 			opt.OnStep(st)
 		}
+		head.cancel()
+		head, next = next, nil
 	}
-	res.CacheHits = int(rn.cacheHits.Load())
 	return res, nil
 }
 
-// acceptMove decides accept/reject deterministically: improvements always,
-// degradations under annealing with probability exp(delta/T) drawn from a
-// per-step RNG, never under hill-climbing.
-func acceptMove(delta float64, step int, opt Options) bool {
-	if delta > 0 {
-		return true
-	}
+// acceptance is one step's accept rule with its random draw made:
+// improvements always, degradations under annealing with probability
+// exp(delta/temp) against a draw from the step's own RNG, never under
+// hill-climbing or once the temperature has decayed away (temp 0). The rule
+// is a function of (Seed, step) alone.
+type acceptance struct{ temp, draw float64 }
+
+func acceptanceAt(step int, opt Options) acceptance {
 	if opt.Strategy != "anneal" {
-		return false
+		return acceptance{}
 	}
 	t := opt.Temp * math.Pow(annealDecay, float64(step-1))
 	if t < 1e-6 {
-		return false
+		return acceptance{}
 	}
 	r := rand.New(rand.NewSource(mix(opt.Seed, int64(step), 0x414343))) // "ACC"
-	return math.Exp(delta/t) > r.Float64()
+	return acceptance{temp: t, draw: r.Float64()}
+}
+
+func (a acceptance) admits(delta float64) bool {
+	return delta > 0 || (a.temp > 0 && math.Exp(delta/a.temp) > a.draw)
+}
+
+// likely predicts the step's decision before its delta is known: accept iff
+// at least half of the run's past deltas would pass this step's rule. With no
+// past, accept.
+func (a acceptance) likely(deltas []float64) bool {
+	pass := 0
+	for _, d := range deltas {
+		if a.admits(d) {
+			pass++
+		}
+	}
+	return 2*pass >= len(deltas)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // proposeBatch draws up to opt.Batch distinct valid candidates from the

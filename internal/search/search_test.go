@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"beyondft/internal/graph"
 	"beyondft/internal/harness"
 	"beyondft/internal/topology"
 )
@@ -303,5 +306,167 @@ func TestEnvelope(t *testing.T) {
 	pricier := topology.NewJellyfish(10, 5, 2, rand.New(rand.NewSource(1)))
 	if env.Admits(pricier) {
 		t.Fatal("envelope admitted a pricier design")
+	}
+}
+
+// flightsOf runs one search from testBase and returns what became of its
+// flights.
+func flightsOf(t *testing.T, opt Options) (*Result, flightCounts) {
+	t.Helper()
+	var air flightCounts
+	debugFlights = func(c flightCounts) { air = c }
+	defer func() { debugFlights = nil }()
+	res, err := Run(testBase(t), testParams(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, air
+}
+
+// TestSearchFlights holds the step loop to its flight accounting on the
+// golden searches: with two workers every step consumes one flight and every
+// misprediction costs exactly one more, a flight launched ahead is dropped
+// only by a decision that went against it, and between them the golden
+// searches see a flight kept and a flight dropped on either prediction —
+// which is what makes the trace goldens a test of the speculation. One worker
+// or one rung flies one flight per step.
+func TestSearchFlights(t *testing.T) {
+	var kept, dropped [2]int
+	for name := range goldenSearches {
+		opt := goldenOptions(name)
+		opt.Workers = 2
+		res, air := flightsOf(t, opt)
+		accepted := 0
+		for _, s := range res.Steps {
+			if s.Accepted {
+				accepted++
+			}
+		}
+		rejected := len(res.Steps) - accepted
+		if air.dropped[1] > rejected || air.dropped[0] > accepted {
+			t.Errorf("%s: dropped %v flights (predicted reject, accept) over %d accepts and %d rejects",
+				name, air.dropped, accepted, rejected)
+		}
+		ahead := air.kept[0] + air.kept[1] + air.dropped[0] + air.dropped[1]
+		if opt.CoarseEps == opt.FineEps && ahead != 0 {
+			t.Errorf("%s: %d flights launched ahead with no fine solve to fly beside", name, ahead)
+		}
+		if want := len(res.Steps) + air.dropped[0] + air.dropped[1]; air.launched != want {
+			t.Errorf("%s: %d flights launched, want %d (steps + dropped)", name, air.launched, want)
+		}
+		for i := range kept {
+			kept[i] += air.kept[i]
+			dropped[i] += air.dropped[i]
+		}
+
+		opt.Workers = 1
+		res, air = flightsOf(t, opt)
+		if want := (flightCounts{launched: len(res.Steps)}); air != want {
+			t.Errorf("%s: one worker flew %+v, want %+v", name, air, want)
+		}
+	}
+	if kept[0] == 0 || kept[1] == 0 || dropped[0] == 0 || dropped[1] == 0 {
+		t.Errorf("golden searches keep %v and drop %v flights (predicted reject, accept): want all four to occur", kept, dropped)
+	}
+}
+
+// deafCtx reports cancellation through Err alone: Done never closes, so the
+// contexts derived from it never hear of it. No lawful Context behaves so; it
+// is how a test gets Run to return on its caller's cancellation while the
+// flights in the air are still running.
+type deafCtx struct {
+	context.Context
+	canceled atomic.Bool
+}
+
+func (c *deafCtx) Err() error {
+	if c.canceled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSearchJoinsItsFlights: no goroutine Run starts outlives it, whichever
+// way it returns — budget reached, neighborhood exhausted, the caller's
+// context canceled between steps (from inside OnStep, with the next flight
+// already in the air) or expiring inside a solve.
+func TestSearchJoinsItsFlights(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// K4 has no valid swap, and being regular gets no rebalance proposal.
+	k4 := &topology.Topology{Name: "k4", G: graph.New(4), Servers: []int{1, 1, 1, 1}, SwitchPorts: 4}
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			k4.G.AddEdge(u, v)
+		}
+	}
+	type exit struct {
+		name    string
+		base    *topology.Topology
+		params  Params
+		arm     func(*testing.T, *Options)
+		wantErr error
+		check   func(*testing.T, *Result)
+	}
+	exits := []exit{
+		{name: "budget", base: testBase(t), params: testParams(),
+			check: func(t *testing.T, r *Result) {
+				if r.Spent != testOpts().Budget {
+					t.Errorf("spent %d of %d", r.Spent, testOpts().Budget)
+				}
+			}},
+		{name: "exhausted", base: k4,
+			check: func(t *testing.T, r *Result) {
+				if len(r.Steps) != maxEmptySteps || r.Spent != 1 {
+					t.Errorf("%d steps, %d spent; want %d empty steps on the baseline's unit", len(r.Steps), r.Spent, maxEmptySteps)
+				}
+			}},
+		// Flights are children of the caller's context and would stop by
+		// themselves on a lawful cancellation; deafCtx takes that help away,
+		// so the step-2 flight in the air at the return ends only if Run
+		// drops it: its fine solve alone is a hundred milliseconds.
+		{name: "canceled in OnStep", base: topology.NewJellyfish(24, 5, 4, rand.New(rand.NewSource(3))),
+			params: Params{Kind: "jellyfish", N: 24, Degree: 5, Servers: 4}, wantErr: context.Canceled,
+			arm: func(_ *testing.T, o *Options) {
+				ctx := &deafCtx{Context: context.Background()}
+				o.Ctx, o.CoarseEps, o.FineEps, o.Budget = ctx, 0.25, 0.03, 40
+				o.OnStep = func(Step) { ctx.canceled.Store(true) }
+			}},
+		// A budget no run reaches inside the deadline: it always expires
+		// with flights in the air.
+		{name: "deadline in a solve", base: testBase(t), params: testParams(), wantErr: context.DeadlineExceeded,
+			arm: func(t *testing.T, o *Options) {
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				t.Cleanup(cancel)
+				o.Ctx, o.Budget = ctx, 1<<20
+			}},
+	}
+	for _, e := range exits {
+		t.Run(e.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			opt := testOpts()
+			opt.Workers = 2
+			if e.arm != nil {
+				e.arm(t, &opt)
+			}
+			res, err := Run(e.base, e.params, opt)
+			if !errors.Is(err, e.wantErr) {
+				t.Fatalf("Run returned %v, want %v", err, e.wantErr)
+			}
+			if e.check != nil {
+				e.check(t, res)
+			}
+			// On one processor a goroutine that has signaled its end runs on
+			// to its exit before whoever waited for it runs again, so the
+			// count is exact at once, bar a preemption in between, while a
+			// flight left running would need many more turns than these to
+			// finish.
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 2 {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before Run, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }

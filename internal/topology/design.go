@@ -54,8 +54,10 @@ func DesignOf(t *Topology) *Design {
 		SwitchPorts: t.SwitchPorts,
 		Servers:     append([]int(nil), t.Servers...),
 	}
-	for _, e := range t.G.Edges() {
-		d.Edges = append(d.Edges, DesignEdge{U: e.U, V: e.V, Mult: e.Mult})
+	edges := t.G.Edges()
+	d.Edges = make([]DesignEdge, len(edges))
+	for i, e := range edges {
+		d.Edges[i] = DesignEdge{U: e.U, V: e.V, Mult: e.Mult}
 	}
 	return d
 }
