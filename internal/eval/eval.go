@@ -86,12 +86,38 @@ type Problem struct {
 	NW    *fluid.Network
 	Comms []fluid.Commodity
 	Warm  []float64
+
+	ws *fluid.Workspace // the arrays NW and Comms live in, lent to the solves too
 }
 
 // ProblemOf is the cold instance of a topology's switch graph under a
 // traffic matrix at unit link capacity (server line rate).
 func ProblemOf(g *graph.Graph, m *tm.TM) Problem {
 	return Problem{NW: fluid.NewNetwork(g, 1.0), Comms: fluid.Commodities(m)}
+}
+
+// Workspace keeps the memory of one evaluation — the traffic matrix and what
+// building it takes, the arc network, the commodities, the solver's arrays —
+// for the next one on it, so that evaluating design after design of about one
+// size allocates for the first few only. What it returns is valid until the
+// same method is called on it again; one goroutine at a time. Results are the
+// same with or without one.
+type Workspace struct {
+	match tm.MatchingScratch
+	tm    tm.TM
+	fluid fluid.Workspace
+}
+
+// LongestMatching is tm.LongestMatching in the workspace's own matrix.
+func (w *Workspace) LongestMatching(g *graph.Graph, racks []int, serversOf func(int) int) *tm.TM {
+	w.match.LongestMatching(&w.tm, g, racks, serversOf)
+	return &w.tm
+}
+
+// ProblemOf is the package function on the workspace's arrays; solves of the
+// problem run on them too.
+func (w *Workspace) ProblemOf(g *graph.Graph, m *tm.TM) Problem {
+	return Problem{NW: w.fluid.Network(g.Frozen(), 1.0), Comms: w.fluid.Commodities(m), ws: &w.fluid}
 }
 
 // Rung is the outcome of one GK solve at one ε. Its JSON form is the cached
@@ -122,6 +148,7 @@ func Solve(ctx context.Context, p Problem, eps float64, workers int, exportDuals
 		Ctx:         ctx,
 		WarmStart:   p.Warm,
 		ExportDuals: exportDuals,
+		Workspace:   p.ws,
 		Observer:    &tel,
 	})
 	if ctx != nil && ctx.Err() != nil {

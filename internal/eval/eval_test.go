@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -274,5 +275,61 @@ func TestStore(t *testing.T) {
 	}
 	if harness.Key(e.Job, e.Spec, e.Salt) != keys[0] || e.Salt != Version {
 		t.Fatalf("envelope does not rederive its key: %+v", e)
+	}
+}
+
+// A Workspace changes where an evaluation's memory comes from and nothing
+// else: matrix, network, commodities and both rungs must equal the fresh
+// path's bit for bit, whatever sizes the workspace saw before — and a repeat
+// on a warm workspace must allocate next to nothing (12; the fresh path takes about 130).
+func TestWorkspaceMatchesFreshEvaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	designs := []*topology.Topology{
+		topology.NewJellyfish(24, 5, 4, rng),
+		topology.NewJellyfish(54, 9, 6, rng),
+		&topology.NewXpander(5, 5, 3, rng).Topology,
+		topology.NewJellyfish(16, 4, 2, rng),
+		topology.NewJellyfish(54, 9, 6, rng),
+	}
+	l := Ladder{CoarseEps: DefaultCoarseEps, FineEps: DefaultFineEps}
+	var ws Workspace
+	evaluate := func(d *topology.Topology, ws *Workspace) (*tm.TM, Problem, Rung, Rung) {
+		serversOf := func(rack int) int { return d.Servers[rack] }
+		var m *tm.TM
+		var p Problem
+		if ws != nil {
+			m = ws.LongestMatching(d.G, d.ToRs(), serversOf)
+			p = ws.ProblemOf(d.G, m)
+		} else {
+			m = tm.LongestMatching(d.G, d.ToRs(), serversOf)
+			p = ProblemOf(d.G, m)
+		}
+		coarse, err := l.Coarse(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fine, err := l.Fine(p, coarse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, p, coarse, fine
+	}
+	for _, d := range designs {
+		m, p, coarse, fine := evaluate(d, &ws)
+		wm, wp, wcoarse, wfine := evaluate(d, nil)
+		if !reflect.DeepEqual(m, wm) {
+			t.Fatalf("%s: traffic matrix differs", d.Name)
+		}
+		if !reflect.DeepEqual(p.NW.Arcs, wp.NW.Arcs) || !reflect.DeepEqual(p.NW.Out, wp.NW.Out) || !reflect.DeepEqual(p.Comms, wp.Comms) {
+			t.Fatalf("%s: problem differs", d.Name)
+		}
+		if !reflect.DeepEqual(coarse, wcoarse) || !reflect.DeepEqual(fine, wfine) {
+			t.Fatalf("%s: rungs differ: coarse %+v vs %+v, fine %+v vs %+v", d.Name, coarse.Throughput, wcoarse.Throughput, fine.Throughput, wfine.Throughput)
+		}
+	}
+	last := designs[len(designs)-1]
+	const limit = 16
+	if got := testing.AllocsPerRun(3, func() { evaluate(last, &ws) }); got > limit {
+		t.Fatalf("evaluation on a warm workspace: %.0f allocations, want <= %d", got, limit)
 	}
 }

@@ -55,24 +55,38 @@ func NewNetwork(g *graph.Graph, linkCap float64) *Network {
 // Arc order is the view's row order, which is what makes base→scenario arc
 // mapping (ArcIndex) well-defined for warm starts.
 func NewNetworkFromView(c graph.View, linkCap float64) *Network {
+	nw := &Network{}
+	nw.build(nil, c, linkCap)
+	return nw
+}
+
+// build lays c's arcs out in nw's own arrays, over whatever they held, and
+// returns the backing array of the Out rows (out, grown if it was too short).
+func (nw *Network) build(out []int, c graph.View, linkCap float64) []int {
 	n := c.N()
 	m := 0
 	for u := 0; u < n; u++ {
 		nbr, _ := c.Row(u)
 		m += len(nbr)
 	}
-	nw := &Network{
-		N:        n,
-		Arcs:     make([]Arc, 0, m),
-		Out:      make([][]int, n),
-		arcStart: make([]int32, n+1),
-		arcTo:    make([]int32, 0, m),
-		arcFrom:  make([]int32, 0, m),
-		arcCap:   make([]float64, 0, m),
+	if cap(nw.Arcs) < m {
+		nw.Arcs = make([]Arc, 0, m)
+		nw.arcTo = make([]int32, 0, m)
+		nw.arcFrom = make([]int32, 0, m)
+		nw.arcCap = make([]float64, 0, m)
 	}
-	out := make([]int, m) // out[i] == i: one backing array for every Out row
-	for i := range out {
-		out[i] = i
+	if cap(nw.Out) < n {
+		nw.Out = make([][]int, n)
+		nw.arcStart = make([]int32, n+1)
+	}
+	nw.N = n
+	nw.Arcs, nw.arcTo, nw.arcFrom, nw.arcCap = nw.Arcs[:0], nw.arcTo[:0], nw.arcFrom[:0], nw.arcCap[:0]
+	nw.Out, nw.arcStart = nw.Out[:n], nw.arcStart[:n+1]
+	if cap(out) < m {
+		out = make([]int, m) // out[i] == i: one backing array for every Out row
+		for i := range out {
+			out[i] = i
+		}
 	}
 	for u := 0; u < n; u++ {
 		nbr, mult := c.Row(u)
@@ -87,7 +101,7 @@ func NewNetworkFromView(c graph.View, linkCap float64) *Network {
 		nw.Out[u] = out[nw.arcStart[u]:hi:hi]
 		nw.arcStart[u+1] = int32(hi)
 	}
-	return nw
+	return out
 }
 
 // ArcIndex returns the index of the directed arc u→v, or -1 if no such arc
@@ -121,22 +135,57 @@ type Commodity struct {
 // Commodities converts a rack-level TM into solver commodities, merging
 // duplicate (src,dst) pairs and dropping zero demands.
 func Commodities(m *tm.TM) []Commodity {
-	type key struct{ s, d int }
-	agg := map[key]float64{}
-	var order []key
+	var ws Workspace
+	return ws.Commodities(m)
+}
+
+// Workspace keeps the memory of one evaluation — the arc network, the
+// commodity list, the solver's arrays — for the next one on it. A caller
+// that evaluates one instance after another of about one size (a design
+// search's candidates) allocates for the first few only. Whatever a Workspace
+// hands out is valid until the same method is called on it again; one
+// goroutine at a time.
+type Workspace struct {
+	nw    Network
+	out   []int
+	agg   map[commKey]float64
+	order []commKey
+	comms []Commodity
+	gk    gkBuffers
+}
+
+type commKey struct{ s, d int }
+
+// Network is NewNetworkFromView on the workspace's arrays.
+func (ws *Workspace) Network(c graph.View, linkCap float64) *Network {
+	ws.out = ws.nw.build(ws.out, c, linkCap)
+	return &ws.nw
+}
+
+// Commodities is the package function on the workspace's arrays.
+func (ws *Workspace) Commodities(m *tm.TM) []Commodity {
+	if ws.agg == nil {
+		ws.agg = map[commKey]float64{}
+	}
+	clear(ws.agg)
+	agg, order := ws.agg, ws.order[:0]
 	for _, d := range m.Demands {
 		if d.Amount <= 0 || d.Src == d.Dst {
 			continue
 		}
-		k := key{d.Src, d.Dst}
+		k := commKey{d.Src, d.Dst}
 		if _, ok := agg[k]; !ok {
 			order = append(order, k)
 		}
 		agg[k] += d.Amount
 	}
-	out := make([]Commodity, 0, len(order))
+	if cap(ws.comms) < len(order) {
+		ws.comms = make([]Commodity, 0, len(order))
+	}
+	out := ws.comms[:0]
 	for _, k := range order {
 		out = append(out, Commodity{Src: k.s, Dst: k.d, Demand: agg[k]})
 	}
+	ws.order, ws.comms = order, out
 	return out
 }

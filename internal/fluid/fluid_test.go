@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"beyondft/internal/graph"
@@ -230,5 +231,35 @@ func TestDisconnectedGraphZeroThroughput(t *testing.T) {
 	res := MaxConcurrentFlow(nw, []Commodity{{Src: 0, Dst: 2, Demand: 1}}, GKOptions{})
 	if res.Throughput != 0 {
 		t.Fatalf("throughput = %v, want 0 for disconnected pair", res.Throughput)
+	}
+}
+
+// A Workspace's network, commodities and solves must equal the package
+// functions' after any earlier use, larger or smaller.
+func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var ws Workspace
+	for _, n := range []int{20, 54, 12, 54} {
+		tp := topology.NewJellyfish(n, 5, 3, rng)
+		nw, want := ws.Network(tp.G.Frozen(), 2.5), NewNetwork(tp.G, 2.5)
+		if !reflect.DeepEqual(nw, want) {
+			t.Fatalf("n=%d: workspace network differs from NewNetwork", n)
+		}
+		m := tm.AllToAll(tp.ToRs(), func(int) int { return 3 })
+		m.Demands = append(m.Demands, m.Demands[0], tm.Demand{Src: 1, Dst: 1, Amount: 9}) // a duplicate and a self-loop
+		comms := ws.Commodities(m)
+		if want := Commodities(m); !reflect.DeepEqual(comms, want) {
+			t.Fatalf("n=%d: workspace commodities differ", n)
+		}
+		// The solver on lent arrays, at one worker and at several, against
+		// the solver on its own.
+		for _, workers := range []int{1, 3} {
+			opt := GKOptions{Epsilon: 0.2, Workers: workers, ExportDuals: true}
+			want := MaxConcurrentFlow(nw, comms, opt)
+			opt.Workspace = &ws
+			if got := MaxConcurrentFlow(nw, comms, opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d workers=%d: solve on a workspace %+v, without %+v", n, workers, got.Throughput, want.Throughput)
+			}
+		}
 	}
 }

@@ -46,6 +46,9 @@ type GKOptions struct {
 	// (GKResult.Duals), the state a neighboring scenario's solve warm
 	// starts from.
 	ExportDuals bool
+	// Workspace, if non-nil, lends the solve its arrays (see Workspace); the
+	// result is the same with or without one, and owns its Duals either way.
+	Workspace *Workspace
 	// Observer, if non-nil, receives solver progress (phase boundaries and
 	// a final summary). The disabled cost is one interface nil check per
 	// phase plus an integer iteration counter — no allocations
@@ -138,12 +141,18 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	if maxPhases <= 0 {
 		maxPhases = 1 << 20
 	}
-	live := comms[:0:0]
+	var own gkBuffers
+	buf := &own
+	if opt.Workspace != nil {
+		buf = &opt.Workspace.gk
+	}
+	live := buf.live[:0]
 	for _, c := range comms {
 		if c.Demand > 0 && c.Src != c.Dst {
 			live = append(live, c)
 		}
 	}
+	buf.live = live
 	if len(live) == 0 {
 		return GKResult{Throughput: math.Inf(1), UpperBound: math.Inf(1)}
 	}
@@ -153,7 +162,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		return GKResult{}
 	}
 	delta := math.Pow(float64(m)/(1-eps), -1/eps)
-	length := make([]float64, m)
+	length := zeroed(&buf.length, m)
 	// D tracks D(l) = Σ cap·length incrementally: seeded from the initial
 	// lengths here, then updated in O(1) at every length bump in the routing
 	// loop instead of an O(m) rescan per phase.
@@ -183,12 +192,12 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		}
 		warm = true
 	}
-	flow := make([]float64, m)           // total flow per arc (all commodities)
-	routed := make([]float64, len(live)) // total routed per commodity
+	flow := zeroed(&buf.flow, m)             // total flow per arc (all commodities)
+	routed := zeroed(&buf.routed, len(live)) // total routed per commodity
 
 	// Distinct commodity sources, in first-appearance order; the per-phase
 	// dual bound needs one full Dijkstra per distinct source.
-	srcIndex := make([]int32, nw.N) // 1 + a node's index into sources; 0 = not a source yet
+	srcIndex := zeroed(&buf.srcIndex, nw.N) // 1 + a node's index into sources; 0 = not a source yet
 	nSrc := 0
 	for _, c := range live {
 		if srcIndex[c.Src] == 0 {
@@ -200,8 +209,8 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	// bySrc[srcStart[k]:srcStart[k+1]], as ascending indices into live. Counts
 	// go in two slots up, so that after the prefix sum slot k+1 is group k's
 	// fill cursor and, once the group is filled, its end.
-	sources := make([]int, nSrc)
-	srcStart := make([]int32, nSrc+2)
+	sources := zeroed(&buf.sources, nSrc)
+	srcStart := zeroed(&buf.srcStart, nSrc+2)
 	for _, c := range live {
 		sources[srcIndex[c.Src]-1] = c.Src
 		srcStart[srcIndex[c.Src]+1]++
@@ -209,13 +218,13 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	for k := 2; k < len(srcStart); k++ {
 		srcStart[k] += srcStart[k-1]
 	}
-	bySrc := make([]int32, len(live))
+	bySrc := zeroed(&buf.bySrc, len(live))
 	for j, c := range live {
 		k := srcIndex[c.Src]
 		bySrc[srcStart[k]] = int32(j)
 		srcStart[k]++
 	}
-	distTo := make([]float64, len(live)) // this phase's dist_l(src, dst) per live commodity
+	distTo := zeroed(&buf.distTo, len(live)) // this phase's dist_l(src, dst) per live commodity
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -223,9 +232,16 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	if workers > nSrc {
 		workers = nSrc
 	}
-	states := make([]*spState, workers)
-	for w := range states {
-		states[w] = newSPState(nw)
+	if len(buf.states) < workers {
+		buf.states = append(make([]*spState, 0, workers), buf.states...)[:workers]
+	}
+	states := buf.states[:workers]
+	for w, st := range states {
+		if st == nil || len(st.dist) != nw.N {
+			states[w] = newSPState(nw)
+		} else {
+			st.nw = nw // every call resets the rest
+		}
 	}
 
 	// sweep is one source's share of a phase's dual bound: a full Dijkstra
@@ -353,6 +369,26 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		res.Duals = append([]float64(nil), length...)
 	}
 	return res
+}
+
+// gkBuffers are the arrays of one solve, kept by a Workspace for the next.
+type gkBuffers struct {
+	live                         []Commodity
+	length, flow, routed, distTo []float64
+	srcIndex, srcStart, bySrc    []int32
+	sources                      []int
+	states                       []*spState
+}
+
+// zeroed returns *p resized to n zero values, reallocating only to grow.
+func zeroed[T any](p *[]T, n int) []T {
+	if cap(*p) < n {
+		*p = make([]T, n)
+		return *p
+	}
+	*p = (*p)[:n]
+	clear(*p)
+	return *p
 }
 
 // primalValue returns the certified feasible concurrent-flow fraction for

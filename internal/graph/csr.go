@@ -38,13 +38,14 @@ func (g *Graph) Frozen() *CSR {
 
 func buildCSR(g *Graph) *CSR {
 	c := &CSR{n: g.n, rowStart: make([]int32, g.n+1)}
-	entries := 0
+	entries, widest := 0, 0
 	for u := 0; u < g.n; u++ {
 		entries += len(g.adj[u])
+		widest = max(widest, len(g.adj[u]))
 	}
 	c.neighbor = make([]int32, 0, entries)
 	c.mult = make([]int32, 0, entries)
-	var row []int
+	row := make([]int, 0, widest)
 	for u := 0; u < g.n; u++ {
 		row = row[:0]
 		for v := range g.adj[u] {
@@ -199,8 +200,27 @@ func (c *CSR) APSP() [][]int {
 // the row for sources[i]), computed in parallel. Identical at any
 // parallelism setting. The rows share one backing array.
 func (c *CSR) BFSMany(sources []int) [][]int {
-	rows := make([][]int, len(sources))
-	all := make([]int, len(sources)*c.n)
+	var buf BFSBuffer
+	return c.BFSManyInto(&buf, sources)
+}
+
+// BFSBuffer keeps the rows of a BFSManyInto call for the next one to write
+// over.
+type BFSBuffer struct {
+	rows [][]int
+	all  []int
+}
+
+// BFSManyInto is BFSMany into buf's rows, which are grown only when a call
+// needs more than any before it; the result is valid until buf's next call.
+func (c *CSR) BFSManyInto(buf *BFSBuffer, sources []int) [][]int {
+	if cap(buf.rows) < len(sources) {
+		buf.rows = make([][]int, len(sources))
+	}
+	if cap(buf.all) < len(sources)*c.n {
+		buf.all = make([]int, len(sources)*c.n)
+	}
+	rows, all := buf.rows[:len(sources)], buf.all[:len(sources)*c.n]
 	c.bfsWorkers(sources, func(i int, dist []int32) {
 		row := all[i*c.n : (i+1)*c.n : (i+1)*c.n]
 		for v, d := range dist {
@@ -243,10 +263,6 @@ func (c *CSR) PathStats() PathStats {
 		_            [40]byte // pad to a cache line: partials are per-worker hot
 	}
 	parts := make([]partial, workers)
-	sources := make([]int, c.n)
-	for i := range sources {
-		sources[i] = i
-	}
 	type scratch struct {
 		dist, queue []int32
 	}

@@ -127,32 +127,55 @@ type Edge struct {
 // (ascending U, then V), read off the frozen CSR view without per-node map
 // walks and sorts.
 func (g *Graph) Edges() []Edge {
+	return g.AppendEdges(make([]Edge, 0, len(g.Frozen().neighbor)/2))
+}
+
+// AppendEdges appends Edges() to dst, for callers that list the edges of one
+// graph after another into the same buffer.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	c := g.Frozen()
-	out := make([]Edge, 0, len(c.neighbor)/2)
 	for u := 0; u < c.n; u++ {
 		lo, hi := c.rowStart[u], c.rowStart[u+1]
 		for k := lo; k < hi; k++ {
 			if v := c.neighbor[k]; int(v) > u {
-				out = append(out, Edge{U: u, V: int(v), Mult: int(c.mult[k])})
+				dst = append(dst, Edge{U: u, V: int(v), Mult: int(c.mult[k])})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Clone returns a deep copy of g: every adjacency row copied into a map made
 // at its final size. It only reads g (no freeze, no lock), so concurrent
 // Clones and other readers of one graph are safe.
 func (g *Graph) Clone() *Graph {
-	adj := make([]map[int]int, g.n)
-	for u, row := range g.adj {
-		c := make(map[int]int, len(row))
+	c := &Graph{}
+	c.CopyFrom(g)
+	return c
+}
+
+// CopyFrom makes g a deep copy of src in the rows g already has: a graph that
+// is copied into again and again (a search's candidate, rewired and thrown
+// away) costs no allocation after the first time. It only reads src, like
+// Clone; g must have no other user, and a view it froze earlier is dropped.
+func (g *Graph) CopyFrom(src *Graph) {
+	if len(g.adj) != src.n {
+		g.adj = make([]map[int]int, src.n)
+	}
+	for u, row := range src.adj {
+		c := g.adj[u]
+		if c == nil {
+			c = make(map[int]int, len(row))
+			g.adj[u] = c
+		} else {
+			clear(c)
+		}
 		for v, mult := range row {
 			c[v] = mult
 		}
-		adj[u] = c
 	}
-	return &Graph{n: g.n, adj: adj, m: g.m}
+	g.n, g.m = src.n, src.m
+	g.invalidate()
 }
 
 // IsRegular reports whether every node has the same degree, and that degree.

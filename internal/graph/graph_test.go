@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -428,5 +429,51 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 	}
 	if es[0].U != 0 || es[0].V != 2 {
 		t.Fatalf("first edge = %v, want (0,2)", es[0])
+	}
+}
+
+// CopyFrom must leave a deep, independent copy whatever the destination held
+// before — nothing, a smaller graph, a larger one, a frozen view — and, into
+// rows that already fit, allocate nothing.
+func TestCopyFromReusesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	small, big := randomMultigraph(12, 0.4, rng), randomMultigraph(40, 0.3, rng)
+	dst := new(Graph)
+	for _, src := range []*Graph{big, small, big, big} {
+		dst.Frozen() // a stale view must not survive the copy
+		dst.CopyFrom(src)
+		if dst.N() != src.N() || dst.M() != src.M() || !reflect.DeepEqual(dst.Edges(), src.Edges()) {
+			t.Fatalf("copy of %v is %v with different edges", src, dst)
+		}
+	}
+	e := big.Edges()[0]
+	for dst.RemoveEdge(e.U, e.V) {
+	}
+	if !big.HasEdge(e.U, e.V) || reflect.DeepEqual(dst.Edges(), big.Edges()) {
+		t.Fatal("rewiring the copy reached the original")
+	}
+	if got := testing.AllocsPerRun(10, func() { dst.CopyFrom(big) }); got != 0 {
+		t.Fatalf("CopyFrom into rows of the same graph: %.0f allocations, want 0", got)
+	}
+}
+
+// The scratch forms of BFSMany and MaxWeightMatching must return what the
+// plain ones do whatever their buffers were last used for.
+func TestScratchKernelsMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var bfs BFSBuffer
+	var match MatchingScratch
+	for _, n := range []int{30, 9, 44, 44, 2} {
+		c := randomMultigraph(n, 0.25, rng).Frozen()
+		sources := rng.Perm(n)[:1+n/2]
+		rows := c.BFSManyInto(&bfs, sources)
+		if want := c.BFSMany(sources); !reflect.DeepEqual(rows, want) {
+			t.Fatalf("n=%d: BFSManyInto differs from BFSMany", n)
+		}
+		w := func(a, b int) float64 { return float64(rows[0][a] + rows[0][b]) }
+		got, want := match.MaxWeightMatching(sources, w), MaxWeightMatching(sources, w)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("n=%d: scratch matching %v, plain %v", n, got, want)
+		}
 	}
 }

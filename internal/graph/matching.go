@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // MaxWeightMatching computes a heavy perfect-or-near-perfect matching on the
 // node subset `nodes` with pairwise weights w (symmetric). It is the
@@ -9,32 +12,57 @@ import "sort"
 // search. Returns pairs (a,b) with a < b; if len(nodes) is odd one node is
 // left unmatched.
 func MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
+	var s MatchingScratch
+	return s.MaxWeightMatching(nodes, w)
+}
+
+// MatchingScratch keeps the buffers of a MaxWeightMatching call for the next
+// one: a caller that matches instance after instance of about one size
+// allocates for the first only.
+type MatchingScratch struct {
+	cands []matchCand
+	mate  []int
+	out   [][2]int
+}
+
+// matchCand is one candidate pair: 16 bytes with 32-bit indices, and one per
+// node pair, the largest allocation of a longest-matching TM.
+type matchCand struct {
+	a, b int32 // indices into nodes
+	w    float64
+}
+
+// MaxWeightMatching is the package function on s's buffers; the returned
+// pairs are valid until s's next call.
+func (s *MatchingScratch) MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
 	n := len(nodes)
 	if n < 2 {
 		return nil
 	}
-	// One candidate per node pair: 16 bytes each with 32-bit indices, the
-	// largest allocation of a longest-matching TM.
-	type cand struct {
-		a, b int32 // indices into nodes
-		w    float64
+	if cap(s.cands) < n*(n-1)/2 {
+		s.cands = make([]matchCand, 0, n*(n-1)/2)
 	}
-	cands := make([]cand, 0, n*(n-1)/2)
+	cands := s.cands[:0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cands = append(cands, cand{a: int32(i), b: int32(j), w: w(nodes[i], nodes[j])})
+			cands = append(cands, matchCand{a: int32(i), b: int32(j), w: w(nodes[i], nodes[j])})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
+	// Heaviest first, ties by (a, b): a strict total order, so the sorted list
+	// is the same whatever sorts it.
+	slices.SortFunc(cands, func(x, y matchCand) int {
+		switch {
+		case x.w != y.w:
+			return cmp.Compare(y.w, x.w)
+		case x.a != y.a:
+			return cmp.Compare(x.a, y.a)
 		}
-		if cands[i].a != cands[j].a {
-			return cands[i].a < cands[j].a
-		}
-		return cands[i].b < cands[j].b
+		return cmp.Compare(x.b, y.b)
 	})
-	mate := make([]int, n)
+	if cap(s.mate) < n {
+		s.mate = make([]int, n)
+	}
+	mate := s.mate[:n]
 	for i := range mate {
 		mate[i] = -1
 	}
@@ -79,7 +107,7 @@ func MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
 		}
 	}
 
-	var out [][2]int
+	out := s.out[:0]
 	for i := 0; i < n; i++ {
 		j := mate[i]
 		if j > i {
@@ -90,6 +118,7 @@ func MaxWeightMatching(nodes []int, w func(a, b int) float64) [][2]int {
 			out = append(out, [2]int{u, v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	slices.SortFunc(out, func(x, y [2]int) int { return cmp.Compare(x[0], y[0]) })
+	s.out = out
 	return out
 }

@@ -109,12 +109,13 @@ func (g *Graph) Bipartition() ([]float64, bool) {
 	n := g.n
 	side := make([]float64, n)
 	color := make([]int8, n) // 0 unknown, 1, -1
+	queue := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		if color[start] != 0 {
 			continue
 		}
 		color[start] = 1
-		queue := []int{start}
+		queue = append(queue[:0], start)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			for v := range g.adj[u] {

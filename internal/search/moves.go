@@ -69,7 +69,12 @@ const (
 // sequence and simplicity. Returns ok=false if no valid swap was found
 // within the attempt budget (tiny or near-complete graphs).
 func ProposeSwap(t *topology.Topology, rng *rand.Rand) (Move, bool) {
-	edges := t.G.Edges()
+	return proposeSwap(t.G, t.G.Edges(), rng)
+}
+
+// proposeSwap is ProposeSwap given g's edge list, which a batch of proposals
+// from one state lists once.
+func proposeSwap(g *graph.Graph, edges []graph.Edge, rng *rand.Rand) (Move, bool) {
 	if len(edges) < 2 {
 		return Move{}, false
 	}
@@ -88,7 +93,7 @@ func ProposeSwap(t *topology.Topology, rng *rand.Rand) (Move, bool) {
 			c, d = d, c
 		}
 		m := Move{Kind: "swap", A: a, B: b, C: c, D: d}
-		if validSwap(t.G, m) {
+		if validSwap(g, m) {
 			return m, true
 		}
 	}
@@ -109,10 +114,14 @@ func validSwap(g *graph.Graph, m Move) bool {
 // spend is unchanged. Requires SwitchPorts > 0 to know the port budget.
 // Returns ok=false when no valid move exists (regular full graphs).
 func ProposeRebalance(t *topology.Topology, rng *rand.Rand) (Move, bool) {
+	return proposeRebalance(t, t.G.Edges(), rng)
+}
+
+// proposeRebalance is ProposeRebalance given the edge list of t's graph.
+func proposeRebalance(t *topology.Topology, edges []graph.Edge, rng *rand.Rand) (Move, bool) {
 	if t.SwitchPorts <= 0 {
 		return Move{}, false
 	}
-	edges := t.G.Edges()
 	n := t.G.N()
 	if len(edges) == 0 || n < 3 {
 		return Move{}, false

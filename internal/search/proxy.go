@@ -32,13 +32,19 @@ const proxyIters = 160
 //
 // A disconnected graph scores -1: it can never beat any connected candidate.
 func Proxy(t *topology.Topology) float64 {
+	return proxy(t, rand.New(rand.NewSource(proxySeed)))
+}
+
+// proxy is Proxy on a generator of the caller's, which it re-seeds: the 5 KB
+// of generator state are most of what scoring a candidate allocates.
+func proxy(t *topology.Topology, rng *rand.Rand) float64 {
 	ps := t.G.PathStats()
 	if !ps.Connected || ps.Mean <= 0 {
 		return -1
 	}
 	score := 1 / ps.Mean
 	if d, ok := t.G.IsRegular(); ok && d > 0 {
-		rng := rand.New(rand.NewSource(proxySeed))
+		rng.Seed(proxySeed)
 		gap := t.G.SpectralGap(proxyIters, rng)
 		if gap > 0 {
 			score += gap / float64(d)

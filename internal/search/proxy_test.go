@@ -90,3 +90,20 @@ func TestProxyRanksKnownFamily(t *testing.T) {
 		t.Errorf("Proxy(disconnected) = %v, want -1", got)
 	}
 }
+
+// The search scores every candidate of a run on a few generators it keeps;
+// the score must be Proxy's whatever the generator was last used for.
+func TestProxyOnAKeptGenerator(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	kept := rand.New(rand.NewSource(99))
+	for _, tp := range []*topology.Topology{
+		topology.NewJellyfish(20, 5, 3, rng),
+		ringLattice(24, 3, 2),
+		topology.NewJellyfish(54, 9, 6, rng),
+		nearBisected(20, 4, 2, rng),
+	} {
+		if got, want := proxy(tp, kept), Proxy(tp); got != want {
+			t.Errorf("%s: %v on a kept generator, Proxy %v", tp.Name, got, want)
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"beyondft/internal/cost"
 	"beyondft/internal/eval"
 	"beyondft/internal/graph"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 )
 
@@ -253,14 +252,41 @@ type candidate struct {
 	hash   string
 }
 
-// cloneTopo deep-copies a topology so moves on a candidate never touch the
-// accepted state.
-func cloneTopo(t *topology.Topology) *topology.Topology {
-	return &topology.Topology{
-		Name:        t.Name,
-		G:           t.G.Clone(),
-		Servers:     append([]int(nil), t.Servers...),
-		SwitchPorts: t.SwitchPorts,
+// scratch is the memory a flight works in: the topologies of candidates no
+// longer wanted, for the next candidates to be copied into; the edge list of
+// the state it proposes from; one evaluation workspace per coarse slot. Run
+// hands the scratch of a retired flight to the next one launched, so a flight
+// allocates little after the first two and a dropped one costs the run its
+// time only. Which scratch a flight gets is, like everything on the
+// trajectory, a function of the accept decisions.
+type scratch struct {
+	topos []*topology.Topology
+	edges []graph.Edge
+	ws    []eval.Workspace
+	rngs  []*rand.Rand // by proxy worker
+}
+
+// clone deep-copies a topology, into one of the scratch's own if it has one,
+// so moves on a candidate never touch the accepted state.
+func (sc *scratch) clone(t *topology.Topology) *topology.Topology {
+	var c *topology.Topology
+	if n := len(sc.topos); n > 0 {
+		c, sc.topos = sc.topos[n-1], sc.topos[:n-1]
+	} else {
+		c = &topology.Topology{G: new(graph.Graph)}
+	}
+	c.Name, c.SwitchPorts = t.Name, t.SwitchPorts
+	c.G.CopyFrom(t.G)
+	c.Servers = append(c.Servers[:0], t.Servers...)
+	return c
+}
+
+// reclaim takes back the topology of a candidate nothing refers to any more,
+// if clone made it: a parameter move's instance was built, at whatever size
+// the move asked for, and is left to the collector.
+func (sc *scratch) reclaim(c *candidate) {
+	if c.move.Kind != "param" {
+		sc.topos = append(sc.topos, c.topo)
 	}
 }
 
@@ -287,6 +313,17 @@ type runner struct {
 	ladder             eval.Ladder // Ctx unset: every flight solves under its own
 	store              eval.Store
 	coarseKey, fineKey string
+	idle               []*scratch // of retired flights; Run's goroutine only
+}
+
+// takeScratch returns a retired flight's scratch, or a new one.
+func (r *runner) takeScratch() *scratch {
+	if n := len(r.idle); n > 0 {
+		sc := r.idle[n-1]
+		r.idle = r.idle[:n-1]
+		return sc
+	}
+	return &scratch{ws: make([]eval.Workspace, r.opt.ProxyTop)}
 }
 
 // rungResult is a rung with where it came from: the cache, or a solve whose
@@ -303,16 +340,16 @@ type rungResult struct {
 // instance is the longest-matching TM over the candidate's own racks (the
 // near-worst-case demand is a function of the design, so every candidate is
 // judged on its own worst case), cold, at unit capacity.
-func (r *runner) rung(c *candidate, key string, solve func(eval.Problem) (eval.Rung, error)) (rungResult, error) {
+func (r *runner) rung(ws *eval.Workspace, c *candidate, key string, solve func(eval.Problem) (eval.Rung, error)) (rungResult, error) {
 	res := rungResult{slot: r.store.Slot("search-cand", key, "design="+c.hash)}
 	if res.slot.Get(&res.Rung) {
 		res.hit = true
 		return res, nil
 	}
 	t := c.topo
-	m := tm.LongestMatching(t.G, t.ToRs(), func(rack int) int { return t.Servers[rack] })
+	m := ws.LongestMatching(t.G, t.ToRs(), func(rack int) int { return t.Servers[rack] })
 	var err error
-	res.Rung, err = solve(eval.ProblemOf(t.G, m))
+	res.Rung, err = solve(ws.ProblemOf(t.G, m))
 	return res, err
 }
 
@@ -326,13 +363,14 @@ func (r *runner) commit(res *Result, e *rungResult) {
 	}
 }
 
-// coarse evaluates every candidate at the coarse rung on up to `workers`
-// goroutines. Results are index-aligned with cands.
-func (r *runner) coarse(l eval.Ladder, workers int, cands []*candidate) ([]rungResult, error) {
+// coarse evaluates every candidate (at most ProxyTop of them) at the coarse
+// rung on up to `workers` goroutines, each in the workspace of its own slot.
+// Results are index-aligned with cands.
+func (r *runner) coarse(l eval.Ladder, workers int, sc *scratch, cands []*candidate) ([]rungResult, error) {
 	evals := make([]rungResult, len(cands))
 	errs := make([]error, len(cands))
 	graph.ParallelFor(workers, len(cands), func(_, i int) {
-		evals[i], errs[i] = r.rung(cands[i], r.coarseKey, l.Coarse)
+		evals[i], errs[i] = r.rung(&sc.ws[i], cands[i], r.coarseKey, l.Coarse)
 	})
 	return evals, errors.Join(errs...)
 }
@@ -340,33 +378,36 @@ func (r *runner) coarse(l eval.Ladder, workers int, cands []*candidate) ([]rungR
 // fine re-solves one candidate at the fine rung under the ladder's refine
 // rule: warm from its own coarse duals, re-running the coarse solve when
 // coarse came from the cache.
-func (r *runner) fine(l eval.Ladder, c *candidate, coarse eval.Rung) (rungResult, error) {
-	return r.rung(c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return l.Fine(p, coarse) })
+func (r *runner) fine(l eval.Ladder, ws *eval.Workspace, c *candidate, coarse eval.Rung) (rungResult, error) {
+	return r.rung(ws, c, r.fineKey, func(p eval.Problem) (eval.Rung, error) { return l.Fine(p, coarse) })
 }
 
 // plan is one step taken as far as the coarse rung: a proposal batch drawn
 // from a state, ranked by proxy, its top few solved coarsely and the winner
 // picked. It is a pure function of (state, step, remaining budget).
 type plan struct {
-	proposals int          // batch size; 0 means no valid move
-	coarse    []rungResult // one per candidate solved, each a unit of budget
-	win       int          // the winner's index into coarse
-	winner    *candidate
-	proxy     float64 // the winner's
+	cands  []*candidate // the whole batch; empty means no valid move
+	coarse []rungResult // one per candidate solved, each a unit of budget
+	win    int          // the winner's index into coarse
+	winner *candidate
+	proxy  float64 // the winner's
 }
 
-func (r *runner) plan(l eval.Ladder, workers int, from *candidate, step, rem int) (plan, error) {
+func (r *runner) plan(l eval.Ladder, workers int, sc *scratch, from *candidate, step, rem int) (plan, error) {
 	opt := r.opt
 	rng := rand.New(rand.NewSource(mix(opt.Seed, int64(step), 0x50524f50))) // "PROP"
-	cands := proposeBatch(from.topo, from.params, r.env, rng, opt, step)
+	cands := proposeBatch(sc, from.topo, from.params, r.env, rng, opt, step)
 	if len(cands) == 0 {
 		return plan{}, nil
 	}
 
 	// Proxy rung: rank the whole batch cheaply, keep the top few.
 	proxies := make([]float64, len(cands))
-	graph.ParallelFor(workers, len(cands), func(_, i int) {
-		proxies[i] = Proxy(cands[i].topo)
+	for len(sc.rngs) < workers {
+		sc.rngs = append(sc.rngs, rand.New(rand.NewSource(proxySeed)))
+	}
+	graph.ParallelFor(workers, len(cands), func(w, i int) {
+		proxies[i] = proxy(cands[i].topo, sc.rngs[w])
 	})
 	order := make([]int, len(cands))
 	for i := range order {
@@ -391,9 +432,9 @@ func (r *runner) plan(l eval.Ladder, workers int, from *candidate, step, rem int
 	}
 
 	// Coarse rung: GK on the survivors, in parallel.
-	evals, err := r.coarse(l, workers, sel)
+	evals, err := r.coarse(l, workers, sc, sel)
 	if err != nil {
-		return plan{}, err
+		return plan{cands: cands}, err
 	}
 	win := 0
 	for i := 1; i < len(evals); i++ {
@@ -401,7 +442,7 @@ func (r *runner) plan(l eval.Ladder, workers int, from *candidate, step, rem int
 			win = i
 		}
 	}
-	return plan{proposals: len(cands), coarse: evals, win: win, winner: sel[win], proxy: proxies[top[win]]}, nil
+	return plan{cands: cands, coarse: evals, win: win, winner: sel[win], proxy: proxies[top[win]]}, nil
 }
 
 // flight is one step computed ahead of the decision that leads to it: the
@@ -412,6 +453,7 @@ func (r *runner) plan(l eval.Ladder, workers int, from *candidate, step, rem int
 // decision goes the other way.
 type flight struct {
 	from    *candidate // the state it was planned from
+	sc      *scratch   // its own from launch until Run retires it
 	cancel  context.CancelFunc
 	planned chan struct{} // closed once plan and planErr are set
 	done    chan struct{} // closed once fine and fineErr are set as well
@@ -425,18 +467,31 @@ type flight struct {
 // `workers` goroutines.
 func (r *runner) launch(ctx context.Context, workers int, from *candidate, step, rem int) *flight {
 	ctx, cancel := context.WithCancel(ctx)
-	f := &flight{from: from, cancel: cancel, planned: make(chan struct{}), done: make(chan struct{})}
+	f := &flight{from: from, sc: r.takeScratch(), cancel: cancel, planned: make(chan struct{}), done: make(chan struct{})}
 	l := r.ladder
 	l.Ctx = ctx
 	go func() {
 		defer close(f.done)
-		f.plan, f.planErr = r.plan(l, workers, from, step, rem)
+		f.plan, f.planErr = r.plan(l, workers, f.sc, from, step, rem)
 		close(f.planned)
-		if f.planErr == nil && f.plan.winner != nil && l.TwoRungs() {
-			f.fine, f.fineErr = r.fine(l, f.plan.winner, f.plan.coarse[f.plan.win].Rung)
+		if p := &f.plan; f.planErr == nil && p.winner != nil && l.TwoRungs() {
+			f.fine, f.fineErr = r.fine(l, &f.sc.ws[p.win], p.winner, p.coarse[p.win].Rung)
 		}
 	}()
 	return f
+}
+
+// retire takes a finished flight's scratch back for the next launch, and with
+// it the topology of every candidate of the flight but keep, the one (if any)
+// that became the state.
+func (r *runner) retire(f *flight, keep *candidate) {
+	for _, c := range f.plan.cands {
+		if c != keep {
+			f.sc.reclaim(c)
+		}
+	}
+	f.plan.cands = nil
+	r.idle = append(r.idle, f.sc)
 }
 
 // drop cancels a flight and waits for its goroutine. What it had computed is
@@ -505,7 +560,8 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	// Baseline rung: the starting design is candidate zero — it spends one
 	// budget unit and sets the value every move must beat.
 	baseDesign := topology.DesignOf(base)
-	cur := &candidate{topo: cloneTopo(base), params: params, hash: baseDesign.Hash()}
+	sc := rn.takeScratch()
+	cur := &candidate{topo: sc.clone(base), params: params, hash: baseDesign.Hash()}
 	res := &Result{
 		BaselineName: base.Name,
 		BaselineHash: cur.hash,
@@ -513,7 +569,7 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	}
 	l := rn.ladder
 	l.Ctx = ctx
-	coarseEvals, err := rn.coarse(l, 1, []*candidate{cur})
+	coarseEvals, err := rn.coarse(l, 1, sc, []*candidate{cur})
 	if err != nil {
 		return nil, err
 	}
@@ -521,12 +577,13 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 	res.Spent = 1
 	baseFine := coarseEvals[0]
 	if twoRungs {
-		if baseFine, err = rn.fine(l, cur, coarseEvals[0].Rung); err != nil {
+		if baseFine, err = rn.fine(l, &sc.ws[0], cur, coarseEvals[0].Rung); err != nil {
 			return nil, err
 		}
 		rn.commit(res, &baseFine)
 		res.FineSolves++
 	}
+	rn.idle = append(rn.idle, sc)
 	res.Baseline = baseFine.Throughput
 	stateVal := baseFine.Throughput
 
@@ -575,7 +632,9 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 			if opt.OnStep != nil {
 				opt.OnStep(st)
 			}
+			<-head.done
 			head.cancel()
+			rn.retire(head, nil)
 			head = launch(opt.Workers, cur, step+1)
 			continue
 		}
@@ -612,6 +671,7 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 		delta := fineEval.Throughput - stateVal
 		deltas = append(deltas, delta)
 		accepted := rule.admits(delta)
+		prev := cur
 		if accepted {
 			cur = p.winner
 			stateVal = fineEval.Throughput
@@ -622,6 +682,7 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 			} else {
 				air.dropped[btoi(likely)]++
 				next.drop()
+				rn.retire(next, nil)
 				next = nil
 			}
 		}
@@ -636,7 +697,7 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 		st := Step{
 			Step:      step,
 			Move:      p.winner.move.String(),
-			Proposals: p.proposals,
+			Proposals: len(p.cands),
 			Proxy:     p.proxy,
 			Coarse:    p.coarse[p.win].Throughput,
 			Fine:      fineEval.Throughput,
@@ -649,6 +710,10 @@ func Run(base *topology.Topology, params Params, opt Options) (*Result, error) {
 			opt.OnStep(st)
 		}
 		head.cancel()
+		if cur != prev {
+			head.sc.reclaim(prev) // no flight planned from it is left
+		}
+		rn.retire(head, cur)
 		head, next = next, nil
 	}
 	return res, nil
@@ -702,8 +767,9 @@ func btoi(b bool) int {
 // generator instances. Every candidate already satisfies the envelope and
 // connectivity. Draws come serially from the per-step RNG, so the proposal
 // stream is identical at any worker count.
-func proposeBatch(cur *topology.Topology, p Params, env Envelope, rng *rand.Rand, opt Options, step int) []*candidate {
+func proposeBatch(sc *scratch, cur *topology.Topology, p Params, env Envelope, rng *rand.Rand, opt Options, step int) []*candidate {
 	_, regular := cur.G.IsRegular()
+	sc.edges = cur.G.AppendEdges(sc.edges[:0])
 	seen := map[string]bool{}
 	var out []*candidate
 	for attempt := 0; len(out) < opt.Batch && attempt < opt.Batch*proposalOverdraw; attempt++ {
@@ -724,31 +790,29 @@ func proposeBatch(cur *topology.Topology, p Params, env Envelope, rng *rand.Rand
 			}
 			cand = &candidate{topo: t, params: np, move: m}
 		case "rebalance":
-			m, ok := ProposeRebalance(cur, rng)
+			m, ok := proposeRebalance(cur, sc.edges, rng)
 			if !ok {
 				continue
 			}
-			t := cloneTopo(cur)
-			if ApplyChecked(t, m) != nil {
-				continue
-			}
-			cand = &candidate{topo: t, params: p, move: m}
+			cand = &candidate{topo: sc.clone(cur), params: p, move: m}
 		default: // swap
-			m, ok := ProposeSwap(cur, rng)
+			m, ok := proposeSwap(cur.G, sc.edges, rng)
 			if !ok {
 				continue
 			}
-			t := cloneTopo(cur)
-			if ApplyChecked(t, m) != nil {
-				continue
-			}
-			cand = &candidate{topo: t, params: p, move: m}
+			cand = &candidate{topo: sc.clone(cur), params: p, move: m}
 		}
-		if !env.Admits(cand.topo) {
+		if cand.move.Kind != "param" && ApplyChecked(cand.topo, cand.move) != nil {
+			sc.reclaim(cand)
 			continue
 		}
-		cand.hash = topology.DesignOf(cand.topo).Hash()
+		if !env.Admits(cand.topo) {
+			sc.reclaim(cand)
+			continue
+		}
+		cand.hash = topology.HashOf(cand.topo)
 		if seen[cand.hash] {
+			sc.reclaim(cand)
 			continue
 		}
 		seen[cand.hash] = true

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"beyondft/internal/eval"
 	"beyondft/internal/graph"
 	"beyondft/internal/harness"
 	"beyondft/internal/topology"
@@ -368,6 +369,51 @@ func TestSearchFlights(t *testing.T) {
 	if kept[0] == 0 || kept[1] == 0 || dropped[0] == 0 || dropped[1] == 0 {
 		t.Errorf("golden searches keep %v and drop %v flights (predicted reject, accept): want all four to occur", kept, dropped)
 	}
+}
+
+// TestDroppedFlightAllocations gates what a misprediction costs in memory on
+// the benchmark's start, Jellyfish(54, 9): a flight flown to its end in the
+// scratch of a retired one — which is what a flight launched after a drop is —
+// allocates a fraction of what the first did, which cloned its candidates
+// and sized its workspaces (459 allocations and 124 KB against 2278 and
+// 639 KB; before flights had a scratch, 3300 and 1.4 MB each). The benchmark
+// counts dropped flights into allocs_per_op, and how many a search drops
+// varies with its seed.
+func TestDroppedFlightAllocations(t *testing.T) {
+	base := topology.NewJellyfish(54, 9, 6, rand.New(rand.NewSource(1)))
+	opt := Options{Seed: 1, Budget: 48}
+	if err := opt.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	rn := &runner{
+		opt:    opt,
+		env:    EnvelopeOf(base),
+		ladder: eval.Ladder{CoarseEps: opt.CoarseEps, FineEps: opt.FineEps},
+		store:  eval.Store{BaseSpec: DefaultBaseSpec},
+	}
+	rn.coarseKey, rn.fineKey = rn.ladder.CoarseKey(), rn.ladder.FineKey()
+	cur := &candidate{topo: base, params: Params{Kind: "jellyfish", N: 54, Degree: 9, Servers: 6}}
+	fly := func() (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f := rn.launch(context.Background(), 1, cur, 1, opt.Budget-1)
+		<-f.done
+		f.cancel()
+		if f.planErr != nil || f.fineErr != nil || len(f.plan.cands) != opt.Batch {
+			t.Fatalf("flight: plan %v, fine %v, %d candidates", f.planErr, f.fineErr, len(f.plan.cands))
+		}
+		rn.retire(f, nil)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	firstMallocs, firstBytes := fly()
+	mallocs, bytes := fly()
+	const maxMallocs, maxBytes = 520, 144 << 10
+	if mallocs > maxMallocs || bytes > maxBytes {
+		t.Fatalf("a flight in a retired flight's scratch: %d allocations, %d bytes; want <= %d and <= %d (the first: %d, %d)",
+			mallocs, bytes, maxMallocs, maxBytes, firstMallocs, firstBytes)
+	}
+	t.Logf("first flight %d allocations, %d bytes; the next %d, %d", firstMallocs, firstBytes, mallocs, bytes)
 }
 
 // deafCtx reports cancellation through Err alone: Done never closes, so the

@@ -145,22 +145,43 @@ func RandomDerangement(racks []int, serversOf func(int) int, rng *rand.Rand) *TM
 // per-rack BFS fans out across graph.Parallelism() workers on the frozen
 // CSR view; the result is identical at any worker count.
 func LongestMatching(g *graph.Graph, racks []int, serversOf func(int) int) *TM {
-	rows := g.Frozen().BFSMany(racks)
-	rowOf := make(map[int][]int, len(racks))
+	m := &TM{}
+	var s MatchingScratch
+	s.LongestMatching(m, g, racks, serversOf)
+	return m
+}
+
+// MatchingScratch keeps LongestMatching's working memory — the BFS rows and
+// the matching's candidate list, all but a few hundred bytes of a call — from
+// one call to the next.
+type MatchingScratch struct {
+	bfs   graph.BFSBuffer
+	rowOf [][]int // by rack: its BFS row
+	match graph.MatchingScratch
+}
+
+// LongestMatching builds LongestMatching(g, racks, serversOf) in m, over
+// whatever m held, on s's buffers.
+func (s *MatchingScratch) LongestMatching(m *TM, g *graph.Graph, racks []int, serversOf func(int) int) {
+	rows := g.Frozen().BFSManyInto(&s.bfs, racks)
+	if cap(s.rowOf) < g.N() {
+		s.rowOf = make([][]int, g.N())
+	}
+	rowOf := s.rowOf[:g.N()]
 	for i, r := range racks {
 		rowOf[r] = rows[i]
 	}
-	pairs := graph.MaxWeightMatching(racks, func(a, b int) float64 {
+	pairs := s.match.MaxWeightMatching(racks, func(a, b int) float64 {
 		return float64(rowOf[a][b])
 	})
-	m := &TM{Name: fmt.Sprintf("longest-matching-%d", len(racks))}
+	m.Name = fmt.Sprintf("longest-matching-%d", len(racks))
+	m.Demands = m.Demands[:0]
 	for _, p := range pairs {
 		amt := float64(minInt(serversOf(p[0]), serversOf(p[1])))
 		m.Demands = append(m.Demands,
 			Demand{Src: p[0], Dst: p[1], Amount: amt},
 			Demand{Src: p[1], Dst: p[0], Amount: amt})
 	}
-	return m
 }
 
 // AllToAll builds the uniform all-to-all TM over the given racks: each rack

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -96,6 +97,66 @@ func (d *Design) Hash() string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// HashOf is DesignOf(t).Hash() without the design: the canonical encoding is
+// streamed into the hash off the graph's frozen view, edge by edge. A search
+// addresses every candidate it proposes this way and keeps the design of the
+// few it reports.
+func HashOf(t *Topology) string {
+	h := sha256.New()
+	var arr [512]byte
+	buf := append(arr[:0], `{"name":""`...)
+	if t.SwitchPorts != 0 {
+		buf = strconv.AppendInt(append(buf, `,"switch_ports":`...), int64(t.SwitchPorts), 10)
+	}
+	buf = append(buf, `,"servers":`...)
+	if len(t.Servers) == 0 {
+		buf = append(buf, "null"...) // DesignOf copies onto a nil slice
+	} else {
+		for i, s := range t.Servers {
+			buf = append(buf, "[,"[min(i, 1)])
+			buf = strconv.AppendInt(buf, int64(s), 10)
+			if len(buf) > len(arr)-64 {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `,"edges":`...)
+	c := t.G.Frozen()
+	edges := 0
+	for u := 0; u < c.N(); u++ {
+		nbr, mult := c.Row(u)
+		for k, v := range nbr {
+			if int(v) <= u {
+				continue
+			}
+			buf = append(buf, "[,"[min(edges, 1)])
+			edges++
+			buf = strconv.AppendInt(append(buf, `{"u":`...), int64(u), 10)
+			buf = strconv.AppendInt(append(buf, `,"v":`...), int64(v), 10)
+			if mult[k] != 1 { // canonicalize: multiplicity 1 is the omitted zero
+				buf = strconv.AppendInt(append(buf, `,"mult":`...), int64(mult[k]), 10)
+			}
+			buf = append(buf, '}')
+			if len(buf) > len(arr)-64 {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+		}
+	}
+	if edges == 0 {
+		buf = append(buf, "null"...) // Hash copies onto a nil slice
+	} else {
+		buf = append(buf, ']')
+	}
+	h.Write(append(buf, '}'))
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], h.Sum(sum[:0]))
+	return string(text[:])
 }
 
 // Validate checks the design is buildable: a non-empty name, a consistent

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"beyondft/internal/graph"
 )
 
 func TestDesignRoundTripAndHash(t *testing.T) {
@@ -138,5 +140,29 @@ func TestDesignFileAndDirLoading(t *testing.T) {
 	// A missing directory is zero designs, not an error.
 	if names, err := LoadDesignDir(filepath.Join(dir, "missing")); err != nil || len(names) != 0 {
 		t.Fatalf("missing dir: names=%v err=%v", names, err)
+	}
+}
+
+// HashOf is DesignOf(t).Hash() by another route; cache keys written by one
+// must be found by the other.
+func TestHashOfMatchesDesignHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	trunked := NewJellyfish(10, 3, 0, rng) // no servers, unknown ports, trunks
+	trunked.SwitchPorts = 0
+	trunked.G.AddEdgeMulti(0, 9, 3)
+	trunked.G.AddEdge(0, 9)
+	cases := []*Topology{
+		NewJellyfish(12, 3, 2, rng),
+		NewJellyfish(54, 9, 6, rng), // long enough to flush the buffer many times
+		&NewXpander(5, 4, 3, rng).Topology,
+		&NewFatTree(4).Topology,
+		trunked,
+		{Name: "edgeless", G: graph.New(3), Servers: []int{1, 0, 2}},
+		{Name: "empty", G: graph.New(0)},
+	}
+	for _, c := range cases {
+		if got, want := HashOf(c), DesignOf(c).Hash(); got != want {
+			t.Errorf("%s: HashOf %s, DesignOf().Hash() %s", c.Name, got, want)
+		}
 	}
 }

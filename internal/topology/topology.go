@@ -42,7 +42,16 @@ func (t *Topology) TotalServers() int {
 // ToRs returns the switches that have at least one server attached,
 // in ascending order.
 func (t *Topology) ToRs() []int {
-	var out []int
+	n := 0
+	for _, s := range t.Servers {
+		if s > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for i, s := range t.Servers {
 		if s > 0 {
 			out = append(out, i)
