@@ -122,6 +122,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzDeltaOverlay$$' -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
 	go test -run '^$$' -fuzz '^FuzzGKDijkstraKernel$$' -fuzztime $(FUZZTIME) ./internal/fluid
+	go test -run '^$$' -fuzz '^FuzzGKCertifiedRouting$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzEngineVsFrozen$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
@@ -147,14 +148,15 @@ loc:
 # BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
 # them; a plain `make bench` records only the fast kernels. benchjson also
 # gates BenchmarkFlowsimSteadyState, BenchmarkNetsimSteadyState,
-# BenchmarkEngineHold and BenchmarkGKRoutingDijkstra at zero allocs/op, so
-# the slab-recycled event paths, the event queue and the GK routing kernel
-# cannot silently start allocating. -p 1 runs one package's benchmarks at a
-# time: by default `go test` runs GOMAXPROCS packages side by side, and on a
-# small box they time each other. BENCH_BASELINE names a benchjson file
+# BenchmarkEngineHold, BenchmarkGKRoutingDijkstra and
+# BenchmarkGKRoutingCertified at zero allocs/op, so the slab-recycled event
+# paths, the event queue and the GK routing kernels cannot silently start
+# allocating. -p 1 runs one package's benchmarks at a time: by default
+# `go test` runs GOMAXPROCS packages side by side, and on a small box they
+# time each other. BENCH_BASELINE names a benchjson file
 # recorded on the same box from the parent commit; its rows are embedded
 # under "baseline" so the checked-in file carries its own before/after.
-BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
+BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
 BENCH_OUT := BENCH_pr18.json
 BENCH_COUNT := 3
@@ -164,7 +166,7 @@ bench:
 		$(BENCH_DIRS) \
 		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
 			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
-			-max-allocs BenchmarkGKRoutingDijkstra=0 \
+			-max-allocs BenchmarkGKRoutingDijkstra=0 -max-allocs BenchmarkGKRoutingCertified=0 \
 			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
 
 # Paired end-to-end runs, the procedure behind every claimed number

@@ -134,6 +134,10 @@ type Rung struct {
 	// Iterations counts the routing Dijkstras this result cost in this
 	// process — the deterministic cost measure; zero for a cached rung.
 	Iterations int `json:"-"`
+	// Fallbacks counts those of them the heap Dijkstra routed rather than
+	// the goal-directed search (fluid.GKResult.Fallbacks); in memory only,
+	// like Iterations.
+	Fallbacks int `json:"-"`
 }
 
 // Solve runs one GK solve of p at eps from p.Warm on up to `workers`
@@ -161,6 +165,7 @@ func Solve(ctx context.Context, p Problem, eps float64, workers int, exportDuals
 		Epsilon:    eps,
 		Duals:      res.Duals,
 		Iterations: tel.Iterations,
+		Fallbacks:  res.Fallbacks,
 	}, nil
 }
 
@@ -197,18 +202,19 @@ func (l Ladder) Coarse(p Problem) (Rung, error) {
 // coarse is p's coarse rung; when it came from the cache (no duals) the
 // coarse solve is run again first — it is deterministic, so the fine result
 // does not depend on where the coarse one came from. The recomputed solve's
-// iterations are charged to the returned rung.
+// iterations and fallbacks are charged to the returned rung.
 func (l Ladder) Fine(p Problem, coarse Rung) (Rung, error) {
-	extra := 0
+	var extra Rung
 	if coarse.Duals == nil {
 		var err error
 		if coarse, err = l.Coarse(p); err != nil {
 			return Rung{}, err
 		}
-		extra = coarse.Iterations
+		extra = coarse
 	}
 	p.Warm = coarse.Duals
 	fine, err := Solve(l.Ctx, p, l.FineEps, 1, false)
-	fine.Iterations += extra
+	fine.Iterations += extra.Iterations
+	fine.Fallbacks += extra.Fallbacks
 	return fine, err
 }

@@ -237,13 +237,13 @@ func TestStore(t *testing.T) {
 	}
 	s := &Store{Cache: c, BaseSpec: "base"}
 	l := Ladder{CoarseEps: 0.25, FineEps: 0.08}
-	want := Rung{Throughput: 0.5, UpperBound: 0.6, Phases: 7, Epsilon: 0.08, Duals: []float64{1}, Iterations: 9}
+	want := Rung{Throughput: 0.5, UpperBound: 0.6, Phases: 7, Epsilon: 0.08, Duals: []float64{1}, Iterations: 9, Fallbacks: 2}
 	s.Slot("job", l.FineKey(), "design=abc").Put(&want)
 	var got Rung
 	if !s.Slot("job", l.FineKey(), "design=abc").Get(&got) {
 		t.Fatal("stored rung not found")
 	}
-	if got.Throughput != 0.5 || got.Phases != 7 || got.Duals != nil || got.Iterations != 0 {
+	if got.Throughput != 0.5 || got.Phases != 7 || got.Duals != nil || got.Iterations != 0 || got.Fallbacks != 0 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	// Another job, rung, content, base or ladder is another address.

@@ -103,6 +103,57 @@ func TestGKRoutingDijkstraAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkGKRoutingCertified times the goal-directed routing step on
+// BenchmarkGKRoutingDijkstra's inputs: op i searches under the length
+// function of boundary i with that boundary's potentials, as the first step
+// of a phase does. `make bench` gates it at 0 allocs/op, and
+// TestGKRoutingCertifiedAllocs does for `go test`.
+func BenchmarkGKRoutingCertified(b *testing.B) {
+	nw, src, dst, lengths := routingDijkstraInputs(b)
+	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
+	sp.astar(src, dst, lengths[0], pots[0]) // grow the heap to its working size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d, _ := sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)]); math.IsInf(d, 1) {
+			b.Fatal("farthest pair unreachable")
+		}
+	}
+}
+
+// TestGKRoutingCertifiedAllocs is BenchmarkGKRoutingCertified's 0 allocs/op
+// gate for plain `go test`, after one pass over every length vector.
+func TestGKRoutingCertifiedAllocs(t *testing.T) {
+	nw, src, dst, lengths := routingDijkstraInputs(t)
+	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
+	for i, l := range lengths {
+		sp.astar(src, dst, l, pots[i])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(4*len(lengths), func() {
+		sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)])
+		i++
+	}); n != 0 {
+		t.Fatalf("goal-directed routing step allocates %v times per call, want 0", n)
+	}
+}
+
+// routingPotentials is dst's row of potentials at each length function.
+func routingPotentials(nw *Network, dst int, lengths [][]float64) [][]float64 {
+	rev := make([]int32, len(nw.Arcs))
+	reverseArcs(nw, rev)
+	sp, revLen := newSPState(nw), make([]float64, len(rev))
+	pots := make([][]float64, len(lengths))
+	for i, l := range lengths {
+		for k, r := range rev {
+			revLen[k] = l[r]
+		}
+		pots[i] = make([]float64, nw.N)
+		sp.potentials(dst, revLen, pots[i])
+	}
+	return pots
+}
+
 // routingDijkstraInputs is the farthest pair of a Jellyfish-54 and the
 // length functions of 96 consecutive phase boundaries of a real solve on it.
 func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths [][]float64) {

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -262,4 +263,53 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGKClosedFormHypercubes holds GK to truth no golden encodes, on the
+// tie-heavy instances where the goal-directed routing falls back most: the
+// hypercube Q_d and the folded hypercube FQ_d are arc-transitive, so under
+// all-to-all the path-length bound is exact (ROADMAP item 2). With s servers
+// per switch, Q_d carries (2^d−1)/(s·2^(d−1)) and FQ_d carries
+// (d+1)(2^d−1)/(s·Σ_w C(d,w)·min(w, d+1−w)). The dual bound must equal the
+// closed form to rounding and the primal must be within ε of it.
+func TestGKClosedFormHypercubes(t *testing.T) {
+	const s = 4
+	type instance struct {
+		name   string
+		lh     *topology.Longhop
+		closed float64
+	}
+	var cases []instance
+	for d := 3; d <= 6; d++ {
+		n := float64(int(1)<<d - 1)
+		cases = append(cases, instance{fmt.Sprintf("Q_%d", d), topology.NewLonghop(d, d, s), n / (s * float64(int(1)<<(d-1)))})
+	}
+	for d := 4; d <= 6; d++ {
+		hops, binom := 0.0, 1.0 // Σ_w C(d,w)·min(w, d+1−w), C(d,w) built up in w
+		for w := 1; w <= d; w++ {
+			binom = binom * float64(d-w+1) / float64(w)
+			hops += binom * float64(min(w, d+1-w))
+		}
+		closed := float64(d+1) * float64(int(1)<<d-1) / (s * hops)
+		cases = append(cases, instance{fmt.Sprintf("FQ_%d", d), topology.NewLonghop(d, d+1, s), closed})
+	}
+	worst, lowest := 0.0, math.Inf(1)
+	for _, c := range cases {
+		racks := c.lh.ToRs()
+		comms := Commodities(tm.AllToAll(racks, func(r int) int { return c.lh.Servers[r] }))
+		nw := NewNetwork(c.lh.G, 1.0)
+		for _, eps := range []float64{0.25, 0.08} {
+			var tel GKTelemetry
+			res := MaxConcurrentFlow(nw, comms, GKOptions{Epsilon: eps, Observer: &tel})
+			if rel := res.UpperBound/c.closed - 1; math.Abs(rel) > 1e-9 {
+				t.Errorf("%s ε=%g: dual bound %.12g, closed form %.12g (rel %.2g)", c.name, eps, res.UpperBound, c.closed, rel)
+			}
+			if res.Throughput < (1-eps)*c.closed {
+				t.Errorf("%s ε=%g: primal %.6g below (1−ε)·%.6g", c.name, eps, res.Throughput, c.closed)
+			}
+			worst, lowest = max(worst, math.Abs(res.UpperBound/c.closed-1)), min(lowest, res.Throughput/c.closed)
+			t.Logf("%s ε=%g: %d phases, %.1f%% of %d routing steps fell back", c.name, eps, res.Phases, 100*float64(res.Fallbacks)/float64(tel.Iterations), tel.Iterations)
+		}
+	}
+	t.Logf("worst |dual/closed − 1| %.2g, lowest primal/closed %.4f", worst, lowest)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"beyondft/internal/graph"
 	"beyondft/internal/minheap"
@@ -16,10 +18,14 @@ type GKOptions struct {
 	Epsilon float64
 	// MaxPhases caps the number of phases as a safety valve. Default 1e6.
 	MaxPhases int
-	// Workers bounds the goroutines used for the per-phase dual-bound
-	// distance computations (one Dijkstra per distinct commodity source,
-	// read-only on the length function within the phase). 0 means
-	// GOMAXPROCS. The result is identical at any worker count.
+	// Workers bounds the goroutines of each phase boundary's sweep, which
+	// reads the length function only: one reverse Dijkstra per distinct
+	// commodity destination (the phase's routing potentials), each followed
+	// by the goal-directed dual-bound queries of the single-destination
+	// sources that send to it, and one full Dijkstra per source with several
+	// destinations (per source, for all of them, once the solve routes with
+	// Dijkstra alone). 0 means GOMAXPROCS. The result is identical at any
+	// worker count.
 	Workers int
 	// Ctx, if non-nil, is polled at every phase boundary and every
 	// gkCtxPollEvery routing iterations within a phase: once it is done the
@@ -101,6 +107,11 @@ type GKResult struct {
 	// UpperBound is the best dual bound observed; OPT ≤ UpperBound.
 	UpperBound float64
 	Phases     int
+	// Fallbacks counts the routing steps the heap Dijkstra routed: those
+	// whose goal-directed path was not certified (a tied in-arc on it), and
+	// every step after the solve gave the goal-directed search up. Always at
+	// most the routing step count; the result does not depend on it.
+	Fallbacks int
 	// Duals holds the final per-arc dual lengths when the solve ran with
 	// ExportDuals — the warm-start seed for a neighboring scenario
 	// (GKOptions.WarmStart). Nil otherwise.
@@ -141,10 +152,15 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	if maxPhases <= 0 {
 		maxPhases = 1 << 20
 	}
-	var own gkBuffers
-	buf := &own
+	var buf *gkBuffers
 	if opt.Workspace != nil {
 		buf = &opt.Workspace.gk
+	} else {
+		buf = gkPool.Get().(*gkBuffers)
+		defer buf.release()
+	}
+	if cap(buf.live) < len(comms) {
+		buf.live = make([]Commodity, 0, len(comms))
 	}
 	live := buf.live[:0]
 	for _, c := range comms {
@@ -195,24 +211,34 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	flow := zeroed(&buf.flow, m)             // total flow per arc (all commodities)
 	routed := zeroed(&buf.routed, len(live)) // total routed per commodity
 
-	// Distinct commodity sources, in first-appearance order; the per-phase
-	// dual bound needs one full Dijkstra per distinct source.
-	srcIndex := zeroed(&buf.srcIndex, nw.N) // 1 + a node's index into sources; 0 = not a source yet
-	nSrc := 0
+	// Distinct commodity sources and destinations, each in first-appearance
+	// order: sources are nodes[:nSrc], destinations nodes[nSrc:], and
+	// srcIndex[v] / dstIndex[v] hold 1 + v's position among them (0 = not
+	// one). The dual bound needs one distance per commodity, from its source;
+	// routing goal-directed needs a row of potentials per destination.
+	index := zeroed(&buf.index, 2*nw.N)
+	srcIndex, dstIndex := index[:nw.N], index[nw.N:]
+	nSrc, nDst := 0, 0
 	for _, c := range live {
 		if srcIndex[c.Src] == 0 {
 			nSrc++
 			srcIndex[c.Src] = int32(nSrc)
 		}
+		if dstIndex[c.Dst] == 0 {
+			nDst++
+			dstIndex[c.Dst] = int32(nDst)
+		}
 	}
+	nodes := zeroed(&buf.nodes, nSrc+nDst)
+	sources, dsts := nodes[:nSrc], nodes[nSrc:]
 	// The live commodities grouped by source, CSR style: source k's are
 	// bySrc[srcStart[k]:srcStart[k+1]], as ascending indices into live. Counts
 	// go in two slots up, so that after the prefix sum slot k+1 is group k's
 	// fill cursor and, once the group is filled, its end.
-	sources := zeroed(&buf.sources, nSrc)
 	srcStart := zeroed(&buf.srcStart, nSrc+2)
 	for _, c := range live {
 		sources[srcIndex[c.Src]-1] = c.Src
+		dsts[dstIndex[c.Dst]-1] = c.Dst
 		srcStart[srcIndex[c.Src]+1]++
 	}
 	for k := 2; k < len(srcStart); k++ {
@@ -225,6 +251,48 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		srcStart[k]++
 	}
 	distTo := zeroed(&buf.distTo, len(live)) // this phase's dist_l(src, dst) per live commodity
+	// The sources again, grouped the same way by the one destination all
+	// their commodities share — destination i's are
+	// byDst[dstStart[i]:dstStart[i+1]] — and the sources with several
+	// destinations in a last group, nDst. A source with one destination gets
+	// its dual-bound distance from a goal-directed query right after that
+	// destination's potentials; the others keep a full Dijkstra.
+	soleDst := func(k int) int {
+		group := bySrc[srcStart[k]:srcStart[k+1]]
+		dst := live[group[0]].Dst
+		for _, j := range group[1:] {
+			if live[j].Dst != dst {
+				return nDst
+			}
+		}
+		return int(dstIndex[dst]) - 1
+	}
+	dstStart := zeroed(&buf.dstStart, nDst+3)
+	for k := range nSrc {
+		dstStart[soleDst(k)+2]++
+	}
+	for i := 2; i < len(dstStart); i++ {
+		dstStart[i] += dstStart[i-1]
+	}
+	byDst := zeroed(&buf.byDst, nSrc)
+	for k := range nSrc {
+		i := soleDst(k) + 1
+		byDst[dstStart[i]] = int32(k)
+		dstStart[i]++
+	}
+	// The solve routes goal-directed while sw.goal holds: from the start if
+	// its nDst × N potential table is within bounds, until the routing loop
+	// finds it tie-heavy.
+	var pot, revLen []float64
+	var rev []int32
+	goal := nDst*nw.N <= gkMaxPotentials
+	if goal {
+		gt := buf.takeGoalTables()
+		defer gt.release()
+		rev, pot, revLen = zeroed(&gt.rev, m), zeroed(&gt.pot, nDst*nw.N), zeroed(&gt.revLen, m)
+		reverseArcs(nw, rev)
+	}
+
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -244,22 +312,22 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		}
 	}
 
-	// sweep is one source's share of a phase's dual bound: a full Dijkstra
-	// into its worker's own scratch, from which the source's commodities take
-	// their distances. (One closure per solve, not per phase.)
-	sweep := func(w, k int) {
-		d := states[w].dijkstra(sources[k], length, nil, -1)
-		for _, j := range bySrc[srcStart[k]:srcStart[k+1]] {
-			distTo[j] = d[live[j].Dst]
-		}
+	sw := &buf.sweep
+	*sw = phaseSweep{
+		states: states, live: live, length: length, pot: pot, revLen: revLen, distTo: distTo,
+		sources: sources, dsts: dsts, srcStart: srcStart, bySrc: bySrc, dstStart: dstStart, byDst: byDst,
+		goal: goal,
 	}
+	sweep := sw.run // one bound method per solve, not per phase
 
 	dualBound := math.Inf(1)
 	sp := states[0] // routing reuses worker 0's scratch between phases
 	parent, arcFrom, arcCap := sp.parent, nw.arcFrom, nw.arcCap
 	phases := 0
-	iters := 0 // routing Dijkstras, reported through the observer
+	iters := 0     // routing steps, reported through the observer
+	fallbacks := 0 // routing steps the heap Dijkstra took
 	canceled := false
+	tiedPhase := false // the last phase routed more steps with Dijkstra than it certified
 	for phases < maxPhases {
 		if D >= 1 {
 			// Cold solves stop on the potential budget: the classic analysis
@@ -282,10 +350,15 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 			gkDebugBoundary(D, length)
 		}
 		// Dual bound for this phase: D(l) / Σ_j d_j·dist_l(j). Lengths are
-		// read-only within this step, so the per-source Dijkstras fan out
-		// across the workers, and the reduction below runs in fixed
-		// commodity order, so the result is identical at any worker count.
-		graph.ParallelFor(workers, nSrc, sweep)
+		// read-only within this step, so the sweep fans out across the
+		// workers, and the reduction below runs in fixed commodity order, so
+		// the result is identical at any worker count.
+		if sw.goal {
+			for k, r := range rev {
+				revLen[k] = length[r]
+			}
+		}
+		graph.ParallelFor(workers, sw.items(), sweep)
 		z := 0.0
 		for j, c := range live {
 			z += c.Demand * distTo[j]
@@ -305,6 +378,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 			}
 		}
 		// Route each commodity's full demand this phase.
+		certified, fellBack := 0, 0
 	routing:
 		for j, c := range live {
 			remaining := c.Demand
@@ -317,14 +391,28 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 					break routing
 				}
 				// Only dist[c.Dst] and the parent chain behind it are
-				// needed, so the Dijkstra stops as soon as dst settles.
-				d := sp.dijkstra(c.Src, length, nil, c.Dst)
+				// needed. The goal-directed search finds them in a fraction
+				// of the pops when it can certify its path is the heap
+				// Dijkstra's; when it cannot, the Dijkstra runs, and stops
+				// as soon as dst settles.
+				var d []float64
+				if sw.goal {
+					row := pot[int(dstIndex[c.Dst]-1)*nw.N:][:nw.N]
+					if _, ok := sp.astar(c.Src, c.Dst, length, row); ok {
+						d = sp.dist
+						certified++
+					}
+				}
+				if d == nil {
+					d = sp.dijkstra(c.Src, length, nil, c.Dst)
+					fellBack++
+				}
 				iters++
 				if math.IsInf(d[c.Dst], 1) {
 					if opt.Observer != nil {
 						opt.Observer.GKDone(phases, iters, 0, 0)
 					}
-					return GKResult{Throughput: 0, UpperBound: 0, Phases: phases}
+					return GKResult{Throughput: 0, UpperBound: 0, Phases: phases, Fallbacks: fallbacks + fellBack}
 				}
 				// Bottleneck along the path.
 				bottleneck := math.Inf(1)
@@ -352,9 +440,21 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				remaining -= f
 			}
 		}
+		fallbacks += fellBack
 		if canceled {
 			break
 		}
+		// A tie-heavy solve (a fat-tree, whose equal-cost paths stay tied)
+		// must not pay for two searches per step: the rest of it routes with
+		// Dijkstra alone and sweeps forward, once a phase falls back on more
+		// than three steps in four, or two phases in a row on more than half.
+		// A cold start's first phase ties every equal-hop path on any
+		// topology (up to two thirds of its steps fall back on Jellyfish and
+		// Xpander), so one phase just over half is not enough to tell.
+		if fellBack > 3*certified || (fellBack > certified && tiedPhase) {
+			sw.goal = false
+		}
+		tiedPhase = fellBack > certified
 	}
 
 	thr := primalValue(nw, live, flow, routed)
@@ -364,20 +464,146 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	if opt.Observer != nil {
 		opt.Observer.GKDone(phases, iters, thr, dualBound)
 	}
-	res := GKResult{Throughput: thr, UpperBound: dualBound, Phases: phases}
+	res := GKResult{Throughput: thr, UpperBound: dualBound, Phases: phases, Fallbacks: fallbacks}
 	if opt.ExportDuals {
 		res.Duals = append([]float64(nil), length...)
 	}
 	return res
 }
 
-// gkBuffers are the arrays of one solve, kept by a Workspace for the next.
+// gkMaxPotentials caps a solve's potential table, nDst × N floats (32 MiB):
+// a solve whose destinations would need more routes with Dijkstra alone.
+const gkMaxPotentials = 1 << 22
+
+// gkBuffers are the arrays of one solve, kept by a Workspace for the next
+// or, for a solve without one, by gkPool.
 type gkBuffers struct {
-	live                         []Commodity
-	length, flow, routed, distTo []float64
-	srcIndex, srcStart, bySrc    []int32
-	sources                      []int
-	states                       []*spState
+	live                                    []Commodity
+	length, flow, routed, distTo            []float64
+	index, srcStart, bySrc, dstStart, byDst []int32
+	nodes                                   []int
+	states                                  []*spState
+	sweep                                   phaseSweep
+	goal                                    *goalTables // the last solve's (see goalTables)
+}
+
+// phaseSweep is the work of a phase boundary, item by item (run), over one
+// solve's arrays. It lives in gkBuffers, so that handing run to
+// graph.ParallelFor costs one small allocation per solve.
+type phaseSweep struct {
+	states                           []*spState
+	live                             []Commodity
+	length, pot, revLen, distTo      []float64
+	sources, dsts                    []int
+	srcStart, bySrc, dstStart, byDst []int32
+	goal                             bool // routing goal-directed: sweep for potentials
+}
+
+// items is the number of items of the current phase's sweep.
+func (p *phaseSweep) items() int {
+	if p.goal {
+		nDst := len(p.dsts)
+		return nDst + int(p.dstStart[nDst+1]-p.dstStart[nDst])
+	}
+	return len(p.sources)
+}
+
+// run is one item of a phase's sweep, into worker w's own scratch. Routing
+// goal-directed, items [0, nDst) are destinations: the destination's row of
+// potentials, then a point query for each source that sends to it alone;
+// items from nDst on are the sources with several destinations. Routing
+// with Dijkstra alone, item k is source k. A source's full Dijkstra hands
+// each of its commodities its dist[dst].
+func (p *phaseSweep) run(w, k int) {
+	st := p.states[w]
+	if p.goal {
+		nDst := len(p.dsts)
+		if k >= nDst {
+			k = int(p.byDst[int(p.dstStart[nDst])+k-nDst])
+		} else {
+			n := len(st.dist)
+			row := p.pot[k*n:][:n]
+			st.potentials(p.dsts[k], p.revLen, row)
+			for _, s := range p.byDst[p.dstStart[k]:p.dstStart[k+1]] {
+				d, _ := st.astar(p.sources[s], p.dsts[k], p.length, row)
+				for _, j := range p.bySrc[p.srcStart[s]:p.srcStart[s+1]] {
+					p.distTo[j] = d
+				}
+			}
+			return
+		}
+	}
+	d := st.dijkstra(p.sources[k], p.length, nil, -1)
+	for _, j := range p.bySrc[p.srcStart[k]:p.srcStart[k+1]] {
+		p.distTo[j] = d[p.live[j].Dst]
+	}
+}
+
+// goalTables are the goal-directed search's arrays: the potential table,
+// nDst × N floats, whose size grows with the square of the solve's, and the
+// reversed lengths with the arc reversal they are gathered through. They are
+// lent from goalPool — a process runs few solves at a time, however many
+// Workspaces it keeps — and a gkBuffers remembers the ones its last solve
+// had, to take them again while nobody else holds them: a Workspace reused
+// solve after solve then gets its tables back whatever the pool does (a
+// sync.Pool can miss across processors, and drops a quarter of what is put
+// back under the race detector). inUse says a solve holds them, inPool that
+// they were put back and not taken out since.
+type goalTables struct {
+	inUse, inPool atomic.Bool
+	pot, revLen   []float64
+	rev           []int32
+}
+
+var goalPool = sync.Pool{New: func() any { return new(goalTables) }}
+
+// takeGoalTables returns the tables b's last solve had if they are free,
+// else free ones from goalPool.
+func (b *gkBuffers) takeGoalTables() *goalTables {
+	if gt := b.goal; gt != nil && gt.inUse.CompareAndSwap(false, true) {
+		return gt
+	}
+	for {
+		gt := goalPool.Get().(*goalTables)
+		gt.inPool.Store(false)
+		// Tables the pool hands out can be held through another
+		// gkBuffers' memory of them; that solve puts them back.
+		if gt.inUse.CompareAndSwap(false, true) {
+			b.goal = gt
+			return gt
+		}
+	}
+}
+
+// release frees the tables and puts them back in goalPool, unless they are
+// there already.
+func (gt *goalTables) release() {
+	gt.inUse.Store(false)
+	if gt.inPool.CompareAndSwap(false, true) {
+		goalPool.Put(gt)
+	}
+}
+
+// gkPool lends solves that run without a Workspace (served queries, what-if
+// scenarios) the arrays of an earlier one.
+var gkPool = sync.Pool{New: func() any { return new(gkBuffers) }}
+
+// release returns pooled buffers, without the network they last ran on.
+func (b *gkBuffers) release() {
+	for _, st := range b.states {
+		if st != nil {
+			st.nw = nil
+		}
+	}
+	gkPool.Put(b)
+}
+
+// reverseArcs sets rev[k] to the index of arc k's reverse. Every arc of a
+// network built off an undirected graph has one.
+func reverseArcs(nw *Network, rev []int32) {
+	for k, to := range nw.arcTo {
+		rev[k] = int32(nw.ArcIndex(int(to), int(nw.arcFrom[k])))
+	}
 }
 
 // zeroed returns *p resized to n zero values, reallocating only to grow.
@@ -497,4 +723,119 @@ func (s *spState) dijkstra(src int, length []float64, dist []float64, target int
 		}
 	}
 	return dist
+}
+
+// potDeflate and drainBand are the goal-directed search's two margins
+// (DESIGN.md §7, "Certified goal-directed routing"). Potentials are scaled
+// down by 2⁻³⁰, so the reverse sweep's rounding cannot make one exceed a true
+// distance; and the search drains every entry within 2⁻³⁰ of the target's
+// key, which covers the rounding of every fold sum along paths of fewer
+// than 2²⁰ hops.
+const (
+	potDeflate = 1 - 0x1p-30
+	drainBand  = 1 + 0x1p-30
+)
+
+// potentials fills row with every node's distance to dst under the lengths
+// whose reverses revLen holds (revLen[k] is the length of arc k's reverse,
+// so a Dijkstra from dst over revLen runs backwards over the lengths),
+// deflated by potDeflate. Lengths only grow within a solve, so the row stays
+// a lower bound on the distance to dst for the rest of it.
+func (s *spState) potentials(dst int, revLen, row []float64) {
+	s.dijkstra(dst, revLen, row, -1)
+	for v, r := range row {
+		row[v] = r * potDeflate
+	}
+}
+
+// tied marks, in astar's parent array, a node that another arc reached at
+// its label as well. Arc indices stay below it.
+const tied = 1 << 30
+
+// astar is a goal-directed search from src to target under length, with
+// pot (a row from potentials, for target, of this length function or an
+// earlier one) as the A* potentials. It returns dist[target], which always
+// equals what dijkstra computes for it, and whether the path it leaves in
+// s.parent is certified to be the one dijkstra would leave there.
+//
+// The search keeps no settled set: an entry is stale when its key is above
+// the node's current one, and a node whose label drops is pushed again, so
+// potentials that are not consistent in floats cost a re-expansion, never a
+// wrong label. After the target's first expansion the heap is drained up to
+// drainBand times the target's label; by then every node that could reach a
+// label on the target's parent chain at the minimum has been expanded with
+// its final label (DESIGN.md §7). A relaxation that equals a label from
+// another arc marks the node tied, one that beats it clears the mark.
+// Labels are the unique minimum fold sums, and the heap's tie order only
+// picks among arcs that reach a label exactly; so a chain without a tied
+// node, whose target label has not moved since its first expansion, is
+// dijkstra's chain bit for bit.
+func (s *spState) astar(src, target int, length, pot []float64) (float64, bool) {
+	nw := s.nw
+	dist := s.dist[:nw.N]
+	parent := s.parent[:len(dist)]
+	pot = pot[:len(dist)]
+	arcStart := nw.arcStart[:len(dist)+1]
+	arcTo := nw.arcTo
+	length = length[:len(arcTo)]
+	inf := math.Inf(1)
+	for i := range dist {
+		dist[i] = inf
+	}
+	for i := range parent {
+		parent[i] = -1
+	}
+	if math.IsInf(pot[src], 1) {
+		return inf, false
+	}
+	dist[src] = 0
+	h := &s.heap
+	h.Reset()
+	h.Push(minheap.Item{Node: int32(src), Pri: pot[src]})
+	// cut is drainBand times the target's label: the drain stops at the
+	// first key above it, and an entry above it is never pushed, since the
+	// drain would stop before popping it.
+	cut, first := inf, -1.0 // first: the target's label at its first expansion
+	for h.Len() > 0 {
+		it := h.Pop()
+		if it.Pri > cut {
+			break
+		}
+		u := int(it.Node)
+		du := dist[u]
+		if it.Pri > du+pot[u] {
+			continue
+		}
+		if u == target && first < 0 {
+			first = du
+		}
+		lo := int(arcStart[u])
+		row := arcTo[lo:arcStart[u+1]]
+		rowLen := length[lo:][:len(row)]
+		for k, to := range row {
+			nd := du + rowLen[k]
+			if d := dist[to]; nd < d {
+				dist[to] = nd
+				parent[to] = int32(lo + k)
+				if int(to) == target {
+					cut = nd * drainBand
+				}
+				if key := nd + pot[to]; key <= cut {
+					h.Push(minheap.Item{Node: to, Pri: key})
+				}
+			} else if nd == d && parent[to]&^tied != int32(lo+k) {
+				parent[to] |= tied
+			}
+		}
+	}
+	d := dist[target]
+	if d != first {
+		return d, false
+	}
+	for v := target; v != src; v = int(nw.arcFrom[parent[v]]) {
+		if parent[v]&tied != 0 {
+			return d, false
+		}
+	}
+	return d, true
 }

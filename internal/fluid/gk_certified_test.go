@@ -1,0 +1,173 @@
+package fluid
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"beyondft/internal/topology"
+)
+
+// certifiedTestNetwork is one of three shapes: FuzzGKDijkstraKernel's random
+// multigraphs, or one of two tie-heavy fabrics, the hypercube Q_4 and the
+// k=4 fat-tree, whose equal-hop paths tie under equal lengths.
+func certifiedTestNetwork(shape uint8, rng *rand.Rand) *Network {
+	switch shape % 3 {
+	case 1:
+		return NewNetwork(topology.NewLonghop(4, 4, 1).G, 1.0)
+	case 2:
+		return NewNetwork(topology.NewFatTree(4).G, 1.0)
+	}
+	return kernelTestNetwork(rng)
+}
+
+// certifiedTestLengths draws a length function in kernelTestLengths' three
+// regimes plus a fourth, tiny lengths beside large ones: δ ≈ 1e-34 next to
+// 1e-3, where an arc vanishes in a sum and distinct paths fold to one label,
+// and a few units in the last place of 1e-3, where labels a few ulps apart
+// get keys that round to one value. It returns it with an earlier one,
+// elementwise no longer, as GK's lengths were at an earlier phase boundary:
+// some arcs shrunk back by up to two factors of 1+ε, or none.
+func certifiedTestLengths(m int, mode uint8, rng *rand.Rand) (length, earlier []float64) {
+	if mode%4 == 3 {
+		length = make([]float64, m)
+		for i := range length {
+			switch rng.Intn(3) {
+			case 0:
+				length[i] = 1e-3
+			case 1:
+				length[i] = 1e-34 * (1 + float64(rng.Intn(3)))
+			default:
+				length[i] = 0x1p-62 * (1 + float64(rng.Intn(4)))
+			}
+		}
+	} else {
+		length = kernelTestLengths(m, mode, rng)
+	}
+	earlier = append([]float64(nil), length...)
+	if mode&4 != 0 {
+		for i := range earlier {
+			earlier[i] /= math.Pow(1.08, float64(rng.Intn(3)))
+		}
+	}
+	return length, earlier
+}
+
+// checkCertifiedRouting is the law of the goal-directed search: under
+// potentials taken from any earlier length function, it returns dijkstra's
+// dist[target] bit for bit, and whenever it certifies its path, the whole
+// parent chain from target to source is dijkstra's as well. It reports
+// whether the search certified.
+func checkCertifiedRouting(t *testing.T, seed int64, mode, shape uint8) bool {
+	rng := rand.New(rand.NewSource(seed))
+	nw := certifiedTestNetwork(shape, rng)
+	length, earlier := certifiedTestLengths(len(nw.Arcs), mode, rng)
+	src, dst := rng.Intn(nw.N), rng.Intn(nw.N)
+	pot := routingPotentials(nw, dst, [][]float64{earlier})[0]
+
+	want := newSPState(nw)
+	full := want.dijkstra(src, length, make([]float64, nw.N), -1)
+	want.dijkstra(src, length, nil, dst)
+	got := newSPState(nw)
+	d, ok := got.astar(src, dst, length, pot)
+	if math.Float64bits(d) != math.Float64bits(full[dst]) || math.Float64bits(d) != math.Float64bits(want.dist[dst]) {
+		t.Fatalf("seed %d mode %d shape %d: goal-directed dist[%d] = %v, dijkstra %v", seed, mode, shape, dst, d, full[dst])
+	}
+	if !ok {
+		return false
+	}
+	for v := dst; v != src; v = int(nw.arcFrom[want.parent[v]]) {
+		if got.parent[v] != want.parent[v] {
+			t.Fatalf("seed %d mode %d shape %d: certified parent[%d] = %d, dijkstra %d", seed, mode, shape, v, got.parent[v], want.parent[v])
+		}
+	}
+	return true
+}
+
+// TestGKCertifiedRoutingMatchesDijkstra runs the fuzz body over a seeded
+// sweep of every shape and length regime, and checks that the law is not
+// vacuous: the search certifies on each shape, and refuses on each too.
+func TestGKCertifiedRoutingMatchesDijkstra(t *testing.T) {
+	var certified, refused [3]int
+	for seed := int64(0); seed < 1200; seed++ {
+		shape := uint8(seed % 3)
+		if checkCertifiedRouting(t, seed, uint8(seed/3), shape) {
+			certified[shape]++
+		} else {
+			refused[shape]++
+		}
+	}
+	for _, s := range drainSeeds {
+		checkCertifiedRouting(t, s.seed, s.mode, s.shape)
+	}
+	for shape := range certified {
+		if certified[shape] == 0 || refused[shape] == 0 {
+			t.Errorf("shape %d: %d certified, %d refused; want both", shape, certified[shape], refused[shape])
+		}
+	}
+	t.Logf("certified %v, refused %v (random, hypercube, fat-tree)", certified, refused)
+}
+
+// drainSeeds are draws — ulp-scale lengths on the hypercube and the
+// fat-tree — on which a tying in-arc of the chain is only relaxed after the
+// target's first expansion: a search that stopped there instead of draining
+// certifies another path than dijkstra's on each.
+var drainSeeds = []struct {
+	seed        int64
+	mode, shape uint8
+}{{-265, 7, 1}, {-108, 7, 2}}
+
+// FuzzGKCertifiedRouting is the native fuzz entry point for the same law.
+func FuzzGKCertifiedRouting(f *testing.F) {
+	for mode := uint8(0); mode < 8; mode++ {
+		for shape := uint8(0); shape < 3; shape++ {
+			f.Add(int64(mode)*7+int64(shape), mode, shape)
+		}
+	}
+	for _, s := range drainSeeds {
+		f.Add(s.seed, s.mode, s.shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mode, shape uint8) {
+		checkCertifiedRouting(t, seed, mode, shape)
+	})
+}
+
+// TestGKConcurrentSolvesShareTables runs solves from several goroutines at
+// once — some on Workspaces of their own, some without — so the potential
+// tables pass between solves through goalPool and through the buffers that
+// remember them, and each result must equal the same solve run alone.
+func TestGKConcurrentSolvesShareTables(t *testing.T) {
+	type job struct {
+		nw    *Network
+		comms []Commodity
+		want  GKResult
+	}
+	var jobs []job
+	for seed := int64(0); seed < 6; seed++ {
+		nw, comms := gkTestInstance(seed)
+		if len(comms) > 0 {
+			jobs = append(jobs, job{nw, comms, MaxConcurrentFlow(nw, comms, GKOptions{Epsilon: 0.1, Workers: 1})})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ws *Workspace
+			if g%2 == 0 {
+				ws = new(Workspace)
+			}
+			for round := range 3 {
+				for i, j := range jobs {
+					got := MaxConcurrentFlow(j.nw, j.comms, GKOptions{Epsilon: 0.1, Workers: 1 + (g+round)%2, Workspace: ws})
+					if got.Throughput != j.want.Throughput || got.UpperBound != j.want.UpperBound || got.Fallbacks != j.want.Fallbacks {
+						t.Errorf("goroutine %d, job %d: %+v, alone %+v", g, i, got, j.want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

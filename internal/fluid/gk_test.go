@@ -198,23 +198,40 @@ func TestGKContextCancellation(t *testing.T) {
 }
 
 // TestGKAllocationsIndependentOfSources gates a solve's allocation count at
-// one constant on two instances that differ only in how many distinct sources
-// their 48 commodities have: the dual-bound sweep keeps one distance per
-// commodity and one closure per solve, so neither sources nor phases cost
-// anything (24 at both). With a distance row per source and a closure per
-// phase the same solves took 66 and 157.
+// one constant on instances that differ only in how many distinct sources
+// and destinations their 48 commodities have: the dual-bound sweep keeps one
+// distance per commodity and one closure per solve, and a solve without a
+// Workspace borrows its arrays — the potential table, a row per
+// destination, among them — from pools, so neither sources, destinations
+// nor phases cost anything (1 at each, the sweep's bound method; with a
+// distance row per source and a closure per phase the same solves took 66
+// and 157, with arrays of their own 24). On a Workspace, whose tables come
+// back to it whatever the pools do (under the race detector a sync.Pool
+// drops some of what is put back), the count must also be the same at every
+// source and destination count.
 func TestGKAllocationsIndependentOfSources(t *testing.T) {
 	nw := NewNetwork(goldenTopology("jellyfish54").G, 1.0)
 	const limit = 32
+	kept := -1.0
 	for _, sources := range []int{8, 48} {
-		comms := make([]Commodity, 48)
-		for j := range comms {
-			src := j % sources
-			comms[j] = Commodity{Src: src, Dst: (src + 1 + j/sources) % nw.N, Demand: 1}
-		}
-		opt := GKOptions{Epsilon: 0.25, Workers: 1}
-		if got := testing.AllocsPerRun(5, func() { MaxConcurrentFlow(nw, comms, opt) }); got > limit {
-			t.Errorf("%d sources: %.0f allocations per solve, want <= %d", sources, got, limit)
+		for _, dsts := range []int{8, 48} {
+			comms := make([]Commodity, 48)
+			for j := range comms {
+				comms[j] = Commodity{Src: j % sources, Dst: nw.N - 1 - j%dsts, Demand: 1}
+			}
+			opt := GKOptions{Epsilon: 0.25, Workers: 1}
+			if got := testing.AllocsPerRun(5, func() { MaxConcurrentFlow(nw, comms, opt) }); got > limit {
+				t.Errorf("%d sources, %d destinations: %.0f allocations per solve, want <= %d", sources, dsts, got, limit)
+			}
+			opt.Workspace = new(Workspace)
+			got := testing.AllocsPerRun(5, func() { MaxConcurrentFlow(nw, comms, opt) })
+			if got > limit || (kept >= 0 && got != kept) {
+				t.Errorf("%d sources, %d destinations: %.0f allocations per solve on a Workspace, want <= %d and the same at every count (first %.0f)",
+					sources, dsts, got, limit, kept)
+			}
+			if kept < 0 {
+				kept = got
+			}
 		}
 	}
 }

@@ -150,6 +150,7 @@ func (r *ThroughputRequest) run(ctx context.Context) (json.RawMessage, error) {
 	res, err := eval.Solve(ctx, p, r.Epsilon, graph.Parallelism(), false)
 	gkSp.SetAttr("phases", float64(res.Phases))
 	gkSp.SetAttr("iterations", float64(res.Iterations))
+	gkSp.SetAttr("fallbacks", float64(res.Fallbacks))
 	gkSp.SetAttr("dual_bound", res.UpperBound)
 	gkSp.End()
 	if err != nil {

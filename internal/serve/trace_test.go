@@ -57,6 +57,9 @@ func TestServeTraceQuery(t *testing.T) {
 		if attrs["phases"] < 1 || attrs["iterations"] < attrs["phases"] {
 			t.Errorf("gk-solve attrs implausible: %v", gk.Attrs)
 		}
+		if f, ok := attrs["fallbacks"]; !ok || f < 0 || f > attrs["iterations"] {
+			t.Errorf("gk-solve fallbacks %v (present %v), want within [0, iterations]", f, ok)
+		}
 		if attrs["dual_bound"] <= 0 {
 			t.Errorf("gk-solve dual_bound %g, want > 0", attrs["dual_bound"])
 		}
