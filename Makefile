@@ -148,15 +148,15 @@ loc:
 # BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
 # them; a plain `make bench` records only the fast kernels. benchjson also
 # gates BenchmarkFlowsimSteadyState, BenchmarkNetsimSteadyState,
-# BenchmarkEngineHold, BenchmarkGKRoutingDijkstra and
-# BenchmarkGKRoutingCertified at zero allocs/op, so the slab-recycled event
-# paths, the event queue and the GK routing kernels cannot silently start
-# allocating. -p 1 runs one package's benchmarks at a time: by default
+# BenchmarkEngineHold, BenchmarkGKRoutingDijkstra,
+# BenchmarkGKRoutingCertified and BenchmarkGKRoutingResolved at zero
+# allocs/op, so the slab-recycled event paths, the event queue and the GK
+# routing kernels cannot silently start allocating. -p 1 runs one package's benchmarks at a time: by default
 # `go test` runs GOMAXPROCS packages side by side, and on a small box they
 # time each other. BENCH_BASELINE names a benchjson file
 # recorded on the same box from the parent commit; its rows are embedded
 # under "baseline" so the checked-in file carries its own before/after.
-BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
+BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkGKRoutingResolved|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
 BENCH_OUT := BENCH_pr18.json
 BENCH_COUNT := 3
@@ -167,6 +167,7 @@ bench:
 		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
 			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
 			-max-allocs BenchmarkGKRoutingDijkstra=0 -max-allocs BenchmarkGKRoutingCertified=0 \
+			-max-allocs BenchmarkGKRoutingResolved=0 \
 			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
 
 # Paired end-to-end runs, the procedure behind every claimed number

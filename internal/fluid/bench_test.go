@@ -111,11 +111,11 @@ func TestGKRoutingDijkstraAllocs(t *testing.T) {
 func BenchmarkGKRoutingCertified(b *testing.B) {
 	nw, src, dst, lengths := routingDijkstraInputs(b)
 	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
-	sp.astar(src, dst, lengths[0], pots[0]) // grow the heap to its working size
+	sp.astar(src, dst, lengths[0], pots[0], nil) // grow the heap to its working size
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d, _ := sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)]); math.IsInf(d, 1) {
+		if d, _ := sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)], nil); math.IsInf(d, 1) {
 			b.Fatal("farthest pair unreachable")
 		}
 	}
@@ -127,11 +127,11 @@ func TestGKRoutingCertifiedAllocs(t *testing.T) {
 	nw, src, dst, lengths := routingDijkstraInputs(t)
 	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
 	for i, l := range lengths {
-		sp.astar(src, dst, l, pots[i])
+		sp.astar(src, dst, l, pots[i], nil)
 	}
 	i := 0
 	if n := testing.AllocsPerRun(4*len(lengths), func() {
-		sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)])
+		sp.astar(src, dst, lengths[i%len(lengths)], pots[i%len(pots)], nil)
 		i++
 	}); n != 0 {
 		t.Fatalf("goal-directed routing step allocates %v times per call, want 0", n)
@@ -140,8 +140,7 @@ func TestGKRoutingCertifiedAllocs(t *testing.T) {
 
 // routingPotentials is dst's row of potentials at each length function.
 func routingPotentials(nw *Network, dst int, lengths [][]float64) [][]float64 {
-	rev := make([]int32, len(nw.Arcs))
-	reverseArcs(nw, rev)
+	rev := reversedArcs(nw)
 	sp, revLen := newSPState(nw), make([]float64, len(rev))
 	pots := make([][]float64, len(lengths))
 	for i, l := range lengths {
@@ -183,4 +182,96 @@ func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths []
 		tb.Fatalf("solve ended after %d phases; need 64 length vectors", skip+len(lengths))
 	}
 	return nw, src, dst, lengths
+}
+
+// BenchmarkGKRoutingResolved times the goal-directed routing step where its
+// chains tie: from every switch of the hypercube Q_6 to its antipode, on the
+// length function of every phase boundary of an all-to-all solve, each with
+// that boundary's potentials. Many of these steps settle their ties by tail
+// labels or by a prefix of dijkstra (TestGKRoutingResolvedAllocs checks that
+// both happen). `make bench` gates it at 0 allocs/op, and
+// TestGKRoutingResolvedAllocs does for `go test`.
+func BenchmarkGKRoutingResolved(b *testing.B) {
+	nw, steps := resolvedRoutingInputs(b)
+	sp, rev := newSPState(nw), reversedArcs(nw)
+	for _, st := range steps { // grow the heap to its working size
+		sp.astar(st.src, st.dst, st.length, st.pot, rev)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := &steps[i%len(steps)]
+		if d, how := sp.astar(st.src, st.dst, st.length, st.pot, rev); math.IsInf(d, 1) || how == refused {
+			b.Fatal("antipodes unreachable, or the step refused")
+		}
+	}
+}
+
+// TestGKRoutingResolvedAllocs is BenchmarkGKRoutingResolved's 0 allocs/op
+// gate for plain `go test`, after one pass over every step, and checks that
+// the benchmark's steps resolve ties both ways.
+func TestGKRoutingResolvedAllocs(t *testing.T) {
+	nw, steps := resolvedRoutingInputs(t)
+	sp, rev := newSPState(nw), reversedArcs(nw)
+	var seen [byPrefix + 1]int
+	for _, st := range steps {
+		_, how := sp.astar(st.src, st.dst, st.length, st.pot, rev)
+		seen[how]++
+	}
+	if seen[refused] != 0 || seen[byLabel] == 0 || seen[byPrefix] == 0 {
+		t.Fatalf("[refused untied byLabel byPrefix] = %v over %d steps: want no refusal and both resolutions", seen, len(steps))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(steps), func() {
+		st := &steps[i%len(steps)]
+		sp.astar(st.src, st.dst, st.length, st.pot, rev)
+		i++
+	}); n != 0 {
+		t.Fatalf("resolving routing step allocates %v times per call, want 0", n)
+	}
+	t.Logf("[refused untied byLabel byPrefix] = %v", seen)
+}
+
+// reversedArcs is nw's arc reversal (reverseArcs).
+func reversedArcs(nw *Network) []int32 {
+	rev := make([]int32, len(nw.Arcs))
+	reverseArcs(nw, rev)
+	return rev
+}
+
+// resolvedStep is one routing step: a pair, a length function, and the
+// target's potentials under it.
+type resolvedStep struct {
+	src, dst    int
+	length, pot []float64
+}
+
+// resolvedRoutingInputs is every switch of Q_6 paired with its antipode,
+// under the length functions of every phase boundary of an all-to-all solve
+// on Q_6: one step per pair and boundary, boundary by boundary.
+func resolvedRoutingInputs(tb testing.TB) (*Network, []resolvedStep) {
+	lh := topology.NewLonghop(6, 6, 4)
+	nw := NewNetwork(lh.G, 1.0)
+	var lengths [][]float64
+	gkDebugBoundary = func(_ float64, length []float64) {
+		lengths = append(lengths, append([]float64(nil), length...))
+	}
+	MaxConcurrentFlow(nw, Commodities(tm.AllToAll(lh.ToRs(), func(r int) int { return lh.Servers[r] })),
+		GKOptions{Epsilon: 0.08, Workers: 1})
+	gkDebugBoundary = nil
+	if len(lengths) < 8 {
+		tb.Fatalf("solve ended after %d phases; need 8 length vectors", len(lengths))
+	}
+	pots := make([][][]float64, nw.N) // pots[dst][boundary]
+	for dst := range pots {
+		pots[dst] = routingPotentials(nw, dst, lengths)
+	}
+	var steps []resolvedStep
+	for i, l := range lengths {
+		for src := range nw.N {
+			dst := src ^ (nw.N - 1)
+			steps = append(steps, resolvedStep{src, dst, l, pots[dst][i]})
+		}
+	}
+	return nw, steps
 }

@@ -19,13 +19,15 @@ type GKOptions struct {
 	// MaxPhases caps the number of phases as a safety valve. Default 1e6.
 	MaxPhases int
 	// Workers bounds the goroutines of each phase boundary's sweep, which
-	// reads the length function only: one reverse Dijkstra per distinct
-	// commodity destination (the phase's routing potentials), each followed
-	// by the goal-directed dual-bound queries of the single-destination
-	// sources that send to it, and one full Dijkstra per source with several
+	// reads the length function only: per distinct commodity destination,
+	// the goal-directed dual-bound queries of the single-destination sources
+	// that send to it (on the potential row the previous phase's routing
+	// built for it; the first phase builds the rows here, one reverse
+	// Dijkstra each), and one full Dijkstra per source with several
 	// destinations (per source, for all of them, once the solve routes with
-	// Dijkstra alone). 0 means GOMAXPROCS. The result is identical at any
-	// worker count.
+	// Dijkstra alone). Later phases rebuild a destination's row in the
+	// routing loop, on one goroutine, right before its first step. 0 means
+	// GOMAXPROCS. The result is identical at any worker count.
 	Workers int
 	// Ctx, if non-nil, is polled at every phase boundary and every
 	// gkCtxPollEvery routing iterations within a phase: once it is done the
@@ -107,10 +109,14 @@ type GKResult struct {
 	// UpperBound is the best dual bound observed; OPT ≤ UpperBound.
 	UpperBound float64
 	Phases     int
-	// Fallbacks counts the routing steps the heap Dijkstra routed: those
-	// whose goal-directed path was not certified (a tied in-arc on it), and
-	// every step after the solve gave the goal-directed search up. Always at
-	// most the routing step count; the result does not depend on it.
+	// Fallbacks counts the routing steps the heap Dijkstra routed, whole or
+	// in part: those whose chain had a tie that only dijkstra's tie order
+	// decides (two tails at one least label; a prefix of dijkstra settles
+	// it), those whose goal-directed search could not be used at all (the
+	// target's label moved after its first expansion), and every step after
+	// the solve gave the goal-directed search up. Ties decided by tail labels
+	// alone do not count. Always at most the routing step count; the result
+	// does not depend on it.
 	Fallbacks int
 	// Duals holds the final per-arc dual lengths when the solve ran with
 	// ExportDuals — the warm-start seed for a neighboring scenario
@@ -282,15 +288,21 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 	}
 	// The solve routes goal-directed while sw.goal holds: from the start if
 	// its nDst × N potential table is within bounds, until the routing loop
-	// finds it tie-heavy.
+	// finds it tie-heavy. revLen[k] is the length of arc k's reverse, kept
+	// current at every length bump; rowPhase[i] is the phase that last built
+	// destination i's row of pot.
 	var pot, revLen []float64
 	var rev []int32
+	rowPhase := zeroed(&buf.rowPhase, nDst)
 	goal := nDst*nw.N <= gkMaxPotentials
 	if goal {
 		gt := buf.takeGoalTables()
 		defer gt.release()
 		rev, pot, revLen = zeroed(&gt.rev, m), zeroed(&gt.pot, nDst*nw.N), zeroed(&gt.revLen, m)
 		reverseArcs(nw, rev)
+		for k, r := range rev {
+			revLen[k] = length[r]
+		}
 	}
 
 	workers := opt.Workers
@@ -352,12 +364,10 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		// Dual bound for this phase: D(l) / Σ_j d_j·dist_l(j). Lengths are
 		// read-only within this step, so the sweep fans out across the
 		// workers, and the reduction below runs in fixed commodity order, so
-		// the result is identical at any worker count.
-		if sw.goal {
-			for k, r := range rev {
-				revLen[k] = length[r]
-			}
-		}
+		// the result is identical at any worker count. Only the first phase's
+		// sweep builds the rows of potentials; later ones query the rows the
+		// previous phase's routing built, from lengths no longer than these.
+		sw.rows = phases == 1
 		graph.ParallelFor(workers, sw.items(), sweep)
 		z := 0.0
 		for j, c := range live {
@@ -392,23 +402,34 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				}
 				// Only dist[c.Dst] and the parent chain behind it are
 				// needed. The goal-directed search finds them in a fraction
-				// of the pops when it can certify its path is the heap
-				// Dijkstra's; when it cannot, the Dijkstra runs, and stops
-				// as soon as dst settles.
-				var d []float64
+				// of the pops, and leaves the heap Dijkstra's chain: as it
+				// found it, or with its ties settled by tail labels or by a
+				// prefix of the Dijkstra. When it cannot, the Dijkstra runs,
+				// and stops as soon as dst settles. From the second phase on,
+				// a destination's row of potentials is rebuilt from the
+				// current lengths before its first step of the phase.
+				var d float64
+				how := refused
 				if sw.goal {
-					row := pot[int(dstIndex[c.Dst]-1)*nw.N:][:nw.N]
-					if _, ok := sp.astar(c.Src, c.Dst, length, row); ok {
-						d = sp.dist
-						certified++
+					i := int(dstIndex[c.Dst] - 1)
+					row := pot[i*nw.N:][:nw.N]
+					if phases > 1 && rowPhase[i] != int32(phases) {
+						sp.potentials(c.Dst, revLen, row)
+						rowPhase[i] = int32(phases)
 					}
+					d, how = sp.astar(c.Src, c.Dst, length, row, rev)
 				}
-				if d == nil {
-					d = sp.dijkstra(c.Src, length, nil, c.Dst)
+				switch how {
+				case untied, byLabel:
+					certified++
+				case byPrefix:
+					fellBack++
+				default:
+					d = sp.dijkstra(c.Src, length, nil, c.Dst)[c.Dst]
 					fellBack++
 				}
 				iters++
-				if math.IsInf(d[c.Dst], 1) {
+				if math.IsInf(d, 1) {
 					if opt.Observer != nil {
 						opt.Observer.GKDone(phases, iters, 0, 0)
 					}
@@ -433,6 +454,9 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 					old := length[ai]
 					nl := old * (1 + eps*f/arcCap[ai])
 					length[ai] = nl
+					if sw.goal {
+						revLen[rev[ai]] = nl // rev is an involution
+					}
 					D += arcCap[ai] * (nl - old)
 					v = int(arcFrom[ai])
 				}
@@ -481,6 +505,7 @@ type gkBuffers struct {
 	live                                    []Commodity
 	length, flow, routed, distTo            []float64
 	index, srcStart, bySrc, dstStart, byDst []int32
+	rowPhase                                []int32
 	nodes                                   []int
 	states                                  []*spState
 	sweep                                   phaseSweep
@@ -496,7 +521,8 @@ type phaseSweep struct {
 	length, pot, revLen, distTo      []float64
 	sources, dsts                    []int
 	srcStart, bySrc, dstStart, byDst []int32
-	goal                             bool // routing goal-directed: sweep for potentials
+	goal                             bool // routing goal-directed: point queries on rows of potentials
+	rows                             bool // build the rows first (the first phase; later ones rebuild them while routing)
 }
 
 // items is the number of items of the current phase's sweep.
@@ -509,11 +535,16 @@ func (p *phaseSweep) items() int {
 }
 
 // run is one item of a phase's sweep, into worker w's own scratch. Routing
-// goal-directed, items [0, nDst) are destinations: the destination's row of
-// potentials, then a point query for each source that sends to it alone;
-// items from nDst on are the sources with several destinations. Routing
-// with Dijkstra alone, item k is source k. A source's full Dijkstra hands
-// each of its commodities its dist[dst].
+// goal-directed, items [0, nDst) are destinations: a point query for each
+// source that sends to the destination alone, on its row of potentials
+// (built here first if p.rows); items from nDst on are the sources with
+// several destinations. Routing with Dijkstra alone, item k is source k. A
+// source's full Dijkstra hands each of its commodities its dist[dst].
+//
+// A row the previous phase's routing built came from lengths no longer than
+// the current ones, so it is still a lower bound on every distance to its
+// destination, and the point query's label is dijkstra's whatever row it
+// runs on (astar).
 func (p *phaseSweep) run(w, k int) {
 	st := p.states[w]
 	if p.goal {
@@ -523,9 +554,11 @@ func (p *phaseSweep) run(w, k int) {
 		} else {
 			n := len(st.dist)
 			row := p.pot[k*n:][:n]
-			st.potentials(p.dsts[k], p.revLen, row)
+			if p.rows {
+				st.potentials(p.dsts[k], p.revLen, row)
+			}
 			for _, s := range p.byDst[p.dstStart[k]:p.dstStart[k+1]] {
-				d, _ := st.astar(p.sources[s], p.dsts[k], p.length, row)
+				d, _ := st.astar(p.sources[s], p.dsts[k], p.length, row, nil)
 				for _, j := range p.bySrc[p.srcStart[s]:p.srcStart[s+1]] {
 					p.distTo[j] = d
 				}
@@ -541,7 +574,7 @@ func (p *phaseSweep) run(w, k int) {
 
 // goalTables are the goal-directed search's arrays: the potential table,
 // nDst × N floats, whose size grows with the square of the solve's, and the
-// reversed lengths with the arc reversal they are gathered through. They are
+// reversed lengths with the arc reversal they are kept through. They are
 // lent from goalPool — a process runs few solves at a time, however many
 // Workspaces it keeps — and a gkBuffers remembers the ones its last solve
 // had, to take them again while nobody else holds them: a Workspace reused
@@ -650,14 +683,17 @@ type spState struct {
 	dist   []float64
 	parent []int32
 	heap   minheap.Heap
+	suffix []int32 // resolve's chain arcs, target first; capacity N
 }
 
 func newSPState(nw *Network) *spState {
+	chains := make([]int32, 2*nw.N) // parent, then suffix's backing array
 	return &spState{
 		nw:     nw,
 		dist:   make([]float64, nw.N),
-		parent: make([]int32, nw.N),
+		parent: chains[:nw.N:nw.N],
 		heap:   minheap.New(nw.N),
+		suffix: chains[nw.N:nw.N],
 	}
 }
 
@@ -752,11 +788,23 @@ func (s *spState) potentials(dst int, revLen, row []float64) {
 // its label as well. Arc indices stay below it.
 const tied = 1 << 30
 
+// route is how astar left a routing step's parent chain.
+type route uint8
+
+const (
+	refused  route = iota // not dijkstra's for certain: dijkstra must route the step
+	untied                // no tie on the chain: dijkstra's as the search left it
+	byLabel               // ties settled by their tails' labels alone
+	byPrefix              // a tie between equal-label tails settled by a prefix of dijkstra
+)
+
 // astar is a goal-directed search from src to target under length, with
 // pot (a row from potentials, for target, of this length function or an
 // earlier one) as the A* potentials. It returns dist[target], which always
-// equals what dijkstra computes for it, and whether the path it leaves in
-// s.parent is certified to be the one dijkstra would leave there.
+// equals what dijkstra computes for it, and how the parent chain it leaves
+// in s.parent is dijkstra's: as searched, or with its ties resolved (rev,
+// the arc reversal, is needed for that; with rev nil a tied chain is
+// refused), or not for certain (refused).
 //
 // The search keeps no settled set: an entry is stale when its key is above
 // the node's current one, and a node whose label drops is pushed again, so
@@ -770,7 +818,7 @@ const tied = 1 << 30
 // picks among arcs that reach a label exactly; so a chain without a tied
 // node, whose target label has not moved since its first expansion, is
 // dijkstra's chain bit for bit.
-func (s *spState) astar(src, target int, length, pot []float64) (float64, bool) {
+func (s *spState) astar(src, target int, length, pot []float64, rev []int32) (float64, route) {
 	nw := s.nw
 	dist := s.dist[:nw.N]
 	parent := s.parent[:len(dist)]
@@ -786,7 +834,7 @@ func (s *spState) astar(src, target int, length, pot []float64) (float64, bool) 
 		parent[i] = -1
 	}
 	if math.IsInf(pot[src], 1) {
-		return inf, false
+		return inf, refused
 	}
 	dist[src] = 0
 	h := &s.heap
@@ -830,12 +878,58 @@ func (s *spState) astar(src, target int, length, pot []float64) (float64, bool) 
 	}
 	d := dist[target]
 	if d != first {
-		return d, false
+		return d, refused
 	}
 	for v := target; v != src; v = int(nw.arcFrom[parent[v]]) {
 		if parent[v]&tied != 0 {
-			return d, false
+			if rev == nil {
+				return d, refused
+			}
+			return d, s.resolve(src, target, length, rev)
 		}
 	}
-	return d, true
+	return d, untied
+}
+
+// resolve turns the tied parent chain a drained astar left into dijkstra's
+// (DESIGN.md §7). The drain has relaxed every in-arc that reaches a chain
+// label from its tail's final label, so walking from the target, at a tied
+// node v the arcs that reach dist[v] are known, and dijkstra's parent is the
+// one from the tail it pops first: the tail with the least label. Only when
+// two tails share that least label does the heap's tie order decide; there
+// dijkstra itself, stopped at v (its target), runs an exact prefix of the
+// full run's push/pop sequence and leaves v and every node before it on the
+// chain the parent the full run gives them. The walked suffix is then
+// written back over the prefix's parents.
+func (s *spState) resolve(src, target int, length []float64, rev []int32) route {
+	nw := s.nw
+	dist, parent := s.dist, s.parent
+	suffix := s.suffix[:0]
+	how := byLabel
+	for v := target; v != src; {
+		a := parent[v]
+		if a&tied != 0 {
+			least, shared := math.Inf(1), false
+			lo := nw.arcStart[v]
+			for k, u := range nw.arcTo[lo:nw.arcStart[v+1]] {
+				du, in := dist[u], rev[int(lo)+k]
+				if du > least || du+length[in] != dist[v] {
+					continue
+				}
+				shared = du == least
+				a, least = in, du
+			}
+			if shared {
+				s.dijkstra(src, length, nil, v)
+				how = byPrefix
+				break
+			}
+		}
+		suffix = append(suffix, a)
+		v = int(nw.arcFrom[a])
+	}
+	for _, a := range suffix {
+		parent[nw.arcTo[a]] = a
+	}
+	return how
 }

@@ -56,10 +56,11 @@ func certifiedTestLengths(m int, mode uint8, rng *rand.Rand) (length, earlier []
 
 // checkCertifiedRouting is the law of the goal-directed search: under
 // potentials taken from any earlier length function, it returns dijkstra's
-// dist[target] bit for bit, and whenever it certifies its path, the whole
-// parent chain from target to source is dijkstra's as well. It reports
-// whether the search certified.
-func checkCertifiedRouting(t *testing.T, seed int64, mode, shape uint8) bool {
+// dist[target] bit for bit, and whenever it accepts its chain — untied, or
+// with its ties resolved by tail labels or by a prefix of dijkstra — the
+// whole parent chain from target to source is dijkstra's as well, arc for
+// arc. It reports how the search left the chain.
+func checkCertifiedRouting(t *testing.T, seed int64, mode, shape uint8) route {
 	rng := rand.New(rand.NewSource(seed))
 	nw := certifiedTestNetwork(shape, rng)
 	length, earlier := certifiedTestLengths(len(nw.Arcs), mode, rng)
@@ -70,43 +71,41 @@ func checkCertifiedRouting(t *testing.T, seed int64, mode, shape uint8) bool {
 	full := want.dijkstra(src, length, make([]float64, nw.N), -1)
 	want.dijkstra(src, length, nil, dst)
 	got := newSPState(nw)
-	d, ok := got.astar(src, dst, length, pot)
+	d, how := got.astar(src, dst, length, pot, reversedArcs(nw))
 	if math.Float64bits(d) != math.Float64bits(full[dst]) || math.Float64bits(d) != math.Float64bits(want.dist[dst]) {
 		t.Fatalf("seed %d mode %d shape %d: goal-directed dist[%d] = %v, dijkstra %v", seed, mode, shape, dst, d, full[dst])
 	}
-	if !ok {
-		return false
+	if how == refused {
+		return how
 	}
 	for v := dst; v != src; v = int(nw.arcFrom[want.parent[v]]) {
 		if got.parent[v] != want.parent[v] {
-			t.Fatalf("seed %d mode %d shape %d: certified parent[%d] = %d, dijkstra %d", seed, mode, shape, v, got.parent[v], want.parent[v])
+			t.Fatalf("seed %d mode %d shape %d: accepted (route %d) parent[%d] = %d, dijkstra %d", seed, mode, shape, how, v, got.parent[v], want.parent[v])
 		}
 	}
-	return true
+	return how
 }
 
 // TestGKCertifiedRoutingMatchesDijkstra runs the fuzz body over a seeded
 // sweep of every shape and length regime, and checks that the law is not
-// vacuous: the search certifies on each shape, and refuses on each too.
+// vacuous: on each shape the search certifies untied chains, resolves ties
+// by tail labels alone, and resolves them by a prefix of dijkstra.
 func TestGKCertifiedRoutingMatchesDijkstra(t *testing.T) {
-	var certified, refused [3]int
+	var seen [3][byPrefix + 1]int
 	for seed := int64(0); seed < 1200; seed++ {
 		shape := uint8(seed % 3)
-		if checkCertifiedRouting(t, seed, uint8(seed/3), shape) {
-			certified[shape]++
-		} else {
-			refused[shape]++
-		}
+		seen[shape][checkCertifiedRouting(t, seed, uint8(seed/3), shape)]++
 	}
 	for _, s := range drainSeeds {
 		checkCertifiedRouting(t, s.seed, s.mode, s.shape)
 	}
-	for shape := range certified {
-		if certified[shape] == 0 || refused[shape] == 0 {
-			t.Errorf("shape %d: %d certified, %d refused; want both", shape, certified[shape], refused[shape])
+	for shape, n := range seen {
+		if n[untied] == 0 || n[byLabel] == 0 || n[byPrefix] == 0 {
+			t.Errorf("shape %d: %d untied, %d by label, %d by prefix, %d refused; want each way of accepting",
+				shape, n[untied], n[byLabel], n[byPrefix], n[refused])
 		}
 	}
-	t.Logf("certified %v, refused %v (random, hypercube, fat-tree)", certified, refused)
+	t.Logf("[refused untied byLabel byPrefix] per shape (random, hypercube, fat-tree): %v", seen)
 }
 
 // drainSeeds are draws — ulp-scale lengths on the hypercube and the
