@@ -123,6 +123,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
 	go test -run '^$$' -fuzz '^FuzzGKDijkstraKernel$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzGKCertifiedRouting$$' -fuzztime $(FUZZTIME) ./internal/fluid
+	go test -run '^$$' -fuzz '^FuzzGKRowRepair$$' -fuzztime $(FUZZTIME) ./internal/fluid
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzEngineVsFrozen$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
@@ -149,14 +150,15 @@ loc:
 # them; a plain `make bench` records only the fast kernels. benchjson also
 # gates BenchmarkFlowsimSteadyState, BenchmarkNetsimSteadyState,
 # BenchmarkEngineHold, BenchmarkGKRoutingDijkstra,
-# BenchmarkGKRoutingCertified and BenchmarkGKRoutingResolved at zero
-# allocs/op, so the slab-recycled event paths, the event queue and the GK
-# routing kernels cannot silently start allocating. -p 1 runs one package's benchmarks at a time: by default
+# BenchmarkGKRoutingCertified, BenchmarkGKRoutingResolved and
+# BenchmarkGKRowRepair at zero allocs/op, so the slab-recycled event paths,
+# the event queue and the GK routing kernels cannot silently start
+# allocating. -p 1 runs one package's benchmarks at a time: by default
 # `go test` runs GOMAXPROCS packages side by side, and on a small box they
 # time each other. BENCH_BASELINE names a benchjson file
 # recorded on the same box from the parent commit; its rows are embedded
 # under "baseline" so the checked-in file carries its own before/after.
-BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkGKRoutingResolved|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
+BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkGKRoutingResolved|BenchmarkGKRowRepair|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
 BENCH_OUT := BENCH_pr18.json
 BENCH_COUNT := 3
@@ -167,7 +169,7 @@ bench:
 		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
 			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
 			-max-allocs BenchmarkGKRoutingDijkstra=0 -max-allocs BenchmarkGKRoutingCertified=0 \
-			-max-allocs BenchmarkGKRoutingResolved=0 \
+			-max-allocs BenchmarkGKRoutingResolved=0 -max-allocs BenchmarkGKRowRepair=0 \
 			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
 
 # Paired end-to-end runs, the procedure behind every claimed number
@@ -179,7 +181,10 @@ bench:
 # each with its own -tmp directory, and prints every reading of the five
 # end-to-end metrics and the failed count, each side's median [q1, q3] (the
 # exclusive method benchmark/aa.go uses) and how many pairs the change won.
-# PARENT is unpacked with `git archive`, which leaves nothing in .git.
+# Last, the CPU time the hypervisor stole during the pair loop (the steal
+# column of /proc/stat) as a share of wall time × nproc: a noisy record
+# shows it. PARENT is unpacked with `git archive`, which leaves nothing in
+# .git.
 PAIRS_DIR := .pairs
 WORKLOAD :=
 PARENT :=
@@ -190,6 +195,7 @@ pairs:
 	@git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
 	@cd $(PAIRS_DIR)/parent && go build -o ../bench.parent ./benchmark
 	@go build -o $(PAIRS_DIR)/bench.change ./benchmark
+	@{ date +%s.%N; awk '$$1 == "cpu" { print $$9 }' /proc/stat; } > $(PAIRS_DIR)/steal.start
 	@round=0; for seed in $(SEEDS); do \
 		round=$$((round + 1)); order="parent change"; \
 		[ $$((round % 2)) = 1 ] || order="change parent"; \
@@ -221,6 +227,10 @@ pairs:
 				printf "%s, seeds %s–%s, parent→change: %s\n", m, seedv[1], seedv[ns], line; \
 				printf "  median [q1, q3]: parent %s, change %s; change higher in %d, lower in %d of %d pairs\n", quart("parent", m), quart("change", m), up, down, ns } }' \
 		$(PAIRS_DIR)/readings
+	@{ cat $(PAIRS_DIR)/steal.start; date +%s.%N; awk '$$1 == "cpu" { print $$9 }' /proc/stat; } \
+		| awk -v hz=$$(getconf CLK_TCK) -v cpus=$$(nproc) '{ v[NR] = $$1 } END { \
+			wall = v[3] - v[1]; steal = (v[4] - v[2]) / hz; \
+			printf "cpu steal over the pairs: %.1f s of %.0f s wall × %d cpus (%.1f%%)\n", steal, wall, cpus, 100 * steal / (wall * cpus) }'
 	@rm -rf $(PAIRS_DIR)
 
 # One iteration of the tracked benchmarks, wired into `make test` so they

@@ -138,6 +138,58 @@ func TestGKRoutingCertifiedAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkGKRowRepair times what a destination's row costs per phase from
+// phase 2 on in a cold solve: one raising pass (DESIGN.md §7, "Rows
+// repaired, not rebuilt") on BenchmarkGKRoutingDijkstra's inputs. Op i copies in the farthest
+// target's row and order as the repairs up to boundary i left them and
+// repairs them under the lengths of boundary i+1, as the routing loop does
+// at a destination's first step of a phase. `make bench` gates it at 0
+// allocs/op, and TestGKRowRepairAllocs does for `go test`.
+func BenchmarkGKRowRepair(b *testing.B) {
+	nw, dst, lengths, rows, orders := rowRepairInputs(b)
+	row, order := make([]float64, nw.N), make([]uint16, nw.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(rows)
+		copy(row, rows[k])
+		copy(order, orders[k])
+		nw.repair(dst, lengths[k+1], row, order)
+	}
+}
+
+// TestGKRowRepairAllocs is BenchmarkGKRowRepair's 0 allocs/op gate for
+// plain `go test`.
+func TestGKRowRepairAllocs(t *testing.T) {
+	nw, dst, lengths, rows, orders := rowRepairInputs(t)
+	row, order := make([]float64, nw.N), make([]uint16, nw.N)
+	i := 0
+	if n := testing.AllocsPerRun(4*len(rows), func() {
+		k := i % len(rows)
+		copy(row, rows[k])
+		copy(order, orders[k])
+		nw.repair(dst, lengths[k+1], row, order)
+		i++
+	}); n != 0 {
+		t.Fatalf("row repair allocates %v times per call, want 0", n)
+	}
+}
+
+// rowRepairInputs is routingDijkstraInputs' network, target and length
+// functions, with the target's row and order as a solve holds them at each
+// boundary but the last: built and seeded at the first, then repaired under
+// each boundary's lengths in turn.
+func rowRepairInputs(tb testing.TB) (nw *Network, dst int, lengths, rows [][]float64, orders [][]uint16) {
+	nw, _, dst, lengths = routingDijkstraInputs(tb)
+	row, order := routingPotentials(nw, dst, lengths[:1])[0], make([]uint16, nw.N)
+	seedOrder(row, order)
+	for _, l := range lengths[1:] {
+		rows, orders = append(rows, append([]float64(nil), row...)), append(orders, append([]uint16(nil), order...))
+		nw.repair(dst, l, row, order)
+	}
+	return nw, dst, lengths, rows, orders
+}
+
 // routingPotentials is dst's row of potentials at each length function.
 func routingPotentials(nw *Network, dst int, lengths [][]float64) [][]float64 {
 	rev := reversedArcs(nw)

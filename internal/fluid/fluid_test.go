@@ -267,21 +267,24 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 
 // TestGKClosedFormHypercubes holds GK to truth no golden encodes, on the
 // tie-heavy instances where the goal-directed routing resolves and falls
-// back most: the hypercube Q_d and the folded hypercube FQ_d are
-// arc-transitive, so under a traffic matrix that their automorphisms fix
-// the path-length bound is exact (ROADMAP item 2). With s servers per
-// switch, under all-to-all Q_d carries (2^d−1)/(s·2^(d−1)) and FQ_d carries
-// (d+1)(2^d−1)/(s·Σ_w C(d,w)·min(w, d+1−w)); under longest matching, which
-// pairs every switch of Q_d with its antipode, Q_d carries exactly 1/s. The dual bound must equal the closed form to rounding and the primal
-// must be within ε of it, at ε 0.25 and 0.08 — Q_7 under all-to-all at ε
-// 0.25 only, which keeps the test under two seconds (Q_7 at 0.08, or FQ_7,
-// would add about as much again as every other case together).
+// back most: the hypercube Q_d, the folded hypercube FQ_d and the complete
+// graph K_{d+1} (NewXpander(d, 1, …)) are arc-transitive, so under a
+// traffic matrix that their automorphisms fix the path-length bound is
+// exact (ROADMAP item 2). With s servers per switch, under all-to-all Q_d
+// carries (2^d−1)/(s·2^(d−1)), FQ_d carries
+// (d+1)(2^d−1)/(s·Σ_w C(d,w)·min(w, d+1−w)) and K_{d+1}, whose every pair
+// has its own link, d/s (s > d, so the server cap never binds); under
+// longest matching, which pairs every switch of Q_d with its antipode, Q_d
+// carries exactly 1/s. The dual bound must equal the closed form to
+// rounding and the primal must be within ε of it, at ε 0.25 and 0.08 — Q_7
+// and FQ_7 under all-to-all at ε 0.25 only, which keeps the test under two
+// seconds.
 func TestGKClosedFormHypercubes(t *testing.T) {
 	const s = 4
 	servers := func(int) int { return s }
 	type instance struct {
 		name   string
-		lh     *topology.Longhop
+		g      *graph.Graph
 		comms  []Commodity
 		closed float64
 		coarse bool // at ε 0.25 only
@@ -290,9 +293,9 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 	for d := 3; d <= 7; d++ {
 		lh := topology.NewLonghop(d, d, s)
 		n := float64(int(1)<<d - 1)
-		cases = append(cases, instance{fmt.Sprintf("Q_%d", d), lh, Commodities(tm.AllToAll(lh.ToRs(), servers)), n / (s * float64(int(1)<<(d-1))), d == 7})
+		cases = append(cases, instance{fmt.Sprintf("Q_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), n / (s * float64(int(1)<<(d-1))), d == 7})
 	}
-	for d := 4; d <= 6; d++ {
+	for d := 4; d <= 7; d++ {
 		hops, binom := 0.0, 1.0 // Σ_w C(d,w)·min(w, d+1−w), C(d,w) built up in w
 		for w := 1; w <= d; w++ {
 			binom = binom * float64(d-w+1) / float64(w)
@@ -300,7 +303,13 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 		}
 		lh := topology.NewLonghop(d, d+1, s)
 		closed := float64(d+1) * float64(int(1)<<d-1) / (s * hops)
-		cases = append(cases, instance{fmt.Sprintf("FQ_%d", d), lh, Commodities(tm.AllToAll(lh.ToRs(), servers)), closed, false})
+		cases = append(cases, instance{fmt.Sprintf("FQ_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), closed, d == 7})
+	}
+	for _, d := range []int{3, 4, 6, 8} {
+		ks := d + 1
+		k := topology.NewXpander(d, 1, ks, rand.New(rand.NewSource(int64(d))))
+		comms := Commodities(tm.AllToAll(k.ToRs(), func(int) int { return ks }))
+		cases = append(cases, instance{fmt.Sprintf("K_%d", d+1), k.G, comms, float64(d) / float64(ks), false})
 	}
 	for d := 3; d <= 7; d++ {
 		lh := topology.NewLonghop(d, d, s)
@@ -313,11 +322,11 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 				t.Fatalf("Q_%d longest matching pairs %d with %d, not its antipode", d, c.Src, c.Dst)
 			}
 		}
-		cases = append(cases, instance{fmt.Sprintf("Q_%d longest matching", d), lh, comms, 1.0 / s, false})
+		cases = append(cases, instance{fmt.Sprintf("Q_%d longest matching", d), lh.G, comms, 1.0 / s, false})
 	}
 	worst, lowest := 0.0, math.Inf(1)
 	for _, c := range cases {
-		nw := NewNetwork(c.lh.G, 1.0)
+		nw := NewNetwork(c.g, 1.0)
 		for _, eps := range []float64{0.25, 0.08} {
 			if c.coarse && eps < 0.25 {
 				continue

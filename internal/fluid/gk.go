@@ -1,9 +1,11 @@
 package fluid
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +27,8 @@ type GKOptions struct {
 	// built for it; the first phase builds the rows here, one reverse
 	// Dijkstra each), and one full Dijkstra per source with several
 	// destinations (per source, for all of them, once the solve routes with
-	// Dijkstra alone). Later phases rebuild a destination's row in the
-	// routing loop, on one goroutine, right before its first step. 0 means
+	// Dijkstra alone). Later phases repair or rebuild a destination's row in
+	// the routing loop, on one goroutine, right before its first step. 0 means
 	// GOMAXPROCS. The result is identical at any worker count.
 	Workers int
 	// Ctx, if non-nil, is polled at every phase boundary and every
@@ -287,18 +289,27 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 		dstStart[i]++
 	}
 	// The solve routes goal-directed while sw.goal holds: from the start if
-	// its nDst × N potential table is within bounds, until the routing loop
-	// finds it tie-heavy. revLen[k] is the length of arc k's reverse, kept
-	// current at every length bump; rowPhase[i] is the phase that last built
-	// destination i's row of pot.
+	// its nDst × N potential table is within bounds (and its nodes fit the
+	// uint16 entries of order), until the routing loop finds it tie-heavy.
+	// The first phase builds the rows from revLen, where revLen[k] is the
+	// length of arc k's reverse. From the second on, a cold solve at an ε up
+	// to gkRepairMaxEps repairs them, and order holds each row's nodes in
+	// ascending order of the row; any other solve rebuilds them, and revLen
+	// is kept current at every length bump. rowPhase[i] is the phase that
+	// last built or repaired destination i's row of pot.
 	var pot, revLen []float64
 	var rev []int32
+	var order []uint16
 	rowPhase := zeroed(&buf.rowPhase, nDst)
-	goal := nDst*nw.N <= gkMaxPotentials
+	goal := nDst*nw.N <= gkMaxPotentials && nw.N <= 1<<16
+	rebuild := warm || eps > gkRepairMaxEps
 	if goal {
 		gt := buf.takeGoalTables()
 		defer gt.release()
 		rev, pot, revLen = zeroed(&gt.rev, m), zeroed(&gt.pot, nDst*nw.N), zeroed(&gt.revLen, m)
+		if !rebuild {
+			order = zeroed(&gt.order, nDst*nw.N)
+		}
 		reverseArcs(nw, rev)
 		for k, r := range rev {
 			revLen[k] = length[r]
@@ -326,7 +337,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 
 	sw := &buf.sweep
 	*sw = phaseSweep{
-		states: states, live: live, length: length, pot: pot, revLen: revLen, distTo: distTo,
+		states: states, live: live, length: length, pot: pot, revLen: revLen, distTo: distTo, order: order,
 		sources: sources, dsts: dsts, srcStart: srcStart, bySrc: bySrc, dstStart: dstStart, byDst: byDst,
 		goal: goal,
 	}
@@ -406,15 +417,20 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 				// found it, or with its ties settled by tail labels or by a
 				// prefix of the Dijkstra. When it cannot, the Dijkstra runs,
 				// and stops as soon as dst settles. From the second phase on,
-				// a destination's row of potentials is rebuilt from the
-				// current lengths before its first step of the phase.
+				// a destination's row of potentials is brought up to the
+				// current lengths before its first step of the phase:
+				// repaired by one raising pass, or rebuilt.
 				var d float64
 				how := refused
 				if sw.goal {
 					i := int(dstIndex[c.Dst] - 1)
 					row := pot[i*nw.N:][:nw.N]
 					if phases > 1 && rowPhase[i] != int32(phases) {
-						sp.potentials(c.Dst, revLen, row)
+						if rebuild {
+							sp.potentials(c.Dst, revLen, row)
+						} else {
+							nw.repair(c.Dst, length, row, order[i*nw.N:][:nw.N])
+						}
 						rowPhase[i] = int32(phases)
 					}
 					d, how = sp.astar(c.Src, c.Dst, length, row, rev)
@@ -454,7 +470,7 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 					old := length[ai]
 					nl := old * (1 + eps*f/arcCap[ai])
 					length[ai] = nl
-					if sw.goal {
+					if sw.goal && rebuild {
 						revLen[rev[ai]] = nl // rev is an involution
 					}
 					D += arcCap[ai] * (nl - old)
@@ -499,6 +515,16 @@ func MaxConcurrentFlow(nw *Network, comms []Commodity, opt GKOptions) GKResult {
 // a solve whose destinations would need more routes with Dijkstra alone.
 const gkMaxPotentials = 1 << 22
 
+// gkRepairMaxEps is the largest ε at which a cold solve repairs its rows of
+// potentials by one raising pass rather than rebuilding them (DESIGN.md §7,
+// "Rows repaired, not rebuilt"). The pass starts from the old row and its
+// order, which are a good guess where lengths grow little per phase: at
+// ε 0.08 it is faster than a rebuild on the cold shapes measured, at 0.25
+// (lengths ≈ 11× a phase) flat to slower. The cut lies between those two,
+// eval's rung defaults. Warm solves rebuild at any ε: a neighbour's duals
+// leave raised rows far below rebuilt ones.
+const gkRepairMaxEps = 0.125
+
 // gkBuffers are the arrays of one solve, kept by a Workspace for the next
 // or, for a solve without one, by gkPool.
 type gkBuffers struct {
@@ -521,8 +547,9 @@ type phaseSweep struct {
 	length, pot, revLen, distTo      []float64
 	sources, dsts                    []int
 	srcStart, bySrc, dstStart, byDst []int32
+	order                            []uint16
 	goal                             bool // routing goal-directed: point queries on rows of potentials
-	rows                             bool // build the rows first (the first phase; later ones rebuild them while routing)
+	rows                             bool // build the rows, and seed their orders if order is set, first (the first phase; later ones repair or rebuild them while routing)
 }
 
 // items is the number of items of the current phase's sweep.
@@ -537,11 +564,12 @@ func (p *phaseSweep) items() int {
 // run is one item of a phase's sweep, into worker w's own scratch. Routing
 // goal-directed, items [0, nDst) are destinations: a point query for each
 // source that sends to the destination alone, on its row of potentials
-// (built here first if p.rows); items from nDst on are the sources with
-// several destinations. Routing with Dijkstra alone, item k is source k. A
-// source's full Dijkstra hands each of its commodities its dist[dst].
+// (built, and its order seeded if the solve repairs rows, here first if
+// p.rows); items from nDst on are the sources with several destinations.
+// Routing with Dijkstra alone, item k is source k. A source's full Dijkstra
+// hands each of its commodities its dist[dst].
 //
-// A row the previous phase's routing built came from lengths no longer than
+// A row the previous phase's routing left came from lengths no longer than
 // the current ones, so it is still a lower bound on every distance to its
 // destination, and the point query's label is dijkstra's whatever row it
 // runs on (astar).
@@ -556,6 +584,9 @@ func (p *phaseSweep) run(w, k int) {
 			row := p.pot[k*n:][:n]
 			if p.rows {
 				st.potentials(p.dsts[k], p.revLen, row)
+				if p.order != nil {
+					seedOrder(row, p.order[k*n:][:n])
+				}
 			}
 			for _, s := range p.byDst[p.dstStart[k]:p.dstStart[k+1]] {
 				d, _ := st.astar(p.sources[s], p.dsts[k], p.length, row, nil)
@@ -573,19 +604,21 @@ func (p *phaseSweep) run(w, k int) {
 }
 
 // goalTables are the goal-directed search's arrays: the potential table,
-// nDst × N floats, whose size grows with the square of the solve's, and the
-// reversed lengths with the arc reversal they are kept through. They are
-// lent from goalPool — a process runs few solves at a time, however many
-// Workspaces it keeps — and a gkBuffers remembers the ones its last solve
-// had, to take them again while nobody else holds them: a Workspace reused
-// solve after solve then gets its tables back whatever the pool does (a
-// sync.Pool can miss across processors, and drops a quarter of what is put
-// back under the race detector). inUse says a solve holds them, inPool that
-// they were put back and not taken out since.
+// nDst × N floats, whose size grows with the square of the solve's, its
+// rows' node orders, and the reversed starting lengths with the arc
+// reversal they are gathered through. They are lent from goalPool — a
+// process runs few solves at a time, however many Workspaces it keeps —
+// and a gkBuffers remembers the ones its last solve had, to take them again
+// while nobody else holds them: a Workspace reused solve after solve then
+// gets its tables back whatever the pool does (a sync.Pool can miss across
+// processors, and drops a quarter of what is put back under the race
+// detector). inUse says a solve holds them, inPool that they were put back
+// and not taken out since.
 type goalTables struct {
 	inUse, inPool atomic.Bool
 	pot, revLen   []float64
 	rev           []int32
+	order         []uint16
 }
 
 var goalPool = sync.Pool{New: func() any { return new(goalTables) }}
@@ -782,6 +815,63 @@ func (s *spState) potentials(dst int, revLen, row []float64) {
 	for v, r := range row {
 		row[v] = r * potDeflate
 	}
+}
+
+// seedOrder sets order to row's nodes in ascending order of row, ties by
+// node index.
+func seedOrder(row []float64, order []uint16) {
+	for v := range order {
+		order[v] = uint16(v)
+	}
+	slices.SortFunc(order, func(a, b uint16) int {
+		if c := cmp.Compare(row[a], row[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// repair raises dst's row of potentials, built or repaired under lengths no
+// longer than length, towards the row potentials would build under length,
+// in place and with no heap (DESIGN.md §7, "Rows repaired, not rebuilt").
+// One pass takes the nodes in order (row's nodes in ascending order of the
+// row), raises each entry to potDeflate times its node's via where that is
+// larger, and sorts order again by insertion as it goes. Every entry stays
+// at or below the one potentials would give, so the row stays admissible
+// with the same rounding margin.
+func (nw *Network) repair(dst int, length, row []float64, order []uint16) {
+	for i, v := range order {
+		row[v] = max(row[v], nw.via(int(v), dst, length, row)*potDeflate)
+		reinsert(order, row, i)
+	}
+}
+
+// via returns v's least length[v→u] + row[u], or 0 at dst. Non-negative
+// floats order as their bit patterns do, so the minimum is taken over those:
+// an integer compare and move per arc, where the float min's NaN handling
+// chains five instructions.
+func (nw *Network) via(v, dst int, length, row []float64) float64 {
+	if v == dst {
+		return 0
+	}
+	lo, hi := nw.arcStart[v], nw.arcStart[v+1]
+	out, outLen := nw.arcTo[lo:hi], length[lo:hi]
+	best := math.Float64bits(math.Inf(1))
+	for k, u := range out {
+		best = min(best, math.Float64bits(outLen[k]+row[u]))
+	}
+	return math.Float64frombits(best)
+}
+
+// reinsert moves order[i] left past the nodes before it with larger entries
+// in row: with order[:i] sorted by row, order[:i+1] then is.
+func reinsert(order []uint16, row []float64, i int) {
+	v := order[i]
+	r := row[v]
+	for ; i > 0 && row[order[i-1]] > r; i-- {
+		order[i] = order[i-1]
+	}
+	order[i] = v
 }
 
 // tied marks, in astar's parent array, a node that another arc reached at

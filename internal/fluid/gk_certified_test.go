@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -66,21 +67,28 @@ func checkCertifiedRouting(t *testing.T, seed int64, mode, shape uint8) route {
 	length, earlier := certifiedTestLengths(len(nw.Arcs), mode, rng)
 	src, dst := rng.Intn(nw.N), rng.Intn(nw.N)
 	pot := routingPotentials(nw, dst, [][]float64{earlier})[0]
+	return checkRoutingStep(t, fmt.Sprintf("seed %d mode %d shape %d", seed, mode, shape), nw, src, dst, length, pot)
+}
 
+// checkRoutingStep checks one goal-directed routing step from src to dst
+// under length, on the row pot, against dijkstra: the same dist[dst] bit for
+// bit and, unless the search refused, the same parent chain arc for arc.
+func checkRoutingStep(t *testing.T, draw string, nw *Network, src, dst int, length, pot []float64) route {
+	t.Helper()
 	want := newSPState(nw)
 	full := want.dijkstra(src, length, make([]float64, nw.N), -1)
 	want.dijkstra(src, length, nil, dst)
 	got := newSPState(nw)
 	d, how := got.astar(src, dst, length, pot, reversedArcs(nw))
 	if math.Float64bits(d) != math.Float64bits(full[dst]) || math.Float64bits(d) != math.Float64bits(want.dist[dst]) {
-		t.Fatalf("seed %d mode %d shape %d: goal-directed dist[%d] = %v, dijkstra %v", seed, mode, shape, dst, d, full[dst])
+		t.Fatalf("%s: goal-directed dist[%d] = %v, dijkstra %v", draw, dst, d, full[dst])
 	}
 	if how == refused {
 		return how
 	}
 	for v := dst; v != src; v = int(nw.arcFrom[want.parent[v]]) {
 		if got.parent[v] != want.parent[v] {
-			t.Fatalf("seed %d mode %d shape %d: accepted (route %d) parent[%d] = %d, dijkstra %d", seed, mode, shape, how, v, got.parent[v], want.parent[v])
+			t.Fatalf("%s: accepted (route %d) parent[%d] = %d, dijkstra %d", draw, how, v, got.parent[v], want.parent[v])
 		}
 	}
 	return how
@@ -129,6 +137,83 @@ func FuzzGKCertifiedRouting(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, mode, shape uint8) {
 		checkCertifiedRouting(t, seed, mode, shape)
+	})
+}
+
+// checkRowRepair is the admissibility law of a repaired row. It draws
+// length functions L0 ≤ L1 ≤ L2 elementwise (FuzzGKCertifiedRouting's draws,
+// with L0 shrunk from L1 as L1 is from L2), builds dst's row under L0,
+// seeds its order and repairs it under L1. The repaired row must lie
+// between its input and the row potentials builds under L1, elementwise;
+// the order must list every node once, in ascending order of the row; and a
+// routing step under L2 on the row must be dijkstra's (checkRoutingStep).
+// It reports how many entries the repair raised.
+func checkRowRepair(t *testing.T, seed int64, mode, shape uint8) (raised int) {
+	rng := rand.New(rand.NewSource(seed))
+	nw := certifiedTestNetwork(shape, rng)
+	l2, l1 := certifiedTestLengths(len(nw.Arcs), mode, rng)
+	l0 := append([]float64(nil), l1...)
+	if mode&8 != 0 {
+		for i := range l0 {
+			l0[i] /= math.Pow(1.08, float64(rng.Intn(3)))
+		}
+	}
+	src, dst := rng.Intn(nw.N), rng.Intn(nw.N)
+	rows := routingPotentials(nw, dst, [][]float64{l0, l1})
+	in, bound := rows[0], rows[1]
+	row, order := append([]float64(nil), in...), make([]uint16, nw.N)
+	seedOrder(row, order)
+	nw.repair(dst, l1, row, order)
+
+	draw := fmt.Sprintf("seed %d mode %d shape %d", seed, mode, shape)
+	for v := range row {
+		if !(in[v] <= row[v] && row[v] <= bound[v]) {
+			t.Fatalf("%s: repaired row[%d] = %v, want within [%v, %v] (input, rebuilt)", draw, v, row[v], in[v], bound[v])
+		}
+		if row[v] > in[v] {
+			raised++
+		}
+	}
+	seen := make([]bool, nw.N)
+	for i, v := range order {
+		if seen[v] {
+			t.Fatalf("%s: node %d twice in the order", draw, v)
+		}
+		seen[v] = true
+		if i > 0 && row[order[i-1]] > row[v] {
+			t.Fatalf("%s: order[%d] = %d (%v) after order[%d] = %d (%v)", draw, i, v, row[v], i-1, order[i-1], row[order[i-1]])
+		}
+	}
+	checkRoutingStep(t, draw, nw, src, dst, l2, row)
+	return raised
+}
+
+// TestGKRowRepair runs the repair law over a seeded sweep of every shape
+// and length regime, and checks that it is not vacuous: on each shape some
+// repair raises entries.
+func TestGKRowRepair(t *testing.T) {
+	var raised [3]int
+	for seed := int64(0); seed < 1200; seed++ {
+		shape := uint8(seed % 3)
+		raised[shape] += checkRowRepair(t, seed, uint8(seed/3), shape)
+	}
+	for shape, n := range raised {
+		if n == 0 {
+			t.Errorf("shape %d: no repair raised an entry", shape)
+		}
+	}
+	t.Logf("entries raised per shape (random, hypercube, fat-tree): %v", raised)
+}
+
+// FuzzGKRowRepair is the native fuzz entry point for the same law.
+func FuzzGKRowRepair(f *testing.F) {
+	for mode := uint8(0); mode < 16; mode++ {
+		for shape := uint8(0); shape < 3; shape++ {
+			f.Add(int64(mode)*7+int64(shape), mode, shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mode, shape uint8) {
+		checkRowRepair(t, seed, mode, shape)
 	})
 }
 
