@@ -130,8 +130,10 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
 	go test -run '^$$' -fuzz '^FuzzLRUAliases$$' -fuzztime $(FUZZTIME) ./internal/harness
 
+# go vet, and gofmt: any file `gofmt -l` lists fails the target.
 vet:
 	go vet ./...
+	@files=$$(gofmt -l .); [ -z "$$files" ] || { echo "gofmt -l lists:"; echo "$$files"; exit 1; }
 
 # Non-test Go lines per internal/ package and for cmd/ — the count ROADMAP
 # item 3 ("fewer non-test lines") is tracked by. Comments and blank lines
@@ -142,35 +144,18 @@ loc:
 	done
 	@printf '%6d  total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
-# Tracked perf-trajectory benchmarks (see README "Benchmark trajectory"):
-# fixed -benchtime/-count so BENCH_pr<N>.json files are comparable across
-# PRs. Append new kernels to BENCH_PATTERN as they land. The scale-tier
-# benchmarks (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M) skip unless
-# BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
-# them; a plain `make bench` records only the fast kernels. benchjson also
-# gates BenchmarkFlowsimSteadyState, BenchmarkNetsimSteadyState,
-# BenchmarkEngineHold, BenchmarkGKRoutingDijkstra,
-# BenchmarkGKRoutingCertified, BenchmarkGKRoutingResolved and
-# BenchmarkGKRowRepair at zero allocs/op, so the slab-recycled event paths,
-# the event queue and the GK routing kernels cannot silently start
-# allocating. -p 1 runs one package's benchmarks at a time: by default
-# `go test` runs GOMAXPROCS packages side by side, and on a small box they
-# time each other. BENCH_BASELINE names a benchjson file
-# recorded on the same box from the parent commit; its rows are embedded
-# under "baseline" so the checked-in file carries its own before/after.
+# The kernel micro-benchmarks, for profiling and before/after looks on one
+# box; numbers are claimed from `make pairs` (README "Benchmark trajectory").
+# The scale-tier benchmarks (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M)
+# skip unless BEYONDFT_SCALE=1 and run for minutes, hence -timeout 0. The
+# zero-alloc gates are tests (TestFlowsimSteadyStateAllocs and its kind),
+# so `make test` holds them. -p 1 runs one package's benchmarks at a time:
+# by default `go test` runs GOMAXPROCS packages side by side, and on a small
+# box they time each other.
 BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkGKRoutingDijkstra|BenchmarkGKRoutingCertified|BenchmarkGKRoutingResolved|BenchmarkGKRowRepair|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkNetsimSteadyState|BenchmarkEngineHold|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/sim ./internal/flowsim ./internal/netsim .
-BENCH_OUT := BENCH_pr18.json
-BENCH_COUNT := 3
-BENCH_BASELINE :=
 bench:
-	go test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
-		$(BENCH_DIRS) \
-		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 \
-			-max-allocs BenchmarkNetsimSteadyState=0 -max-allocs BenchmarkEngineHold=0 \
-			-max-allocs BenchmarkGKRoutingDijkstra=0 -max-allocs BenchmarkGKRoutingCertified=0 \
-			-max-allocs BenchmarkGKRoutingResolved=0 -max-allocs BenchmarkGKRowRepair=0 \
-			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) -o $(BENCH_OUT)
+	go test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -timeout 0 $(BENCH_DIRS)
 
 # Paired end-to-end runs, the procedure behind every claimed number
 # (benchmark/README.md "Citing a number"; choosing-metrics §8):
@@ -283,11 +268,10 @@ cluster-smoke:
 	go test -run '^TestClusterSmoke$$' -count=1 ./internal/cluster
 
 # Latency CDFs for the cluster tier: open-loop Poisson load (cmd/loadgen)
-# against a 1-node and then a 3-node beyondftd deployment, both runs merged
-# into $(LOADGEN_OUT) for comparison. Fixed ports, so this is a manual
-# target, not part of `make test`.
+# against a 1-node and then a 3-node beyondftd deployment; loadgen prints
+# each run record, latency CDF included, on stdout. Fixed ports, so this is
+# a manual target, not part of `make test`.
 LOADGEN_DIR := .bench-cluster
-LOADGEN_OUT := BENCH_pr8.json
 LOADGEN_RPS := 300
 LOADGEN_DUR := 15s
 LOADGEN_PORTS := 19381 19382 19383
@@ -300,7 +284,7 @@ bench-cluster:
 	pid=$$!; \
 	for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:19380/readyz && break; sleep 0.1; done; \
 	$(LOADGEN_DIR)/loadgen -targets http://127.0.0.1:19380 -rps $(LOADGEN_RPS) \
-		-duration $(LOADGEN_DUR) -name 1node -out $(LOADGEN_OUT) \
+		-duration $(LOADGEN_DUR) -name 1node \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "bench-cluster: 1-node daemon exited non-zero"; cat $(LOADGEN_DIR)/log0; exit 1; }
 	@peers=$$(for p in $(LOADGEN_PORTS); do printf ',http://127.0.0.1:%s' $$p; done); peers=$${peers#,}; \
@@ -315,11 +299,11 @@ bench-cluster:
 		for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:$$p/readyz && break; sleep 0.1; done; \
 	done; \
 	$(LOADGEN_DIR)/loadgen -targets "$$peers" -rps $(LOADGEN_RPS) \
-		-duration $(LOADGEN_DUR) -name 3node -out $(LOADGEN_OUT) \
+		-duration $(LOADGEN_DUR) -name 3node \
 		|| { kill $$pids 2>/dev/null; exit 1; }; \
 	kill -TERM $$pids; \
 	for pid in $$pids; do wait $$pid || { echo "bench-cluster: a 3-node daemon exited non-zero"; exit 1; }; done; \
-	echo "bench-cluster: 1node and 3node CDFs merged into $(LOADGEN_OUT)"; \
+	echo "bench-cluster: ok (1node and 3node run records above)"; \
 	rm -rf $(LOADGEN_DIR)
 
 # Everything: one benchmark per paper table/figure plus micro/ablation

@@ -10,20 +10,16 @@ package cmd_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/topology"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/cli_golden.json from the current binaries")
 
 const goldenPath = "testdata/cli_golden.json"
 
@@ -91,27 +87,12 @@ func TestCLIGolden(t *testing.T) {
 		got[c] = stdout.String()
 	}
 
-	if *update {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *golden.Update {
+		golden.Write(t, goldenPath, got, "  ")
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
 	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, goldenPath, &want)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d cases, the test runs %d", len(want), len(got))
 	}

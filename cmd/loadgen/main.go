@@ -2,11 +2,11 @@
 // it fires throughput queries at one or more nodes on an absolute arrival
 // schedule (arrivals do not wait for responses, so server slowdowns show
 // up as latency rather than being absorbed by the closed loop), records
-// end-to-end latency in mergeable quantile sketches, and appends a JSON
-// run record with the latency CDF to -out.
+// end-to-end latency in mergeable quantile sketches, and prints a JSON run
+// record with the latency CDF on stdout; -out also merges it into a file.
 //
 //	loadgen -targets http://127.0.0.1:8080 -rps 200 -duration 10s \
-//	        -name 1node -out BENCH_pr8.json
+//	        -name 1node -out runs.json
 //
 // Multiple -targets are hit round-robin, which is how the cluster tier is
 // benchmarked: each node forwards what it does not own, so the client needs

@@ -295,18 +295,17 @@ func TestDiscardModeBoundsMemory(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowsimSteadyState is the allocs/op regression gate: a loaded
-// fat-tree advancing arrival by arrival. The steady state must not allocate
-// per event (slab slots, path buffers and allocator scratch all recycle).
-func BenchmarkFlowsimSteadyState(b *testing.B) {
+// steadyState is a loaded fat-tree past a warm-up that brings it to steady
+// concurrency, and the step that advances it by one arrival.
+func steadyState() (n *Network, step func()) {
 	topo := topology.NewFatTree(8)
 	cfg := DefaultConfig()
 	cfg.DiscardCompleted = true
-	n := NewNetwork(&topo.Topology, cfg)
+	n = NewNetwork(&topo.Topology, cfg)
 	rng := sim.NewRNG(7)
 	total := topo.TotalServers()
 	at := sim.Time(0)
-	step := func() {
+	step = func() {
 		at += sim.Time(rng.ExpFloat64()*float64(20*sim.Microsecond)) + 1
 		src := rng.Intn(total)
 		dst := rng.Intn(total)
@@ -316,9 +315,16 @@ func BenchmarkFlowsimSteadyState(b *testing.B) {
 		n.ScheduleFlow(at, src, dst, int64(1_000+rng.Intn(500_000)))
 		n.Run(at)
 	}
-	for i := 0; i < 2_000; i++ { // warm up: reach steady concurrency
+	for i := 0; i < 2_000; i++ {
 		step()
 	}
+	return n, step
+}
+
+// BenchmarkFlowsimSteadyState times one arrival of steadyState; one op is
+// one step. TestFlowsimSteadyStateAllocs gates it at 0 allocs/op.
+func BenchmarkFlowsimSteadyState(b *testing.B) {
+	n, step := steadyState()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -328,10 +334,19 @@ func BenchmarkFlowsimSteadyState(b *testing.B) {
 	b.ReportMetric(float64(n.SlabHighWater()), "slab-highwater")
 }
 
+// TestFlowsimSteadyStateAllocs is BenchmarkFlowsimSteadyState's 0 allocs/op
+// gate: the steady state must not allocate per arrival (slab slots, path
+// buffers and allocator scratch all recycle).
+func TestFlowsimSteadyStateAllocs(t *testing.T) {
+	_, step := steadyState()
+	if n := testing.AllocsPerRun(2_000, step); n != 0 {
+		t.Fatalf("steady-state arrival allocates %v times, want 0", n)
+	}
+}
+
 // BenchmarkFlowsimScale10M is the tentpole scale run: ten million flows
 // through the flow-level simulator with memory flat in flow count. Gated
-// behind BEYONDFT_SCALE=1 (set by `make bench`) because it runs for
-// minutes.
+// behind BEYONDFT_SCALE=1 because it runs for minutes.
 func BenchmarkFlowsimScale10M(b *testing.B) {
 	if os.Getenv("BEYONDFT_SCALE") == "" {
 		b.Skip("set BEYONDFT_SCALE=1 to run the 10M-flow benchmark")

@@ -9,23 +9,15 @@ import (
 	"beyondft/internal/topology"
 )
 
-// BenchmarkMaxConcurrentFlow is the tracked GK-solver benchmark (see
-// BENCH_pr2.json): a Jellyfish at laptop scale under a longest-matching TM,
-// the paper's workhorse evaluation. It exercises the incremental D(l)
-// bookkeeping, the parallel per-source dual-bound distances, and the
-// early-terminating Dijkstra on the routing path.
 // benchGKOptions lives at package scope so the compiler cannot prove
 // Observer is nil and fold the guard away: the benchmark below measures
 // the real hot-path sequence — interface nil check per phase, integer
 // increment per routing iteration.
 var benchGKOptions GKOptions
 
-// BenchmarkGKObserverDisabled guards the observability layer's
-// zero-overhead contract (tracked in BENCH_pr5.json): with a nil
-// GKObserver, the hook the GK hot loop executes must cost 0 allocs/op.
-// The solve-level wall-time check rides on BenchmarkMaxConcurrentFlow and
-// BenchmarkGKMaxConcurrentFlow staying within noise of their BENCH_pr3
-// values — the same code path now includes these guards.
+// BenchmarkGKObserverDisabled times the observability layer's
+// zero-overhead contract: with a nil GKObserver, the hook the GK hot loop
+// executes must cost 0 allocs/op (TestGKObserverDisabledAllocFree).
 func BenchmarkGKObserverDisabled(b *testing.B) {
 	iters := 0
 	b.ReportAllocs()
@@ -43,6 +35,11 @@ func BenchmarkGKObserverDisabled(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxConcurrentFlow is a GK solve on a Jellyfish at laptop scale
+// under a longest-matching TM, the paper's workhorse evaluation. It
+// exercises the incremental D(l) bookkeeping, the parallel per-source
+// dual-bound distances, and the early-terminating Dijkstra on the routing
+// path.
 func BenchmarkMaxConcurrentFlow(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	jf := topology.NewJellyfish(64, 8, 6, rng)
@@ -69,8 +66,7 @@ func BenchmarkMaxConcurrentFlow(b *testing.B) {
 // phase boundaries of a real solve: on one fixed vector the branch predictor
 // learns the whole pop sequence and the benchmark cannot see what the heap's
 // data-dependent choices cost in a solve, where no two searches repeat. It
-// must not allocate — `make bench` gates it at 0 allocs/op, and
-// TestGKRoutingDijkstraAllocs does for `go test`.
+// must not allocate: TestGKRoutingDijkstraAllocs gates it at 0 allocs/op.
 func BenchmarkGKRoutingDijkstra(b *testing.B) {
 	nw, src, dst, lengths := routingDijkstraInputs(b)
 	sp := newSPState(nw)
@@ -84,8 +80,8 @@ func BenchmarkGKRoutingDijkstra(b *testing.B) {
 	}
 }
 
-// TestGKRoutingDijkstraAllocs is the benchmark's 0 allocs/op gate for plain
-// `go test`: the routing kernel, and the heap once it has grown to the size
+// TestGKRoutingDijkstraAllocs is the benchmark's 0 allocs/op gate: the
+// routing kernel, and the heap once it has grown to the size
 // these searches need, must not allocate per call. One pass over every
 // length vector first, so growth is behind it.
 func TestGKRoutingDijkstraAllocs(t *testing.T) {
@@ -106,8 +102,7 @@ func TestGKRoutingDijkstraAllocs(t *testing.T) {
 // BenchmarkGKRoutingCertified times the goal-directed routing step on
 // BenchmarkGKRoutingDijkstra's inputs: op i searches under the length
 // function of boundary i with that boundary's potentials, as the first step
-// of a phase does. `make bench` gates it at 0 allocs/op, and
-// TestGKRoutingCertifiedAllocs does for `go test`.
+// of a phase does. TestGKRoutingCertifiedAllocs gates it at 0 allocs/op.
 func BenchmarkGKRoutingCertified(b *testing.B) {
 	nw, src, dst, lengths := routingDijkstraInputs(b)
 	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
@@ -122,7 +117,7 @@ func BenchmarkGKRoutingCertified(b *testing.B) {
 }
 
 // TestGKRoutingCertifiedAllocs is BenchmarkGKRoutingCertified's 0 allocs/op
-// gate for plain `go test`, after one pass over every length vector.
+// gate, after one pass over every length vector.
 func TestGKRoutingCertifiedAllocs(t *testing.T) {
 	nw, src, dst, lengths := routingDijkstraInputs(t)
 	sp, pots := newSPState(nw), routingPotentials(nw, dst, lengths)
@@ -143,8 +138,8 @@ func TestGKRoutingCertifiedAllocs(t *testing.T) {
 // repaired, not rebuilt") on BenchmarkGKRoutingDijkstra's inputs. Op i copies in the farthest
 // target's row and order as the repairs up to boundary i left them and
 // repairs them under the lengths of boundary i+1, as the routing loop does
-// at a destination's first step of a phase. `make bench` gates it at 0
-// allocs/op, and TestGKRowRepairAllocs does for `go test`.
+// at a destination's first step of a phase. TestGKRowRepairAllocs gates it
+// at 0 allocs/op.
 func BenchmarkGKRowRepair(b *testing.B) {
 	nw, dst, lengths, rows, orders := rowRepairInputs(b)
 	row, order := make([]float64, nw.N), make([]uint16, nw.N)
@@ -158,8 +153,7 @@ func BenchmarkGKRowRepair(b *testing.B) {
 	}
 }
 
-// TestGKRowRepairAllocs is BenchmarkGKRowRepair's 0 allocs/op gate for
-// plain `go test`.
+// TestGKRowRepairAllocs is BenchmarkGKRowRepair's 0 allocs/op gate.
 func TestGKRowRepairAllocs(t *testing.T) {
 	nw, dst, lengths, rows, orders := rowRepairInputs(t)
 	row, order := make([]float64, nw.N), make([]uint16, nw.N)
@@ -241,8 +235,7 @@ func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths []
 // length function of every phase boundary of an all-to-all solve, each with
 // that boundary's potentials. Many of these steps settle their ties by tail
 // labels or by a prefix of dijkstra (TestGKRoutingResolvedAllocs checks that
-// both happen). `make bench` gates it at 0 allocs/op, and
-// TestGKRoutingResolvedAllocs does for `go test`.
+// both happen). TestGKRoutingResolvedAllocs gates it at 0 allocs/op.
 func BenchmarkGKRoutingResolved(b *testing.B) {
 	nw, steps := resolvedRoutingInputs(b)
 	sp, rev := newSPState(nw), reversedArcs(nw)
@@ -260,7 +253,7 @@ func BenchmarkGKRoutingResolved(b *testing.B) {
 }
 
 // TestGKRoutingResolvedAllocs is BenchmarkGKRoutingResolved's 0 allocs/op
-// gate for plain `go test`, after one pass over every step, and checks that
+// gate, after one pass over every step, and checks that
 // the benchmark's steps resolve ties both ways.
 func TestGKRoutingResolvedAllocs(t *testing.T) {
 	nw, steps := resolvedRoutingInputs(t)

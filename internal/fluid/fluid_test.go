@@ -276,9 +276,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 // has its own link, d/s (s > d, so the server cap never binds); under
 // longest matching, which pairs every switch of Q_d with its antipode, Q_d
 // carries exactly 1/s. The dual bound must equal the closed form to
-// rounding and the primal must be within ε of it, at ε 0.25 and 0.08 — Q_7
-// and FQ_7 under all-to-all at ε 0.25 only, which keeps the test under two
-// seconds.
+// rounding and the primal must be within ε of it, at ε 0.25 and 0.08.
 func TestGKClosedFormHypercubes(t *testing.T) {
 	const s = 4
 	servers := func(int) int { return s }
@@ -287,13 +285,12 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 		g      *graph.Graph
 		comms  []Commodity
 		closed float64
-		coarse bool // at ε 0.25 only
 	}
 	var cases []instance
 	for d := 3; d <= 7; d++ {
 		lh := topology.NewLonghop(d, d, s)
 		n := float64(int(1)<<d - 1)
-		cases = append(cases, instance{fmt.Sprintf("Q_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), n / (s * float64(int(1)<<(d-1))), d == 7})
+		cases = append(cases, instance{fmt.Sprintf("Q_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), n / (s * float64(int(1)<<(d-1)))})
 	}
 	for d := 4; d <= 7; d++ {
 		hops, binom := 0.0, 1.0 // Σ_w C(d,w)·min(w, d+1−w), C(d,w) built up in w
@@ -303,13 +300,13 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 		}
 		lh := topology.NewLonghop(d, d+1, s)
 		closed := float64(d+1) * float64(int(1)<<d-1) / (s * hops)
-		cases = append(cases, instance{fmt.Sprintf("FQ_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), closed, d == 7})
+		cases = append(cases, instance{fmt.Sprintf("FQ_%d", d), lh.G, Commodities(tm.AllToAll(lh.ToRs(), servers)), closed})
 	}
 	for _, d := range []int{3, 4, 6, 8} {
 		ks := d + 1
 		k := topology.NewXpander(d, 1, ks, rand.New(rand.NewSource(int64(d))))
 		comms := Commodities(tm.AllToAll(k.ToRs(), func(int) int { return ks }))
-		cases = append(cases, instance{fmt.Sprintf("K_%d", d+1), k.G, comms, float64(d) / float64(ks), false})
+		cases = append(cases, instance{fmt.Sprintf("K_%d", d+1), k.G, comms, float64(d) / float64(ks)})
 	}
 	for d := 3; d <= 7; d++ {
 		lh := topology.NewLonghop(d, d, s)
@@ -322,15 +319,12 @@ func TestGKClosedFormHypercubes(t *testing.T) {
 				t.Fatalf("Q_%d longest matching pairs %d with %d, not its antipode", d, c.Src, c.Dst)
 			}
 		}
-		cases = append(cases, instance{fmt.Sprintf("Q_%d longest matching", d), lh.G, comms, 1.0 / s, false})
+		cases = append(cases, instance{fmt.Sprintf("Q_%d longest matching", d), lh.G, comms, 1.0 / s})
 	}
 	worst, lowest := 0.0, math.Inf(1)
 	for _, c := range cases {
 		nw := NewNetwork(c.g, 1.0)
 		for _, eps := range []float64{0.25, 0.08} {
-			if c.coarse && eps < 0.25 {
-				continue
-			}
 			var tel GKTelemetry
 			res := MaxConcurrentFlow(nw, c.comms, GKOptions{Epsilon: eps, Observer: &tel})
 			if rel := res.UpperBound/c.closed - 1; math.Abs(rel) > 1e-9 {

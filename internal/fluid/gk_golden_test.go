@@ -1,27 +1,18 @@
 package fluid
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/gk_golden.json from the current solver")
-
 const goldenPath = "testdata/gk_golden.json"
 
-// goldenRecord pins one solve bit for bit. Floats are stored as the hex of
-// math.Float64bits so the file survives any JSON number round-trip.
+// goldenRecord pins one solve bit for bit, floats as golden.Bits.
 type goldenRecord struct {
 	Name       string `json:"name"`
 	Throughput string `json:"throughput_bits"`
@@ -113,19 +104,13 @@ func goldenSolve(c goldenCase) goldenRecord {
 		opt.WarmStart = coarse.Duals
 	}
 	res := MaxConcurrentFlow(nw, comms, opt)
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, d := range res.Duals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(d))
-		h.Write(buf[:])
-	}
 	return goldenRecord{
 		Name:       c.name(),
-		Throughput: fmt.Sprintf("%016x", math.Float64bits(res.Throughput)),
-		UpperBound: fmt.Sprintf("%016x", math.Float64bits(res.UpperBound)),
+		Throughput: golden.Bits(res.Throughput),
+		UpperBound: golden.Bits(res.UpperBound),
 		Phases:     res.Phases,
 		Iterations: tel.Iterations,
-		DualsFNV:   fmt.Sprintf("%016x", h.Sum64()),
+		DualsFNV:   golden.FNV(res.Duals),
 	}
 }
 
@@ -138,32 +123,16 @@ func goldenSolve(c goldenCase) goldenRecord {
 // TestGKGoldenBitIdentity -update` only together with a CodeSalt bump and a
 // new benchmark reference.
 func TestGKGoldenBitIdentity(t *testing.T) {
-	if *updateGolden {
+	if *golden.Update {
 		recs := make([]goldenRecord, len(goldenCases))
 		for i, c := range goldenCases {
 			recs[i] = goldenSolve(c)
 		}
-		data, err := json.MarshalIndent(recs, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d records to %s", len(recs), goldenPath)
+		golden.Write(t, goldenPath, recs, "  ")
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var recs []goldenRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
+	golden.Read(t, goldenPath, &recs)
 	want := make(map[string]goldenRecord, len(recs))
 	for _, r := range recs {
 		want[r.Name] = r

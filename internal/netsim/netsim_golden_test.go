@@ -1,26 +1,16 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/topology"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/netsim_golden.json from the current simulator")
-
 const goldenPath = "testdata/netsim_golden.json"
 
-// goldenRecord pins one packet-level run. Floats are stored as the hex of
-// math.Float64bits so the file survives any JSON number round-trip.
+// goldenRecord pins one packet-level run, floats as golden.Bits.
 type goldenRecord struct {
 	Name           string `json:"name"`
 	Events         uint64 `json:"events"`
@@ -89,13 +79,11 @@ func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 	}
 	drive(n, arrivals, c.cutAt)
 
-	h := fnv.New64a()
-	var buf [8]byte
 	var sum uint64
-	for _, l := range n.allLinks {
+	tx := make([]uint64, len(n.allLinks))
+	for i, l := range n.allLinks {
 		sum += l.Transmitted
-		binary.LittleEndian.PutUint64(buf[:], l.Transmitted)
-		h.Write(buf[:])
+		tx[i] = l.Transmitted
 	}
 	return goldenRecord{
 		Name:           c.name,
@@ -103,10 +91,10 @@ func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 		Drops:          n.TotalDrops,
 		HeapHighWater:  n.LoopStats().HeapHighWater,
 		FlowsCompleted: n.FlowsCompleted(),
-		MeanFCT:        fmt.Sprintf("%016x", math.Float64bits(n.FCTMoments().Mean())),
-		P99FCT:         fmt.Sprintf("%016x", math.Float64bits(n.FCTSketch().Quantile(0.99))),
+		MeanFCT:        golden.Bits(n.FCTMoments().Mean()),
+		P99FCT:         golden.Bits(n.FCTSketch().Quantile(0.99)),
 		TransmittedSum: sum,
-		LinksFNV:       fmt.Sprintf("%016x", h.Sum64()),
+		LinksFNV:       golden.FNV(tx),
 	}
 }
 
@@ -121,32 +109,16 @@ func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 // test ./internal/netsim -run TestNetsimGoldenBitIdentity -update` only
 // when the simulated behaviour is meant to change.
 func TestNetsimGoldenBitIdentity(t *testing.T) {
-	if *updateGolden {
+	if *golden.Update {
 		recs := make([]goldenRecord, len(goldenCases))
 		for i, c := range goldenCases {
 			recs[i] = goldenRun(t, c)
 		}
-		data, err := json.MarshalIndent(recs, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d records to %s", len(recs), goldenPath)
+		golden.Write(t, goldenPath, recs, "  ")
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var recs []goldenRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
+	golden.Read(t, goldenPath, &recs)
 	want := make(map[string]goldenRecord, len(recs))
 	for _, r := range recs {
 		want[r.Name] = r

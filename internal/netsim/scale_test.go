@@ -285,20 +285,18 @@ func TestNetsimOnCompleteCallback(t *testing.T) {
 	}
 }
 
-// BenchmarkNetsimSteadyState is the packet simulator's allocs/op gate and
-// its events/s ledger row: the benchmark's cost-reduced Xpander(5,9,3)
-// under HYB at a steady Poisson load (about 150 events pending, the depth
-// of the benchmark's netsim legs), advancing arrival by arrival after a
-// warm-up that brings slab, packet pool, link queues and sketch buckets to
-// their working size. One op is one flow (events/op says how many events
-// that is); the steady state must not allocate.
-func BenchmarkNetsimSteadyState(b *testing.B) {
+// steadyState is the benchmark's cost-reduced Xpander(5,9,3) under HYB at
+// a steady Poisson load (about 150 events pending, the depth of the
+// benchmark's netsim legs), past a warm-up that brings slab, packet pool,
+// link queues and sketch buckets to their working size, and the step that
+// advances it by one arrival.
+func steadyState() (n *Network, step func()) {
 	topo := topology.NewXpander(5, 9, 3, rand.New(rand.NewSource(1)))
 	servers := topo.TotalServers()
-	n := NewNetwork(&topo.Topology, scaleCfg(42))
+	n = NewNetwork(&topo.Topology, scaleCfg(42))
 	rng := sim.NewRNG(7)
 	at := sim.Time(0)
-	step := func() {
+	step = func() {
 		at += sim.Time(rng.ExpFloat64()*float64(20*sim.Microsecond)) + 1
 		src := rng.Intn(servers)
 		dst := rng.Intn(servers)
@@ -311,6 +309,14 @@ func BenchmarkNetsimSteadyState(b *testing.B) {
 	for i := 0; i < 3_000; i++ {
 		step()
 	}
+	return n, step
+}
+
+// BenchmarkNetsimSteadyState is the packet simulator's events/s row: one
+// op is one arrival of steadyState (events/op says how many events that
+// is). TestNetsimSteadyStateAllocs gates it at 0 allocs/op.
+func BenchmarkNetsimSteadyState(b *testing.B) {
+	n, step := steadyState()
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := n.Eng.Processed()
@@ -319,6 +325,16 @@ func BenchmarkNetsimSteadyState(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(n.Eng.Processed()-start)/float64(b.N), "events/op")
+}
+
+// TestNetsimSteadyStateAllocs is BenchmarkNetsimSteadyState's 0 allocs/op
+// gate: the steady state must not allocate per arrival. The floor hides
+// the amortised growth of a link's queue ring, as allocs/op does.
+func TestNetsimSteadyStateAllocs(t *testing.T) {
+	_, step := steadyState()
+	if n := testing.AllocsPerRun(2_000, step); n != 0 {
+		t.Fatalf("steady-state arrival allocates %v times, want 0", n)
+	}
 }
 
 // BenchmarkNetsimScale1M pushes one million flows through a packet-level

@@ -1,17 +1,13 @@
 package search
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/harness"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/trace_golden.json")
 
 const traceGoldenPath = "testdata/trace_golden.json"
 
@@ -66,7 +62,7 @@ func goldenOptions(name string) Options {
 // after the first is also a run over a warm cache. Regenerate with
 // `go test ./internal/search -run TraceGolden -update`.
 func TestSearchTraceGolden(t *testing.T) {
-	if *updateGolden {
+	if *golden.Update {
 		got := map[string]traceGolden{}
 		for name := range goldenSearches {
 			opt := goldenOptions(name)
@@ -77,26 +73,11 @@ func TestSearchTraceGolden(t *testing.T) {
 			}
 			got[name] = traceGoldenOf(res)
 		}
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(traceGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		golden.Write(t, traceGoldenPath, got, " ")
 		return
 	}
-	data, err := os.ReadFile(traceGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
 	var want map[string]traceGolden
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, traceGoldenPath, &want)
 	for name := range goldenSearches {
 		t.Run(name, func(t *testing.T) {
 			cache, err := harness.OpenCache(t.TempDir())

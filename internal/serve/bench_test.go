@@ -14,7 +14,7 @@ import (
 // BenchmarkServeThroughputCached measures the full HTTP round-trip of a
 // warm query — decode, normalize, key, L1 hit, encode — which is the
 // steady-state cost of the daemon for interactive what-if loops. Part of
-// the tracked benchmark set (BENCH_pr<N>.json).
+// `make bench`.
 func BenchmarkServeThroughputCached(b *testing.B) {
 	s, err := New(Config{
 		Experiments:    experiments.DefaultConfig(),

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/harness"
 )
 
@@ -115,24 +116,12 @@ func TestReplyGolden(t *testing.T) {
 	got["injected/l2-file"] = maskDuration(promoted)
 	got["injected/l2-file-then-l1"] = hit("/v1/throughput", onDisk)
 
-	if *updateSpecGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(replyGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *golden.Update {
+		golden.Write(t, replyGoldenPath, got, "  ")
 		return
 	}
-	data, err := os.ReadFile(replyGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
 	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, replyGoldenPath, &want)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d replies, the test produces %d", len(want), len(got))
 	}

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
+	"beyondft/internal/golden"
 	"beyondft/internal/topology"
 )
-
-var updateSpecGolden = flag.Bool("update", false, "rewrite testdata/spec_golden.json")
 
 const specGoldenPath = "testdata/spec_golden.json"
 
@@ -111,27 +108,12 @@ func TestSpecGolden(t *testing.T) {
 		got[name] = e
 	}
 
-	if *updateSpecGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(specGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *golden.Update {
+		golden.Write(t, specGoldenPath, got, "  ")
 		return
 	}
-	data, err := os.ReadFile(specGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
 	var want map[string]specGoldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, specGoldenPath, &want)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d cases, the test runs %d", len(want), len(got))
 	}

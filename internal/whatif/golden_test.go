@@ -2,14 +2,11 @@ package whatif
 
 import (
 	"encoding/json"
-	"flag"
-	"os"
 	"testing"
 
 	"beyondft/internal/eval"
+	"beyondft/internal/golden"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/report_golden.json")
 
 const reportGoldenPath = "testdata/report_golden.json"
 
@@ -24,17 +21,8 @@ func TestWhatifReportGolden(t *testing.T) {
 	for name := range goldenCases {
 		got[name] = goldenReport(t, name, 0)
 	}
-	if *updateGolden {
-		data, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(reportGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *golden.Update {
+		golden.Write(t, reportGoldenPath, got, "")
 		return
 	}
 	want := readReportGolden(t)
@@ -81,14 +69,8 @@ func goldenReport(t *testing.T, name string, workers int) json.RawMessage {
 
 func readReportGolden(t *testing.T) map[string]json.RawMessage {
 	t.Helper()
-	data, err := os.ReadFile(reportGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
 	var want map[string]json.RawMessage
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, reportGoldenPath, &want)
 	return want
 }
 

@@ -514,8 +514,7 @@ func TestWhatifInvalidDelta(t *testing.T) {
 	}
 }
 
-// BenchmarkWhatifSingleLinkSweep is the tracked benchmark (BENCH_pr6):
-// a full single-link-failure sweep with warm starts and the ε ladder on
+// BenchmarkWhatifSingleLinkSweep is a full single-link-failure sweep with warm starts and the ε ladder on
 // the 24-switch test fabric, reporting amortized per-scenario cost.
 func BenchmarkWhatifSingleLinkSweep(b *testing.B) {
 	const n = 24
