@@ -193,6 +193,48 @@ func TestFineIndependentOfCoarseSource(t *testing.T) {
 	if fresh.Throughput < (1-0.1)*fresh.UpperBound*(1-1e-9) {
 		t.Fatalf("fine rung misses its certificate: %+v", fresh)
 	}
+	for _, r := range []Rung{coarse, fresh, resumed} {
+		checkPathLengthBound(t, "testProblem", p, r)
+	}
+}
+
+// checkPathLengthBound holds a rung to the path-length law: carrying
+// Throughput × dem_c for every commodity c uses at least that much capacity
+// on each of the dist_c arcs of c's shortest path, so Throughput ≤
+// Σ_arcs cap / Σ_c dem_c·dist_c, with dist_c the hop distance by BFS over the
+// problem's arcs.
+func checkPathLengthBound(t *testing.T, name string, p Problem, r Rung) {
+	t.Helper()
+	capacity := 0.0
+	for _, a := range p.NW.Arcs {
+		capacity += a.Cap
+	}
+	dist := make([]int, p.NW.N)
+	queue := make([]int, 0, p.NW.N)
+	load := 0.0
+	for _, c := range p.Comms {
+		for v := range dist {
+			dist[v] = -1
+		}
+		dist[c.Src] = 0
+		queue = append(queue[:0], c.Src)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, k := range p.NW.Out[u] {
+				if v := p.NW.Arcs[k].To; dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		if dist[c.Dst] < 0 {
+			t.Fatalf("%s: commodity %d->%d has no path", name, c.Src, c.Dst)
+		}
+		load += c.Demand * float64(dist[c.Dst])
+	}
+	if bound := capacity / load; r.Throughput > bound*(1+1e-9) {
+		t.Errorf("%s at eps %g: throughput %v above the path-length bound %v", name, r.Epsilon, r.Throughput, bound)
+	}
 }
 
 // pollLimitCtx reports cancellation from its n-th Err poll on.
@@ -326,6 +368,8 @@ func TestWorkspaceMatchesFreshEvaluation(t *testing.T) {
 		if !reflect.DeepEqual(coarse, wcoarse) || !reflect.DeepEqual(fine, wfine) {
 			t.Fatalf("%s: rungs differ: coarse %+v vs %+v, fine %+v vs %+v", d.Name, coarse.Throughput, wcoarse.Throughput, fine.Throughput, wfine.Throughput)
 		}
+		checkPathLengthBound(t, d.Name, wp, wcoarse)
+		checkPathLengthBound(t, d.Name, wp, wfine)
 	}
 	last := designs[len(designs)-1]
 	const limit = 16

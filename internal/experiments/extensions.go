@@ -131,15 +131,13 @@ func (c Config) ExtensionFailureResilience() *Figure {
 		for fi, frac := range fracs {
 			sum, n := 0.0, 0
 			for trial := 0; trial < trials; trial++ {
-				g := t.G.Clone()
 				rng := c.rng(salt + int64(100*fi+trial+1))
-				edges := g.Edges()
+				edges := t.G.Edges()
 				rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 				kill := int(frac * float64(len(edges)))
-				for _, e := range edges[:kill] {
-					for m := 0; m < e.Mult; m++ {
-						g.RemoveEdge(e.U, e.V)
-					}
+				g := graph.New(t.G.N())
+				for _, e := range edges[kill:] {
+					g.AddEdgeMulti(e.U, e.V, e.Mult)
 				}
 				n++
 				if !g.Connected() {

@@ -85,14 +85,15 @@ func BenchmarkBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkDijkstra covers the shared-minheap weighted kernel used by Yen's
-// algorithm and (in arc form) the GK solver.
-func BenchmarkDijkstra(b *testing.B) {
+// BenchmarkKShortestPaths measures one k = 8 Yen query, the path set KSP and
+// MPTCP routing ask for per ToR pair.
+func BenchmarkKShortestPaths(b *testing.B) {
 	g := randomRegular(1024, 8, rand.New(rand.NewSource(4)))
-	w := func(u, v int) float64 { return 1.0 }
+	g.Frozen()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(i%g.N(), w)
+		src := i % g.N()
+		g.KShortestPaths(src, (src+g.N()/2)%g.N(), 8)
 	}
 }

@@ -131,6 +131,13 @@ func (c *CSR) bfsInto(src int, dist []int32, queue []int32) int {
 	for i := range dist {
 		dist[i] = -1
 	}
+	return c.bfsFrom(src, dist, queue)
+}
+
+// bfsFrom is bfsInto over a dist the caller filled: -1 where the BFS may go,
+// anything non-negative where it must not. It returns the number of nodes it
+// reached (including src).
+func (c *CSR) bfsFrom(src int, dist []int32, queue []int32) int {
 	dist[src] = 0
 	queue[0] = int32(src)
 	head, tail := 0, 1

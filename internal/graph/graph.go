@@ -1,7 +1,8 @@
 // Package graph provides the core graph data structure and algorithms used
-// by the topology generators and the fluid-flow throughput engine: shortest
-// paths (BFS and Dijkstra), Yen's k-shortest paths, spectral-gap estimation,
-// matching heuristics, and Moore-bound path-length lower bounds.
+// by the topology generators and the fluid-flow throughput engine: hop-count
+// shortest paths (BFS, all pairs, shortest-path DAGs), Yen's k-shortest
+// paths, spectral-gap estimation, matching heuristics, and Moore-bound
+// path-length lower bounds.
 //
 // Graphs here model switch-level network topologies: undirected, simple
 // (no self-loops; parallel edges are modelled as integer edge multiplicity,
@@ -10,12 +11,13 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
 // Graph is an undirected multigraph on nodes 0..N-1. Edge multiplicity m
-// between a node pair models m parallel unit-capacity cables.
+// between a node pair models m parallel unit-capacity cables. The map rows are
+// the write buffer of generators and search moves; every walk of the graph
+// reads the CSR view Frozen() builds from them.
 type Graph struct {
 	n   int
 	adj []map[int]int // adj[u][v] = multiplicity
@@ -109,11 +111,11 @@ func (g *Graph) Degree(u int) int {
 
 // Neighbors returns the distinct neighbors of u in ascending order.
 func (g *Graph) Neighbors(u int) []int {
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
+	nb, _ := g.Frozen().Row(u)
+	out := make([]int, len(nb))
+	for i, v := range nb {
+		out[i] = int(v)
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -145,19 +147,11 @@ func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	return dst
 }
 
-// Clone returns a deep copy of g: every adjacency row copied into a map made
-// at its final size. It only reads g (no freeze, no lock), so concurrent
-// Clones and other readers of one graph are safe.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{}
-	c.CopyFrom(g)
-	return c
-}
-
 // CopyFrom makes g a deep copy of src in the rows g already has: a graph that
 // is copied into again and again (a search's candidate, rewired and thrown
-// away) costs no allocation after the first time. It only reads src, like
-// Clone; g must have no other user, and a view it froze earlier is dropped.
+// away) costs no allocation after the first time. It only reads src (no
+// freeze, no lock), so concurrent copies of one graph are safe; g must have
+// no other user, and a view it froze earlier is dropped.
 func (g *Graph) CopyFrom(src *Graph) {
 	if len(g.adj) != src.n {
 		g.adj = make([]map[int]int, src.n)

@@ -46,19 +46,6 @@ func TestSelfLoopPanics(t *testing.T) {
 	New(2).AddEdge(1, 1)
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatalf("clone mutated original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatalf("clone lost edges")
-	}
-}
-
 func TestConnectedAndRegular(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
@@ -137,41 +124,6 @@ func TestShortestPathDAGNextHops(t *testing.T) {
 	}
 	if next[2] != nil {
 		t.Fatalf("destination should have no next hops")
-	}
-}
-
-func TestDijkstraWeighted(t *testing.T) {
-	// Triangle with a heavy direct edge: 0-2 weight 10, 0-1-2 weight 2+2.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	w := func(u, v int) float64 {
-		if (u == 0 && v == 2) || (u == 2 && v == 0) {
-			return 10
-		}
-		return 2
-	}
-	dist, parent := g.Dijkstra(0, w)
-	if math.Abs(dist[2]-4) > 1e-12 {
-		t.Fatalf("dist[2] = %v, want 4 via node 1", dist[2])
-	}
-	path := PathTo(parent, 0, 2)
-	if len(path) != 3 || path[1] != 1 {
-		t.Fatalf("path = %v, want [0 1 2]", path)
-	}
-}
-
-func TestPathToUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	_, parent := g.Dijkstra(0, func(u, v int) float64 { return 1 })
-	if PathTo(parent, 0, 2) != nil {
-		t.Fatalf("unreachable node should yield nil path")
-	}
-	p := PathTo(parent, 0, 0)
-	if len(p) != 1 || p[0] != 0 {
-		t.Fatalf("trivial path = %v", p)
 	}
 }
 
@@ -261,6 +213,34 @@ func TestSecondEigenvalueRing(t *testing.T) {
 	wantEven := 2 * math.Cos(2*math.Pi/20)
 	if l2 := even.SecondEigenvalue(800, rng); math.Abs(l2-wantEven) > 0.05 {
 		t.Fatalf("even ring lambda2 = %v, want %v (bipartite deflation)", l2, wantEven)
+	}
+}
+
+// hypercube returns Q_d: nodes 0..2^d−1, u adjacent to u with one bit flipped.
+func hypercube(d int) *Graph {
+	g := New(1 << d)
+	for u := 0; u < 1<<d; u++ {
+		for b := 0; b < d; b++ {
+			if v := u ^ 1<<b; u < v {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+func TestSecondEigenvalueHypercube(t *testing.T) {
+	// Q_d's eigenvalues are d − 2i; it is bipartite, so ±d are both deflated
+	// and |λ₂| = d − 2.
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []int{4, 6} {
+		g := hypercube(d)
+		if _, ok := g.Bipartition(); !ok {
+			t.Fatalf("Q_%d is bipartite", d)
+		}
+		if l2 := g.SecondEigenvalue(300, rng); math.Abs(l2-float64(d-2)) > 0.05 {
+			t.Fatalf("Q_%d lambda2 = %v, want %d", d, l2, d-2)
+		}
 	}
 }
 

@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"math"
-
-	"beyondft/internal/minheap"
-)
-
 // BFS returns the unweighted hop distances from src to every node.
 // Unreachable nodes get distance -1.
 func (g *Graph) BFS(src int) []int {
@@ -60,70 +54,4 @@ func (g *Graph) ShortestPathDAGNextHops(dst int) [][]int {
 		}
 	}
 	return next
-}
-
-// Dijkstra computes weighted shortest-path distances from src using the
-// per-distinct-edge weights w (w(u,v) must be >= 0; multiplicity does not
-// change the weight — parallel cables share a length). It returns distances
-// and a parent array for path reconstruction (parent[src] == -1; parent of
-// unreachable nodes is -1 and their distance is +Inf). It reads the live
-// adjacency maps (not the frozen view) so mutation-heavy callers like Yen's
-// algorithm do not pay a CSR rebuild per call.
-func (g *Graph) Dijkstra(src int, w func(u, v int) float64) ([]float64, []int) {
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[src] = 0
-	h := minheap.New(g.n)
-	h.Push(minheap.Item{Node: int32(src), Pri: 0})
-	for h.Len() > 0 {
-		it := h.Pop()
-		u := int(it.Node)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for v := range g.adj[u] {
-			if done[v] {
-				continue
-			}
-			nd := dist[u] + w(u, v)
-			if nd < dist[v] {
-				dist[v] = nd
-				parent[v] = u
-				h.Push(minheap.Item{Node: int32(v), Pri: nd})
-			}
-		}
-	}
-	return dist, parent
-}
-
-// PathTo reconstructs the path from the src used to build parent up to dst.
-// Returns nil if dst is unreachable.
-func PathTo(parent []int, src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	if parent[dst] == -1 {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != -1; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

@@ -66,19 +66,18 @@ func (g *Graph) SecondEigenvalue(iters int, rng *rand.Rand) float64 {
 			x[i] /= nx
 		}
 	}
+	c := g.Frozen()
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
-		for i := range y {
-			y[i] = 0
-		}
-		for u := 0; u < n; u++ {
-			xu := x[u]
-			if xu == 0 {
-				continue
+		// y = Ax. Each y[v] sums its row in ascending u: the estimate's
+		// bits depend on that order.
+		for v := range y {
+			nb, mults := c.Row(v)
+			s := 0.0
+			for k, u := range nb {
+				s += float64(mults[k]) * x[u]
 			}
-			for v, mult := range g.adj[u] {
-				y[v] += float64(mult) * xu
-			}
+			y[v] = s
 		}
 		deflate(y)
 		ny := norm(y)
@@ -106,6 +105,7 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 // whether the graph is bipartite (sides is nil when it is not, or when the
 // graph is disconnected with an odd component reachable first).
 func (g *Graph) Bipartition() ([]float64, bool) {
+	c := g.Frozen()
 	n := g.n
 	side := make([]float64, n)
 	color := make([]int8, n) // 0 unknown, 1, -1
@@ -118,10 +118,11 @@ func (g *Graph) Bipartition() ([]float64, bool) {
 		queue = append(queue[:0], start)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for v := range g.adj[u] {
+			nb, _ := c.Row(u)
+			for _, v := range nb {
 				if color[v] == 0 {
 					color[v] = -color[u]
-					queue = append(queue, v)
+					queue = append(queue, int(v))
 				} else if color[v] == color[u] {
 					return nil, false
 				}

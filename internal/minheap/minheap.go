@@ -1,5 +1,5 @@
-// Package minheap provides the hand-rolled binary min-heap shared by the
-// shortest-path kernels in internal/graph and internal/fluid. container/heap
+// Package minheap provides the hand-rolled binary min-heap of the
+// shortest-path kernels in internal/fluid. container/heap
 // would box every item through interface{} on Push/Pop, allocating once per
 // edge relaxation; this implementation keeps items inline in two flat arrays
 // and allocates only when they grow.

@@ -117,35 +117,42 @@ func TestECNMarkingKeepsQueuesBounded(t *testing.T) {
 	}
 }
 
+// TestDeterministicWithSeed runs one seeded workload twice under each
+// routing scheme, each time on a freshly built Jellyfish(12, 4), whose tied
+// shortest paths leave KSP and MPTCP a choice to make the same way every time.
 func TestDeterministicWithSeed(t *testing.T) {
-	run := func() []sim.Time {
-		topo := twoRackTopo(4)
-		cfg := DefaultConfig()
-		cfg.Seed = 42
-		cfg.Routing = HYB
-		n := NewNetwork(topo, cfg)
-		rng := rand.New(rand.NewSource(9))
-		for i := 0; i < 20; i++ {
-			src := rng.Intn(4)
-			dst := 4 + rng.Intn(4)
-			at := sim.Time(rng.Intn(1000)) * sim.Microsecond
-			n.ScheduleFlow(at, src, dst, int64(1000+rng.Intn(500_000)))
-		}
-		n.Eng.Run(sim.Time(sim.Second))
-		var out []sim.Time
-		for _, f := range n.Flows() {
-			out = append(out, f.EndNs)
-		}
-		return out
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("different flow counts")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic FCT at flow %d: %v vs %v", i, a[i], b[i])
-		}
+	for _, r := range []RoutingScheme{ECMP, VLB, HYB, HYBCA, KSP, MPTCP} {
+		t.Run(r.String(), func(t *testing.T) {
+			run := func() []sim.Time {
+				topo := topology.NewJellyfish(12, 4, 2, rand.New(rand.NewSource(5)))
+				cfg := DefaultConfig()
+				cfg.Seed = 42
+				cfg.Routing = r
+				n := NewNetwork(topo, cfg)
+				rng := rand.New(rand.NewSource(9))
+				for i := 0; i < 20; i++ {
+					src := rng.Intn(12)
+					dst := 12 + rng.Intn(12)
+					at := sim.Time(rng.Intn(1000)) * sim.Microsecond
+					n.ScheduleFlow(at, src, dst, int64(1000+rng.Intn(500_000)))
+				}
+				n.Eng.Run(sim.Time(sim.Second))
+				var out []sim.Time
+				for _, f := range n.Flows() {
+					out = append(out, f.EndNs)
+				}
+				return out
+			}
+			a, b := run(), run()
+			if len(a) != len(b) {
+				t.Fatalf("different flow counts")
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("non-deterministic FCT at flow %d: %v vs %v", i, a[i], b[i])
+				}
+			}
+		})
 	}
 }
 
