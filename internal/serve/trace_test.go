@@ -149,3 +149,66 @@ func TestMetricsSingleRegistry(t *testing.T) {
 		t.Fatal("Registry() returned a different counter for the same series")
 	}
 }
+
+// stageSpans flattens a span tree in pre-order and keeps the request-path
+// stages whose presence depends on the node's role for a key.
+func stageSpans(r *obs.Record) []string {
+	var out []string
+	var walk func(*obs.Record)
+	walk = func(r *obs.Record) {
+		if r == nil {
+			return
+		}
+		switch r.Name {
+		case "peer-forward", "admission", "compute", "store":
+			out = append(out, r.Name)
+		}
+		for _, c := range r.Children {
+			walk(c)
+		}
+	}
+	walk(r)
+	return out
+}
+
+// TestClusterTraceShape pins which request-path stages a cold traced query
+// runs on a clustered node, by its role for the key: a non-owner forwards and
+// neither admits nor computes; an R=2 primary probes its sibling, misses, and
+// computes; an R=1 primary has nobody to ask and goes straight to admission.
+func TestClusterTraceShape(t *testing.T) {
+	tracedStages := func(t *testing.T, url, body string) []string {
+		t.Helper()
+		qr, code := postJSON(t, url+"/v1/throughput?trace=1", body)
+		if code != http.StatusOK || qr.Trace == nil {
+			t.Fatalf("traced query: code=%d trace=%v", code, qr.Trace != nil)
+		}
+		return stageSpans(qr.Trace)
+	}
+	same := func(got, want []string) bool {
+		return strings.Join(got, ",") == strings.Join(want, ",")
+	}
+
+	t.Run("non-owner", func(t *testing.T) {
+		sA, _, urlA, urlB := clusterPair(t)
+		body, _ := throughputSpecOwnedBy(t, sA.Cluster(), urlB)
+		if got, want := tracedStages(t, urlA, body), []string{"peer-forward"}; !same(got, want) {
+			t.Fatalf("non-owner cold request stages %v, want %v", got, want)
+		}
+	})
+	t.Run("R=2 primary, sibling miss", func(t *testing.T) {
+		sA, _, urlA, _ := clusterPairR2(t)
+		body, _ := throughputSpecOwnedBy(t, sA.Cluster(), urlA)
+		want := []string{"peer-forward", "admission", "compute", "store"}
+		if got := tracedStages(t, urlA, body); !same(got, want) {
+			t.Fatalf("R=2 primary cold request stages %v, want %v", got, want)
+		}
+	})
+	t.Run("R=1 primary", func(t *testing.T) {
+		sA, _, urlA, _ := clusterPair(t)
+		body, _ := throughputSpecOwnedBy(t, sA.Cluster(), urlA)
+		want := []string{"admission", "compute", "store"}
+		if got := tracedStages(t, urlA, body); !same(got, want) {
+			t.Fatalf("R=1 primary cold request stages %v, want %v", got, want)
+		}
+	})
+}
