@@ -110,7 +110,7 @@ search-smoke:
 
 # The native fuzz targets' seed corpora, run as plain tests so `make test`
 # catches postcondition regressions without fuzzing time.
-FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/fluid ./internal/sim ./internal/topology ./internal/search ./internal/harness
+FUZZ_PKGS := ./internal/graph ./internal/minheap ./internal/fluid ./internal/sim ./internal/topology ./internal/search ./internal/harness ./internal/cluster
 fuzz-smoke:
 	go test -run '^Fuzz' $(FUZZ_PKGS)
 
@@ -129,6 +129,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
 	go test -run '^$$' -fuzz '^FuzzLRUAliases$$' -fuzztime $(FUZZTIME) ./internal/harness
+	go test -run '^$$' -fuzz '^FuzzClusterHandlers$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 # go vet, and gofmt: any file `gofmt -l` lists fails the target.
 vet:

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,9 +116,9 @@ type Cluster struct {
 	mem     *Membership
 	repl    *replicator
 
-	// entries enumerates this node's cached results for anti-entropy
-	// (set by the serving layer via SetEntriesSource; nil disables).
-	entries atomic.Pointer[EntriesFunc]
+	// store is this node's local cache (SetStore): what anti-entropy
+	// offers to the key's other owners. Nil disables the pass.
+	store atomic.Pointer[Store]
 
 	// ringChanged wakes the anti-entropy loop after a membership change.
 	ringChanged chan struct{}
@@ -128,10 +130,6 @@ type Cluster struct {
 	mu   sync.Mutex
 	down map[string]*peerHealth
 }
-
-// EntriesFunc enumerates local cache entries; yield returning false stops
-// the walk early.
-type EntriesFunc func(ctx context.Context, yield func(Entry) bool) error
 
 // New validates cfg and builds a node's cluster view. Background loops
 // (gossip, replication pushes, anti-entropy) start with Start.
@@ -258,9 +256,6 @@ func (c *Cluster) Metrics() *Metrics { return c.metrics }
 // Replication returns the configured owners-per-key factor R.
 func (c *Cluster) Replication() int { return c.cfg.Replication }
 
-// Membership returns the gossip membership table (nil when gossip is off).
-func (c *Cluster) Membership() *Membership { return c.mem }
-
 // Owner returns the primary ring owner of key.
 func (c *Cluster) Owner(key string) string { return c.ring.Load().Owner(key) }
 
@@ -270,25 +265,10 @@ func (c *Cluster) Owners(key string) []string {
 	return c.ring.Load().Owners(key, c.cfg.Replication)
 }
 
-// Owns reports whether this node is any of key's R replica owners.
-func (c *Cluster) Owns(key string) bool {
-	for _, o := range c.Owners(key) {
-		if o == c.self {
-			return true
-		}
-	}
-	return false
-}
-
-// SetEntriesSource wires the local cache walk used by anti-entropy (the
-// serving layer owns the caches, the cluster owns the schedule).
-func (c *Cluster) SetEntriesSource(fn EntriesFunc) {
-	if fn == nil {
-		c.entries.Store(nil)
-		return
-	}
-	c.entries.Store(&fn)
-}
+// SetStore hands the cluster this node's local cache, the one Handler
+// serves: anti-entropy offers its keys to their other owners. Safe to call
+// before or after Start.
+func (c *Cluster) SetStore(s Store) { c.store.Store(&s) }
 
 // SetPeers replaces the ring membership (Self is always retained).
 // Ownership moves deterministically and minimally (see ring_test.go), so a
@@ -367,6 +347,65 @@ func (c *Cluster) gossipLoop(ctx context.Context) {
 			c.mem.Tick(ctx)
 		}
 	}
+}
+
+// Fetch is the routing policy for a key this node missed in its local
+// tiers. It returns the key's result bytes from elsewhere in the fleet, nil
+// when this node should compute the key itself, or an error wrapping
+// ErrPeerSaturated when the owner shed the request. path and body re-issue
+// the query at a peer; forwarded says the request has already taken its one
+// hop. By this node's role for the key:
+//
+//   - primary owner (first of the key's R owners): probe the sibling owners'
+//     caches (cache-only, never computes) — a freshly joined or rejoined
+//     primary warms itself from its replicas instead of recomputing bytes
+//     the fleet already has. With no siblings there is nobody to ask.
+//   - sibling owner or non-owner: forward to the owner chain; the owner's
+//     singleflight makes the compute exactly-once fleet-wide. A dead primary
+//     leads the chain back here (ErrSelf): compute locally.
+//   - already forwarded: never forward again. An owner keeps the cache-only
+//     sibling probe (it cannot cascade); a non-owner means the ownership
+//     views disagree while membership changes, which LoopGuard counts, and
+//     it computes locally — still correct, results are content-addressed.
+//
+// A forward that fails for any other reason falls back to local compute.
+// Remote work shows as a "peer-forward" span under ctx's span.
+func (c *Cluster) Fetch(ctx context.Context, key, path string, body []byte, forwarded bool) (json.RawMessage, error) {
+	owners := c.Owners(key)
+	pos := slices.Index(owners, c.self)
+	if pos == 0 || (forwarded && pos > 0) {
+		if len(owners) <= 1 {
+			return nil, nil
+		}
+		defer obs.SpanFromContext(ctx).Child("peer-forward").End()
+		e, _ := c.FetchSibling(ctx, key)
+		return e.Result, nil
+	}
+	if forwarded {
+		c.metrics.LoopGuard.Add(1)
+		return nil, nil
+	}
+	defer obs.SpanFromContext(ctx).Child("peer-forward").End()
+	data, peer, err := c.Forward(ctx, key, path, body)
+	switch {
+	case errors.Is(err, ErrSelf):
+		return nil, nil
+	case errors.Is(err, ErrPeerSaturated):
+		return nil, err
+	case err != nil:
+		if ctx.Err() == nil {
+			c.logf("%v (computing locally)", err)
+		}
+		return nil, nil
+	}
+	var env struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil || len(env.Result) == 0 {
+		c.logf("cluster: peer %s: response envelope without result (computing locally)", peer)
+		return nil, nil
+	}
+	return env.Result, nil
 }
 
 // Forward sends body to path on one of key's owners and returns the peer's

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -430,5 +431,76 @@ func TestDownProbeSingleflight(t *testing.T) {
 	c.markUp(peer)
 	if !c.usable(peer) || !c.healthy(peer) {
 		t.Fatal("peer not fully usable after markUp")
+	}
+}
+
+// TestFetchRoutes holds Fetch to its routing policy, role by role: a
+// non-owner forwards and returns the owner's result bytes; a forwarded
+// request at a non-owner never forwards again (LoopGuard); a primary without
+// siblings asks nobody; a bad envelope falls back to local compute; a shed
+// propagates as ErrPeerSaturated; an R=2 primary probes its sibling's cache.
+func TestFetchRoutes(t *testing.T) {
+	var calls, status atomic.Int64
+	var reply atomic.Value
+	status.Store(http.StatusOK)
+	reply.Store(`{"key":"k","source":"computed","result":{"v":7}}`)
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(int(status.Load()))
+		w.Write([]byte(reply.Load().(string)))
+	}))
+	defer owner.Close()
+	const self = "http://self:1"
+	c, err := New(fastConfig(self, owner.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	remote, local := keyOwnedBy(t, c, owner.URL), keyOwnedBy(t, c, self)
+
+	if data, err := c.Fetch(ctx, remote, "/v1/throughput", []byte(`{}`), false); err != nil || string(data) != `{"v":7}` || calls.Load() != 1 {
+		t.Fatalf("non-owner: data=%s err=%v after %d calls, want the owner's result after 1", data, err, calls.Load())
+	}
+	if data, err := c.Fetch(ctx, remote, "/v1/throughput", []byte(`{}`), true); data != nil || err != nil || calls.Load() != 1 {
+		t.Fatalf("forwarded non-owner: data=%s err=%v after %d calls, want nil and no second hop", data, err, calls.Load())
+	}
+	if got := c.Metrics().LoopGuard.Load(); got != 1 {
+		t.Fatalf("loop-guard counter = %d, want 1", got)
+	}
+	if data, err := c.Fetch(ctx, local, "/v1/throughput", []byte(`{}`), false); data != nil || err != nil || calls.Load() != 1 {
+		t.Fatalf("R=1 primary: data=%s err=%v after %d calls, want nil and no peer asked", data, err, calls.Load())
+	}
+	reply.Store(`{"key":"k"}`)
+	if data, err := c.Fetch(ctx, remote, "/v1/throughput", []byte(`{}`), false); data != nil || err != nil {
+		t.Fatalf("envelope without result: data=%s err=%v, want nil (compute locally)", data, err)
+	}
+	status.Store(http.StatusTooManyRequests)
+	if _, err := c.Fetch(ctx, remote, "/v1/throughput", []byte(`{}`), false); !errors.Is(err, ErrPeerSaturated) {
+		t.Fatalf("shed owner: err=%v, want ErrPeerSaturated", err)
+	}
+
+	sibling := newMemStore()
+	cfg := fastConfig(self, storePeer(t, sibling))
+	cfg.Replication = 2
+	if c, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var warm, cold Entry
+	for i := 0; cold.Key == ""; i++ {
+		e := entry("j", fmt.Sprintf(`{"i":%d}`, i), "s", `{"v":2}`)
+		switch {
+		case c.Owner(e.Key) != self:
+		case warm.Key == "":
+			warm = e
+		default:
+			cold = e
+		}
+	}
+	sibling.Fill(warm.Key, warm.Name, warm.Spec, warm.Salt, warm.Result)
+	if data, err := c.Fetch(ctx, warm.Key, "/v1/throughput", nil, false); err != nil || string(data) != `{"v":2}` {
+		t.Fatalf("R=2 primary, sibling hit: data=%s err=%v, want the sibling's bytes", data, err)
+	}
+	if data, err := c.Fetch(ctx, cold.Key, "/v1/throughput", nil, false); data != nil || err != nil {
+		t.Fatalf("R=2 primary, sibling miss: data=%s err=%v, want nil (compute locally)", data, err)
 	}
 }

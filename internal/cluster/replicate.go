@@ -8,11 +8,12 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Replication data plane. Three peer-to-peer endpoints (served by the
-// serving layer, spoken by this file):
+// Replication data plane. Four peer-to-peer endpoints, spoken by this file
+// and served by Handler (handler.go):
 //
 //	POST PathFill   — push one entry to a replica owner (idempotent:
 //	                  content-addressed keys make duplicate fills no-ops)
@@ -22,10 +23,12 @@ import (
 //	                  anti-entropy batching
 //	POST PathGossip — membership table exchange
 const (
-	PathFill   = "/v1/cluster/fill"
-	PathEntry  = "/v1/cluster/entry/" // + key
-	PathHave   = "/v1/cluster/have"
-	PathGossip = "/v1/cluster/gossip"
+	// Prefix is the plane's namespace: a server mounts Handler here.
+	Prefix     = "/v1/cluster/"
+	PathFill   = Prefix + "fill"
+	PathEntry  = Prefix + "entry/" // + key
+	PathHave   = Prefix + "have"
+	PathGossip = Prefix + "gossip"
 )
 
 // Entry is one cached result in wire form: the full (name, spec, salt)
@@ -82,8 +85,7 @@ type replJob struct {
 type replicator struct {
 	c       *Cluster
 	jobs    chan replJob
-	pending int64 // queued + in-flight, via sync/atomic through mu-free ops
-	mu      sync.Mutex
+	pending atomic.Int64 // queued + in-flight pushes
 }
 
 const (
@@ -106,31 +108,19 @@ func (r *replicator) start(ctx context.Context, wg *sync.WaitGroup) {
 					return
 				case job := <-r.jobs:
 					r.run(ctx, job)
-					r.add(-1)
+					r.pending.Add(-1)
 				}
 			}
 		}()
 	}
 }
 
-func (r *replicator) add(d int64) {
-	r.mu.Lock()
-	r.pending += d
-	r.mu.Unlock()
-}
-
-func (r *replicator) pendingCount() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pending
-}
-
 func (r *replicator) enqueue(job replJob) {
-	r.add(1)
+	r.pending.Add(1)
 	select {
 	case r.jobs <- job:
 	default:
-		r.add(-1)
+		r.pending.Add(-1)
 		r.c.metrics.ReplicaDrops.Add(1)
 	}
 }
@@ -171,7 +161,7 @@ func (c *Cluster) ReplicateAsync(e Entry) {
 
 // ReplicationPending returns the number of queued plus in-flight replica
 // pushes — tests use it to quiesce before asserting fleet state.
-func (c *Cluster) ReplicationPending() int64 { return c.repl.pendingCount() }
+func (c *Cluster) ReplicationPending() int64 { return c.repl.pending.Load() }
 
 // FetchSibling tries to read key from its other replica owners' caches
 // (cache-only: the peer never computes or forwards). It returns the first
@@ -275,20 +265,6 @@ func (c *Cluster) gossipExchange(ctx context.Context, peer string, ours []Member
 	return resp.Members, nil
 }
 
-// HandleGossip merges a received table and returns ours — the server half
-// of an exchange, called by the serving layer's gossip handler. Receiving
-// gossip from a peer is proof it is alive.
-func (c *Cluster) HandleGossip(from string, theirs []Member) []Member {
-	if c.mem == nil {
-		return nil
-	}
-	c.mem.Merge(theirs)
-	if from != "" {
-		c.mem.Refresh(from)
-	}
-	return c.mem.Table()
-}
-
 // postJSON POSTs body to peer+path under the forward timeout and decodes a
 // 200 response into out.
 func (c *Cluster) postJSON(ctx context.Context, peer, path string, body []byte, out any) error {
@@ -316,8 +292,8 @@ func (c *Cluster) postJSON(ctx context.Context, peer, path string, body []byte, 
 }
 
 // antiEntropyLoop re-replicates under-replicated keys: after every ring
-// change (debounced) and on a slow timer, it walks the local cache and
-// offers each entry to the key's current owners, pushing the ones they
+// change (debounced) and on a slow timer, it walks the local cache's keys
+// and offers each to the key's current owners, pushing the ones they
 // lack. Together with the synchronous push on fresh computes this restores
 // R copies of every key after any membership change, with no operator
 // involvement — the tentpole's "no cold recomputes" guarantee rests on it.
@@ -342,39 +318,33 @@ func (c *Cluster) antiEntropyLoop(ctx context.Context) {
 	}
 }
 
-// antiEntropyPass walks local entries, groups keys by target owner, asks
-// each owner which it lacks (batched), and pushes the missing ones.
+// antiEntropyPass walks the local keys, groups them by target owner, asks
+// each owner which it lacks (batched), and loads and pushes only those: a
+// pass over a fleet that already holds R copies reads no entry.
 func (c *Cluster) antiEntropyPass(ctx context.Context) {
-	fnp := c.entries.Load()
-	if fnp == nil || c.cfg.Replication <= 1 {
+	sp := c.store.Load()
+	if sp == nil || c.cfg.Replication <= 1 {
 		return
 	}
-	byPeer := map[string][]Entry{}
-	err := (*fnp)(ctx, func(e Entry) bool {
-		for _, o := range c.Owners(e.Key) {
-			if o != c.self && c.healthy(o) {
-				byPeer[o] = append(byPeer[o], e)
-			}
-		}
-		return ctx.Err() == nil
-	})
+	store := *sp
+	keys, err := store.Keys()
 	if err != nil {
 		c.logf("cluster: anti-entropy walk: %v", err)
 		return
 	}
+	byPeer := map[string][]string{}
+	for _, k := range keys {
+		for _, o := range c.Owners(k) {
+			if o != c.self && c.healthy(o) {
+				byPeer[o] = append(byPeer[o], k)
+			}
+		}
+	}
 	filled := 0
-	for peer, entries := range byPeer {
-		for lo := 0; lo < len(entries); lo += haveBatch {
-			hi := lo + haveBatch
-			if hi > len(entries) {
-				hi = len(entries)
-			}
-			batch := entries[lo:hi]
-			keys := make([]string, len(batch))
-			for i, e := range batch {
-				keys[i] = e.Key
-			}
-			have, err := c.queryHave(ctx, peer, keys)
+	for peer, keys := range byPeer {
+		for lo := 0; lo < len(keys); lo += haveBatch {
+			batch := keys[lo:min(lo+haveBatch, len(keys))]
+			have, err := c.queryHave(ctx, peer, batch)
 			if err != nil {
 				c.logf("cluster: anti-entropy have at %s: %v", peer, err)
 				break // peer trouble: skip its remaining batches this pass
@@ -383,9 +353,13 @@ func (c *Cluster) antiEntropyPass(ctx context.Context) {
 				if h {
 					continue
 				}
-				if _, err := c.pushFill(ctx, peer, batch[i]); err != nil {
+				e, ok := store.Load(batch[i])
+				if !ok {
+					continue // raced with prune, or corrupt: nothing to offer
+				}
+				if _, err := c.pushFill(ctx, peer, e); err != nil {
 					c.metrics.ReplicaPushErrors.Add(1)
-					c.logf("cluster: anti-entropy fill key=%.12s… to %s: %v", batch[i].Key, peer, err)
+					c.logf("cluster: anti-entropy fill key=%.12s… to %s: %v", e.Key, peer, err)
 					continue
 				}
 				filled++

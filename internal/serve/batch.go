@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"beyondft/internal/cluster"
 )
 
 // POST /v1/batch: evaluate many specs over one connection, NDJSON in and
@@ -219,7 +221,7 @@ func (s *Server) runBatchQuery(ctx context.Context, r *http.Request, idx int, q 
 	backoff := batchSaturatedBackoff
 	for {
 		actx, cancel := s.timeoutCtx(ctx)
-		data, key, src, err := s.engine.DoRemote(actx, q.name, q.spec, q.salt, s.remoteStage(r, q.fwd), q.compute)
+		data, key, src, err := s.engine.do(actx, q, cluster.Forwarded(r))
 		cancel()
 		if err == nil {
 			s.engine.Alias(key, alias)

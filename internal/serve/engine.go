@@ -3,12 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
 
+	"beyondft/internal/cluster"
 	"beyondft/internal/harness"
 	"beyondft/internal/obs"
 )
@@ -47,6 +47,7 @@ const l2PruneEvery = 64
 //	→ L1 (lock + map probe on the content key)
 //	→ singleflight join (identical concurrent requests compute once)
 //	→ L2 (one file read; hit repopulates L1)
+//	→ peer (clustered only: Cluster.Fetch forwards or probes siblings)
 //	→ admission (worker slots + bounded queue; overflow → errSaturated)
 //	→ compute (stores into L2 then L1)
 //
@@ -64,29 +65,16 @@ type Engine struct {
 
 	l2Puts atomic.Int64
 
-	// onFresh, when set, runs after a fresh compute's result has landed in
-	// the local tiers — the cluster tier hooks replication here, so sibling
-	// replica owners receive the bytes without the request waiting on them.
-	onFresh atomic.Pointer[FreshHook]
+	// cluster, when set (Server.EnableCluster), routes keys this node
+	// missed locally (Cluster.Fetch) and receives fresh computes for
+	// replication. Nil = standalone.
+	cluster atomic.Pointer[cluster.Cluster]
 
 	// computeStarted, when non-nil (tests only), runs in the leader
 	// goroutine after admission granted a slot and before compute begins.
 	// The coalescing / saturation / drain tests use it to hold a compute
 	// open at a known point.
 	computeStarted func(key string)
-}
-
-// FreshHook observes freshly computed results (see Engine.SetFreshHook).
-type FreshHook func(key, name, spec, salt string, data json.RawMessage)
-
-// SetFreshHook installs (or, with nil, removes) the fresh-compute observer.
-// Safe to call concurrently with serving.
-func (e *Engine) SetFreshHook(fn FreshHook) {
-	if fn == nil {
-		e.onFresh.Store(nil)
-		return
-	}
-	e.onFresh.Store(&fn)
 }
 
 // EngineConfig configures an Engine.
@@ -133,44 +121,29 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // L1Stats exposes the memory tier's occupancy for /healthz.
 func (e *Engine) L1Stats() harness.LRUStats { return e.l1.Stats() }
 
-// RemoteFunc fetches a result from elsewhere in the fleet (the cluster
-// tier's forward-to-owner path). Returning (nil, nil) means "not served
-// remotely — compute locally". Returned data is authoritative: it is
-// filled into the local cache tiers (peer fill) so the fleet warms from one
-// compute. An error wrapping errSaturated aborts the request (the owner
-// shed it); any other error falls back to local compute.
-type RemoteFunc func(ctx context.Context) (json.RawMessage, error)
-
-// RemoteStage builds a request's RemoteFunc from its cache key. The engine
-// calls it only once the L1 probe has missed and this request leads the
-// flight, so a hit or a coalesced wait never pays for the ring walk. A nil
-// stage, or one returning nil, means "serve purely locally".
-type RemoteStage func(key string) RemoteFunc
-
 // Do returns the encoded result for the (name, spec, salt) triple,
 // computing it with compute only if no tier has it and no identical request
 // is already computing it. The returned key is the content address
 // (harness.Key) the result is stored under; src says which tier answered.
-// The returned bytes are shared with the cache and must not be mutated.
+// The returned bytes are shared with the cache and must not be mutated. Do
+// never consults the cluster: its query has no form a peer could serve.
 func (e *Engine) Do(ctx context.Context, name, spec, salt string,
 	compute func(context.Context) (json.RawMessage, error)) (data json.RawMessage, key string, src Source, err error) {
-	return e.DoRemote(ctx, name, spec, salt, nil, compute)
+	return e.do(ctx, query{name: name, spec: spec, salt: salt, compute: compute}, false)
 }
 
-// DoRemote is Do with an optional remote stage between the cache probes and
-// local compute: when this node is not the key's ring owner, the stage's
-// RemoteFunc forwards to the owner instead of computing, making the
-// singleflight cluster-wide (the local flightGroup collapses identical local
-// requests into one forward; the owner's flightGroup collapses forwards from
-// every node into one compute).
+// do is Do for a resolved query. On a clustered engine the flight's leader
+// asks Cluster.Fetch between the disk tier and local compute, which makes the
+// singleflight cluster-wide: the local flightGroup collapses identical local
+// requests into one forward, the owner's collapses forwards from every node
+// into one compute. forwarded says the request arrived by a peer's forward.
 //
 // The work runs detached from ctx: if this caller's context expires, the
 // flight keeps going for any joiners still listening and is canceled only
 // when the last participant leaves (see flightGroup).
-func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, stage RemoteStage,
-	compute func(context.Context) (json.RawMessage, error)) (data json.RawMessage, key string, src Source, err error) {
+func (e *Engine) do(ctx context.Context, q query, forwarded bool) (data json.RawMessage, key string, src Source, err error) {
 	sp := obs.SpanFromContext(ctx)
-	key = harness.Key(name, spec, salt)
+	key = harness.Key(q.name, q.spec, q.salt)
 	probe := sp.Child("l1-probe")
 	data, ok := e.l1.Get(key)
 	probe.End()
@@ -203,13 +176,9 @@ func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, stage Re
 	// deadline; the flight's refcount supplies cancellation instead.
 	cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	e.flights.setCancel(c, cancel)
-	var remote RemoteFunc
-	if stage != nil {
-		remote = stage(key)
-	}
 	go func() {
 		defer cancel()
-		c.data, c.src, c.err = e.lookupOrCompute(cctx, sp, key, name, spec, salt, remote, compute)
+		c.data, c.src, c.err = e.lookupOrCompute(cctx, sp, key, q, forwarded)
 		e.flights.finish(key, c)
 	}()
 	select {
@@ -221,13 +190,12 @@ func (e *Engine) DoRemote(ctx context.Context, name, spec, salt string, stage Re
 	}
 }
 
-// lookupOrCompute is the flight's work: disk tier, then (off-owner) the
-// remote forward, then admission-gated local compute, storing fresh results
-// into both tiers. Stage spans hang off sp (nil when the request is
-// untraced) and the compute runs under pprof labels so CPU profiles
-// attribute samples to the endpoint.
-func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, spec, salt string, remote RemoteFunc,
-	compute func(context.Context) (json.RawMessage, error)) (json.RawMessage, Source, error) {
+// lookupOrCompute is the flight's work: disk tier, then the cluster's route
+// for the key, then admission-gated local compute, storing fresh results
+// into both tiers and handing them to the cluster for replication. Stage
+// spans hang off sp (nil when the request is untraced) and the compute runs
+// under pprof labels so CPU profiles attribute samples to the endpoint.
+func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key string, q query, forwarded bool) (json.RawMessage, Source, error) {
 	if e.l2 != nil {
 		l2sp := sp.Child("l2-probe")
 		data, hit, err := e.l2.Get(key)
@@ -241,25 +209,19 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 			return data, SourceL2, nil
 		}
 	}
-	if remote != nil {
-		fwdSp := sp.Child("peer-forward")
-		data, err := remote(ctx)
-		fwdSp.End()
-		if err == nil && data != nil {
-			e.metrics.PeerHits.Add(1)
-			e.fill(key, name, spec, salt, data)
-			return data, SourcePeer, nil
-		}
+	cl := e.cluster.Load()
+	if cl != nil && q.path != "" {
+		data, err := cl.Fetch(ctx, key, q.path, q.body, forwarded)
 		if err != nil {
-			if errors.Is(err, errSaturated) {
-				// The owner shed the request: propagate the shed instead of
-				// absorbing the fleet's overload locally.
-				e.metrics.Rejected.Add(1)
-				return nil, "", err
-			}
-			if e.logf != nil && ctx.Err() == nil {
-				e.logf("serve: peer forward key=%.12s…: %v (computing locally)", key, err)
-			}
+			// The owner shed the request: propagate the shed instead of
+			// absorbing the fleet's overload locally.
+			e.metrics.Rejected.Add(1)
+			return nil, "", fmt.Errorf("%w: %v", errSaturated, err)
+		}
+		if data != nil {
+			e.metrics.PeerHits.Add(1)
+			e.fill(key, q.name, q.spec, q.salt, data)
+			return data, SourcePeer, nil
 		}
 		if ctx.Err() != nil {
 			return nil, "", ctx.Err()
@@ -280,8 +242,8 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 	}
 	compSp := sp.Child("compute")
 	var data json.RawMessage
-	obs.Do(obs.ContextWithSpan(ctx, compSp), "query", name, func(ctx context.Context) {
-		data, err = safeCompute(ctx, compute)
+	obs.Do(obs.ContextWithSpan(ctx, compSp), "query", q.name, func(ctx context.Context) {
+		data, err = safeCompute(ctx, q.compute)
 	})
 	compSp.End()
 	if err != nil {
@@ -296,9 +258,9 @@ func (e *Engine) lookupOrCompute(ctx context.Context, sp *obs.Span, key, name, s
 	e.metrics.Computed.Add(1)
 	storeSp := sp.Child("store")
 	defer storeSp.End()
-	e.store("write", key, name, spec, salt, data)
-	if hook := e.onFresh.Load(); hook != nil {
-		(*hook)(key, name, spec, salt, data)
+	e.store("write", key, q.name, q.spec, q.salt, data)
+	if cl != nil {
+		cl.ReplicateAsync(cluster.Entry{Key: key, Name: q.name, Spec: q.spec, Salt: q.salt, Result: data})
 	}
 	return data, SourceComputed, nil
 }
@@ -326,6 +288,28 @@ func (e *Engine) Fill(key, name, spec, salt string, data json.RawMessage) (had b
 	}
 	e.fill(key, name, spec, salt, data)
 	return false
+}
+
+// Load reads one entry from the durable tier, metadata and all — the
+// replication plane's cache-only read. A node without a disk tier has
+// nothing durable to offer.
+func (e *Engine) Load(key string) (cluster.Entry, bool) {
+	if e.l2 == nil {
+		return cluster.Entry{}, false
+	}
+	en, ok, err := e.l2.Load(key)
+	if err != nil || !ok {
+		return cluster.Entry{}, false
+	}
+	return cluster.Entry{Key: key, Name: en.Job, Spec: en.Spec, Salt: en.Salt, Result: en.Result}, true
+}
+
+// Keys lists the durable tier's keys, for the cluster's anti-entropy pass.
+func (e *Engine) Keys() ([]string, error) {
+	if e.l2 == nil {
+		return nil, nil
+	}
+	return e.l2.Keys()
 }
 
 // fill stores a peer-served result into both local tiers. Results are

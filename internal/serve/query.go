@@ -60,7 +60,7 @@ func (s *Server) resolveAdhoc(kind string, decode func(v any) error) (query, adh
 	}
 	req.inject(s)
 	spec := req.spec()
-	return query{k.path[1:], spec, CodeSalt, &forward{path: k.path, body: []byte(spec)}, req.run}, req, nil
+	return query{k.path[1:], spec, CodeSalt, k.path, []byte(spec), req.run}, req, nil
 }
 
 // specOf is the canonical cache spec of a normalized request: its JSON

@@ -79,11 +79,6 @@ type Server struct {
 
 	draining atomic.Bool
 
-	// cluster, when set (EnableCluster), shards the keyspace across peers:
-	// off-owner requests forward instead of computing. Nil pointer =
-	// standalone node; every path checks for that.
-	cluster atomic.Pointer[cluster.Cluster]
-
 	mu     sync.Mutex
 	served map[string]harness.JobReport // latest report per cache key
 }
@@ -132,12 +127,9 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("POST "+k.path, s.handleAdhoc(kind, s.routeOf(k.path)))
 	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	// Peer-to-peer replication and membership plane (paths defined by the
-	// cluster package; 503 / no-op while standalone).
-	s.mux.HandleFunc("POST "+cluster.PathFill, s.handleClusterFill)
-	s.mux.HandleFunc("GET "+cluster.PathEntry+"{key}", s.handleClusterEntry)
-	s.mux.HandleFunc("POST "+cluster.PathHave, s.handleClusterHave)
-	s.mux.HandleFunc("POST "+cluster.PathGossip, s.handleClusterGossip)
+	// The peer replication and membership plane, over the local caches
+	// (gossip is 503 while standalone).
+	s.mux.Handle(cluster.Prefix, cluster.Handler(s.engine, s.Cluster))
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -155,53 +147,24 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // EnableCluster joins this node to a cluster: engine-backed endpoints start
-// forwarding off-owner keys to their replica owners, filling the local
-// caches from peer results, replicating fresh computes to sibling owners,
-// and answering the peer replication/membership endpoints. Safe to call
-// before or after Start; passing nil returns the node to standalone
+// routing keys they miss locally through the cluster (forward to the owner,
+// or probe the sibling replicas), filling the local caches from peer
+// results and replicating fresh computes to sibling owners; the cluster's
+// anti-entropy pass offers this node's disk tier to the other owners. Safe
+// to call before or after Start; passing nil returns the node to standalone
 // serving.
 func (s *Server) EnableCluster(cl *cluster.Cluster) {
-	s.cluster.Store(cl)
+	s.engine.cluster.Store(cl)
 	if cl == nil {
-		s.engine.SetFreshHook(nil)
 		return
 	}
-	cl.SetEntriesSource(s.localEntries)
-	s.engine.SetFreshHook(func(key, name, spec, salt string, data json.RawMessage) {
-		cl.ReplicateAsync(cluster.Entry{Key: key, Name: name, Spec: spec, Salt: salt, Result: data})
-	})
+	cl.SetStore(s.engine)
 	s.logf("serve: cluster enabled self=%s peers=%d replication=%d",
 		cl.Self(), len(cl.Peers()), cl.Replication())
 }
 
-// localEntries walks the disk tier for the cluster's anti-entropy pass. A
-// node without a disk tier has nothing durable to offer.
-func (s *Server) localEntries(ctx context.Context, yield func(cluster.Entry) bool) error {
-	l2 := s.engine.l2
-	if l2 == nil {
-		return nil
-	}
-	keys, err := l2.Keys()
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		e, ok, err := l2.Load(k)
-		if err != nil || !ok {
-			continue // raced with prune, or corrupt: nothing to offer
-		}
-		if !yield(cluster.Entry{Key: k, Name: e.Job, Spec: e.Spec, Salt: e.Salt, Result: e.Result}) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Cluster returns the node's cluster view (nil when standalone).
-func (s *Server) Cluster() *cluster.Cluster { return s.cluster.Load() }
+func (s *Server) Cluster() *cluster.Cluster { return s.engine.cluster.Load() }
 
 // StartDrain flips /readyz to 503 without closing the listener, so load
 // balancers and peers stop sending new work while in-flight requests finish.
@@ -402,115 +365,21 @@ type queryResponse struct {
 }
 
 // query is one engine-backed request resolved to engine inputs: the job
-// name, canonical spec and salt its cache key derives from, how to re-issue
-// it against a peer (nil: not forwardable), and the compute.
+// name, canonical spec and salt its cache key derives from, how a peer
+// re-issues it when the cluster decides another node owns its key (the
+// peer-side path, and the request body: the canonical normalized spec, so
+// the peer derives the identical cache key), and the compute.
 type query struct {
 	name    string
 	spec    string
 	salt    string
-	fwd     *forward
+	path    string
+	body    []byte
 	compute func(context.Context) (json.RawMessage, error)
 }
 
-// forward describes how a query is re-issued against a peer when the
-// cluster tier decides another node owns its key: the peer-side path and
-// the request body (the canonical normalized spec, so the peer derives the
-// identical cache key).
-type forward struct {
-	path string
-	body []byte
-}
-
-// remoteStage hands the engine this request's remote stage: a constructor the
-// engine calls with the cache key only after the L1 probe missed, so a hit
-// costs neither the ring walk nor the closures. The stage depends on this
-// node's role for the key:
-//
-//   - primary owner (first of the key's R replica owners): on a local cache
-//     miss, probe the sibling owners' caches (cache-only, never computes)
-//     before computing — a freshly joined or rejoined primary warms itself
-//     from its replicas instead of recomputing bytes the fleet already has.
-//   - sibling replica owner or non-owner: forward to the owner chain; the
-//     owner's singleflight makes the compute exactly-once fleet-wide.
-//   - already-forwarded request (loop guard): never forward again. At an
-//     owner it keeps the cache-only sibling probe (still loop-safe: the
-//     probe endpoint cannot cascade); elsewhere it serves locally and
-//     counts the ownership disagreement.
-//
-// Nil — serve purely locally — when clustering is off or the query has no
-// forwardable form; the constructor itself returns nil when no remote stage
-// applies.
-func (s *Server) remoteStage(r *http.Request, fwd *forward) RemoteStage {
-	cl := s.cluster.Load()
-	if cl == nil || fwd == nil {
-		return nil
-	}
-	return func(key string) RemoteFunc {
-		owners := cl.Owners(key)
-		pos := -1
-		for i, o := range owners {
-			if o == cl.Self() {
-				pos = i
-				break
-			}
-		}
-		if cluster.Forwarded(r) {
-			if pos < 0 {
-				// Ownership views disagree (membership change in flight); serving
-				// locally is still correct — results are content-addressed.
-				cl.Metrics().LoopGuard.Add(1)
-				return nil
-			}
-			return s.siblingProbe(cl, key, len(owners))
-		}
-		if pos == 0 {
-			return s.siblingProbe(cl, key, len(owners))
-		}
-		// Sibling replica (pos > 0) or non-owner: forward. A replica with the
-		// bytes never reaches here (the engine probes local tiers first); on a
-		// miss it joins the primary's flight like everyone else, and the owner
-		// chain leads back to itself right after the primary, so a dead primary
-		// means ErrSelf → compute locally.
-		return func(ctx context.Context) (json.RawMessage, error) {
-			body, peer, err := cl.Forward(ctx, key, fwd.path, fwd.body)
-			if err != nil {
-				if errors.Is(err, cluster.ErrSelf) {
-					return nil, nil // live owner chain leads here: compute locally
-				}
-				if errors.Is(err, cluster.ErrPeerSaturated) {
-					return nil, fmt.Errorf("%w: %v", errSaturated, err)
-				}
-				return nil, err
-			}
-			var env queryResponse
-			if err := json.Unmarshal(body, &env); err != nil {
-				return nil, fmt.Errorf("peer %s: bad response envelope: %v", peer, err)
-			}
-			if len(env.Result) == 0 {
-				return nil, fmt.Errorf("peer %s: response envelope without result", peer)
-			}
-			return env.Result, nil
-		}
-	}
-}
-
-// siblingProbe returns the primary-owner remote stage: a cache-only read of
-// the key's sibling replicas, or nil when the key has no siblings (R=1 or a
-// one-node ring) — then there is nobody to ask and the compute proceeds.
-func (s *Server) siblingProbe(cl *cluster.Cluster, key string, nOwners int) RemoteFunc {
-	if nOwners <= 1 {
-		return nil
-	}
-	return func(ctx context.Context) (json.RawMessage, error) {
-		if e, ok := cl.FetchSibling(ctx, key); ok {
-			return e.Result, nil
-		}
-		return nil, nil // no sibling has it: compute locally
-	}
-}
-
 // serveQuery runs the shared engine path for one request and writes the
-// response: metrics, deadline, engine.DoRemote, manifest record, histogram.
+// response: metrics, deadline, engine, manifest record, histogram.
 // ?trace=1 roots a span in the request context; the engine and the compute
 // hang stage spans off it and the finished tree rides back in the response.
 // alias, when the request had one (see handleAdhoc), is registered for the
@@ -525,7 +394,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, rt route, q 
 	ctx, cancel := s.timeoutCtx(r.Context())
 	defer cancel()
 	ctx = obs.ContextWithSpan(ctx, root)
-	data, key, src, err := s.engine.DoRemote(ctx, q.name, q.spec, q.salt, s.remoteStage(r, q.fwd), q.compute)
+	data, key, src, err := s.engine.do(ctx, q, cluster.Forwarded(r))
 	elapsed := time.Since(start)
 	rt.latency.Observe(elapsed)
 	if err != nil {
@@ -627,8 +496,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // jobQuery resolves a registry job to engine inputs — shared between
 // POST /v1/jobs/{name}/run and batch kind=job.
 func (s *Server) jobQuery(job harness.Job) query {
-	fwd := &forward{path: "/v1/jobs/" + url.PathEscape(job.Name) + "/run"}
-	return query{job.Name, job.Spec, experiments.CodeSalt, fwd, func(ctx context.Context) (json.RawMessage, error) {
+	path := "/v1/jobs/" + url.PathEscape(job.Name) + "/run"
+	return query{job.Name, job.Spec, experiments.CodeSalt, path, nil, func(ctx context.Context) (json.RawMessage, error) {
 		v, err := job.Run(ctx)
 		if err != nil {
 			return nil, err
