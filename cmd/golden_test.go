@@ -1,5 +1,4 @@
-// Package cmd_test pins the stdout of the evaluation CLIs (cmd/throughput,
-// cmd/whatif, cmd/search) byte for byte. Each binary documents its stdout as
+// Package cmd_test pins the stdout of the CLIs byte for byte. Each binary documents its stdout as
 // a pure function of its flags; the goldens in testdata/cli_golden.json hold
 // that function at a small flag matrix so a refactor of the shared
 // spec → topology → traffic matrix → solve path cannot move a digit.
@@ -58,13 +57,30 @@ func goldenCases() []string {
 		"search -topo jellyfish -n 12 -degree 3 -servers 2 -budget 14 -batch 5 -proxy-top 2 -coarse 0.3 -fine 0.15 -seed 3",
 		"search -topo xpander -degree 3 -lift 3 -servers 2 -budget 10 -batch 4 -proxy-top 2 -coarse 0.3 -fine 0.15 -seed 5",
 		"search -topo jellyfish -n 10 -degree 3 -servers 2 -budget 8 -batch 4 -moves rewire -strategy hillclimb",
+		"topogen -topo jellyfish",
+		"topogen -topo dragonfly -a 4 -h 2",
+		"topogen -topo lps",
+		"topogen -topo fattree -k 8 -cost 0.77",
+		"pktsim -topo xpander -degree 4 -lift 3 -servers 2 -routing hyb -pairs skew -lambda 2000 -measure 20 -warmup 10 -max 200",
+		"pktsim -topo jellyfish -n 16 -degree 4 -servers 2 -routing ksp -pairs skew -lambda 2000 -measure 20 -warmup 10 -max 200",
+		"simscale -k 4 -flows 2000",
+		"validate -smoke",
+		"figures -fig table1,fig4 -j 1",
+		"runner list",
 	)
 }
 
 func TestCLIGolden(t *testing.T) {
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./throughput", "./whatif", "./search")
+	pkgs := map[string]bool{}
+	for _, c := range goldenCases() {
+		pkgs["./"+strings.Fields(c)[0]] = true
+	}
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for p := range pkgs {
+		args = append(args, p)
+	}
+	build := exec.Command("go", args...)
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
