@@ -30,12 +30,12 @@ test-race:
 # Cross-model validation (DESIGN.md §10): exact LP vs Garg–Könemann vs
 # flowsim vs netsim on shared scenarios, plus conservation and replay
 # determinism. The smoke grid is wired into `make test`; the full grid runs
-# through the harness: `go run ./cmd/runner run -only 'validate-*' -full`.
+# through the harness: `go run ./cmd/beyondft run -only 'validate-*' -full`.
 validate-smoke:
-	go run ./cmd/validate -smoke
+	go run ./cmd/beyondft validate -smoke
 
 # What-if sweep smoke (DESIGN.md §12): a full single-link sweep of a tiny
-# fabric via cmd/whatif, run at 1 and 8 workers and then resumed from the
+# fabric via `beyondft whatif`, run at 1 and 8 workers and then resumed from the
 # scenario cache — stdout (histogram + worst-k frontier) must be
 # byte-identical every time. A fourth run widens the frontier (-topk 12)
 # over the same cache, so it promotes scenarios whose coarse rung is a cache
@@ -45,12 +45,12 @@ WHATIF_DIR := .whatif-smoke
 WHATIF_ARGS := -topo jellyfish -n 16 -degree 4 -servers 2 -family single-link
 whatif-smoke:
 	@rm -rf $(WHATIF_DIR) && mkdir -p $(WHATIF_DIR)
-	@go build -o $(WHATIF_DIR)/whatif ./cmd/whatif
-	@$(WHATIF_DIR)/whatif $(WHATIF_ARGS) -workers 1 > $(WHATIF_DIR)/w1.out 2>/dev/null
-	@$(WHATIF_DIR)/whatif $(WHATIF_ARGS) -workers 8 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/w8.out 2>/dev/null
-	@$(WHATIF_DIR)/whatif $(WHATIF_ARGS) -workers 4 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/resumed.out 2>/dev/null
-	@$(WHATIF_DIR)/whatif $(WHATIF_ARGS) -workers 4 -topk 12 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/wide.out 2>/dev/null
-	@$(WHATIF_DIR)/whatif $(WHATIF_ARGS) -workers 2 -topk 12 > $(WHATIF_DIR)/wide-cold.out 2>/dev/null
+	@go build -o $(WHATIF_DIR)/beyondft ./cmd/beyondft
+	@$(WHATIF_DIR)/beyondft whatif $(WHATIF_ARGS) -workers 1 > $(WHATIF_DIR)/w1.out 2>/dev/null
+	@$(WHATIF_DIR)/beyondft whatif $(WHATIF_ARGS) -workers 8 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/w8.out 2>/dev/null
+	@$(WHATIF_DIR)/beyondft whatif $(WHATIF_ARGS) -workers 4 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/resumed.out 2>/dev/null
+	@$(WHATIF_DIR)/beyondft whatif $(WHATIF_ARGS) -workers 4 -topk 12 -cache $(WHATIF_DIR)/cache > $(WHATIF_DIR)/wide.out 2>/dev/null
+	@$(WHATIF_DIR)/beyondft whatif $(WHATIF_ARGS) -workers 2 -topk 12 > $(WHATIF_DIR)/wide-cold.out 2>/dev/null
 	@cmp $(WHATIF_DIR)/w1.out $(WHATIF_DIR)/w8.out || { echo "whatif-smoke: worker count changed the sweep"; exit 1; }
 	@cmp $(WHATIF_DIR)/w1.out $(WHATIF_DIR)/resumed.out || { echo "whatif-smoke: cache resume changed the sweep"; exit 1; }
 	@cmp $(WHATIF_DIR)/wide-cold.out $(WHATIF_DIR)/wide.out || { echo "whatif-smoke: a wider frontier over a populated cache differs from a cold sweep"; exit 1; }
@@ -66,44 +66,43 @@ SIMSCALE_DIR := .simscale-smoke
 SIMSCALE_ARGS := -k 4 -flows 2000
 sim-scale-smoke:
 	@rm -rf $(SIMSCALE_DIR) && mkdir -p $(SIMSCALE_DIR)
-	@go build -o $(SIMSCALE_DIR)/simscale ./cmd/simscale
-	@$(SIMSCALE_DIR)/simscale $(SIMSCALE_ARGS) -shards 1 > $(SIMSCALE_DIR)/s1.out
-	@$(SIMSCALE_DIR)/simscale $(SIMSCALE_ARGS) -shards 2 > $(SIMSCALE_DIR)/s2.out
-	@$(SIMSCALE_DIR)/simscale $(SIMSCALE_ARGS) -shards 8 > $(SIMSCALE_DIR)/s8.out
+	@go build -o $(SIMSCALE_DIR)/beyondft ./cmd/beyondft
+	@$(SIMSCALE_DIR)/beyondft simscale $(SIMSCALE_ARGS) -shards 1 > $(SIMSCALE_DIR)/s1.out
+	@$(SIMSCALE_DIR)/beyondft simscale $(SIMSCALE_ARGS) -shards 2 > $(SIMSCALE_DIR)/s2.out
+	@$(SIMSCALE_DIR)/beyondft simscale $(SIMSCALE_ARGS) -shards 8 > $(SIMSCALE_DIR)/s8.out
 	@cmp $(SIMSCALE_DIR)/s1.out $(SIMSCALE_DIR)/s2.out || { echo "sim-scale-smoke: 2 shards changed the simulation"; exit 1; }
 	@cmp $(SIMSCALE_DIR)/s1.out $(SIMSCALE_DIR)/s8.out || { echo "sim-scale-smoke: 8 shards changed the simulation"; exit 1; }
-	@$(SIMSCALE_DIR)/simscale $(SIMSCALE_ARGS) -shards 2 -halt-after 1000 -checkpoint $(SIMSCALE_DIR)/cp.json > /dev/null
-	@$(SIMSCALE_DIR)/simscale $(SIMSCALE_ARGS) -shards 4 -resume $(SIMSCALE_DIR)/cp.json > $(SIMSCALE_DIR)/resumed.out
+	@$(SIMSCALE_DIR)/beyondft simscale $(SIMSCALE_ARGS) -shards 2 -halt-after 1000 -checkpoint $(SIMSCALE_DIR)/cp.json > /dev/null
+	@$(SIMSCALE_DIR)/beyondft simscale $(SIMSCALE_ARGS) -shards 4 -resume $(SIMSCALE_DIR)/cp.json > $(SIMSCALE_DIR)/resumed.out
 	@cmp $(SIMSCALE_DIR)/s1.out $(SIMSCALE_DIR)/resumed.out || { echo "sim-scale-smoke: checkpoint resume changed the simulation"; exit 1; }
 	@echo "sim-scale-smoke: ok (byte-identical across 1/2/8 shards and a 2-shard checkpoint resumed at 4 shards)"
 	@rm -rf $(SIMSCALE_DIR)
 
 # Design-search smoke (DESIGN.md §15): a tiny fixed-seed annealing search
-# via cmd/search, run at 1, 2 (the smallest count that flies a second step
+# via `beyondft search`, run at 1, 2 (the smallest count that flies a second step
 # beside the first) and 8 workers and then resumed from the candidate cache,
 # and a hill-climb (the reject-heavy case) at 1 and 2 — stdout (trace +
 # summary) must be byte-identical every time and the best-found design must
 # be >= the seed baseline. The written design file is
-# then evaluated by name through cmd/throughput, closing the loop from
+# then evaluated by name through `beyondft throughput`, closing the loop from
 # search output to first-class topology. Wired into `make test`.
 SEARCH_DIR := .search-smoke
 SEARCH_ARGS := -topo jellyfish -n 12 -degree 3 -servers 2 -budget 14 -batch 5 -proxy-top 2 -coarse 0.3 -fine 0.15 -seed 3
 search-smoke:
 	@rm -rf $(SEARCH_DIR) && mkdir -p $(SEARCH_DIR)
-	@go build -o $(SEARCH_DIR)/search ./cmd/search
-	@go build -o $(SEARCH_DIR)/throughput ./cmd/throughput
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 1 > $(SEARCH_DIR)/s1.out 2>/dev/null
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 2 > $(SEARCH_DIR)/s2.out 2>/dev/null
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 8 -cache $(SEARCH_DIR)/cache -out $(SEARCH_DIR)/designs > $(SEARCH_DIR)/s8.out 2>/dev/null
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -workers 4 -cache $(SEARCH_DIR)/cache > $(SEARCH_DIR)/resumed.out 2>/dev/null
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -strategy hillclimb -workers 1 > $(SEARCH_DIR)/h1.out 2>/dev/null
-	@$(SEARCH_DIR)/search $(SEARCH_ARGS) -strategy hillclimb -workers 2 > $(SEARCH_DIR)/h2.out 2>/dev/null
+	@go build -o $(SEARCH_DIR)/beyondft ./cmd/beyondft
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -workers 1 > $(SEARCH_DIR)/s1.out 2>/dev/null
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -workers 2 > $(SEARCH_DIR)/s2.out 2>/dev/null
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -workers 8 -cache $(SEARCH_DIR)/cache -out $(SEARCH_DIR)/designs > $(SEARCH_DIR)/s8.out 2>/dev/null
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -workers 4 -cache $(SEARCH_DIR)/cache > $(SEARCH_DIR)/resumed.out 2>/dev/null
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -strategy hillclimb -workers 1 > $(SEARCH_DIR)/h1.out 2>/dev/null
+	@$(SEARCH_DIR)/beyondft search $(SEARCH_ARGS) -strategy hillclimb -workers 2 > $(SEARCH_DIR)/h2.out 2>/dev/null
 	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/s2.out || { echo "search-smoke: a second step in flight (2 workers) changed the search"; exit 1; }
 	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/s8.out || { echo "search-smoke: worker count changed the search"; exit 1; }
 	@cmp $(SEARCH_DIR)/s1.out $(SEARCH_DIR)/resumed.out || { echo "search-smoke: cache resume changed the search"; exit 1; }
 	@cmp $(SEARCH_DIR)/h1.out $(SEARCH_DIR)/h2.out || { echo "search-smoke: a second step in flight changed the hill-climb (the reject-heavy case)"; exit 1; }
 	@awk '/^summary:/ { split($$2, b, "="); split($$3, v, "="); if (v[2] + 0 < b[2] + 0) { print "search-smoke: best " v[2] " below baseline " b[2]; exit 1 } found = 1 } END { if (!found) { print "search-smoke: no summary line"; exit 1 } }' $(SEARCH_DIR)/s1.out
-	@$(SEARCH_DIR)/throughput -designs $(SEARCH_DIR)/designs -topo design -name search-best -eps 0.15 > $(SEARCH_DIR)/thr.out
+	@$(SEARCH_DIR)/beyondft throughput -designs $(SEARCH_DIR)/designs -topo design -name search-best -eps 0.15 > $(SEARCH_DIR)/thr.out
 	@grep -q '^topology: search-best' $(SEARCH_DIR)/thr.out || { echo "search-smoke: best design not evaluable by name"; cat $(SEARCH_DIR)/thr.out; exit 1; }
 	@echo "search-smoke: ok (deterministic across workers and cache resume; best >= baseline; design runs by name)"
 	@rm -rf $(SEARCH_DIR)
@@ -233,8 +232,8 @@ bench-smoke:
 SMOKE_DIR := .serve-smoke
 serve-smoke:
 	@rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
-	@go build -o $(SMOKE_DIR)/beyondftd ./cmd/beyondftd
-	@$(SMOKE_DIR)/beyondftd -addr 127.0.0.1:0 -cache $(SMOKE_DIR)/cache \
+	@go build -o $(SMOKE_DIR)/beyondft ./cmd/beyondft
+	@$(SMOKE_DIR)/beyondft serve -addr 127.0.0.1:0 -cache $(SMOKE_DIR)/cache \
 		-out $(SMOKE_DIR)/runs -port-file $(SMOKE_DIR)/port 2> $(SMOKE_DIR)/log & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $(SMOKE_DIR)/port ] && break; sleep 0.1; done; \
@@ -268,8 +267,8 @@ serve-smoke:
 cluster-smoke:
 	go test -run '^TestClusterSmoke$$' -count=1 ./internal/cluster
 
-# Latency CDFs for the cluster tier: open-loop Poisson load (cmd/loadgen)
-# against a 1-node and then a 3-node beyondftd deployment; loadgen prints
+# Latency CDFs for the cluster tier: open-loop Poisson load (beyondft
+# loadgen) against a 1-node and then a 3-node `beyondft serve` deployment; loadgen prints
 # each run record, latency CDF included, on stdout. Fixed ports, so this is
 # a manual target, not part of `make test`.
 LOADGEN_DIR := .bench-cluster
@@ -278,20 +277,19 @@ LOADGEN_DUR := 15s
 LOADGEN_PORTS := 19381 19382 19383
 bench-cluster:
 	@rm -rf $(LOADGEN_DIR) && mkdir -p $(LOADGEN_DIR)
-	@go build -o $(LOADGEN_DIR)/beyondftd ./cmd/beyondftd
-	@go build -o $(LOADGEN_DIR)/loadgen ./cmd/loadgen
-	@$(LOADGEN_DIR)/beyondftd -addr 127.0.0.1:19380 -cache $(LOADGEN_DIR)/c0 -out '' \
+	@go build -o $(LOADGEN_DIR)/beyondft ./cmd/beyondft
+	@$(LOADGEN_DIR)/beyondft serve -addr 127.0.0.1:19380 -cache $(LOADGEN_DIR)/c0 -out '' \
 		2> $(LOADGEN_DIR)/log0 & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:19380/readyz && break; sleep 0.1; done; \
-	$(LOADGEN_DIR)/loadgen -targets http://127.0.0.1:19380 -rps $(LOADGEN_RPS) \
+	$(LOADGEN_DIR)/beyondft loadgen -targets http://127.0.0.1:19380 -rps $(LOADGEN_RPS) \
 		-duration $(LOADGEN_DUR) -name 1node \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "bench-cluster: 1-node daemon exited non-zero"; cat $(LOADGEN_DIR)/log0; exit 1; }
 	@peers=$$(for p in $(LOADGEN_PORTS); do printf ',http://127.0.0.1:%s' $$p; done); peers=$${peers#,}; \
 	pids=""; \
 	for p in $(LOADGEN_PORTS); do \
-		$(LOADGEN_DIR)/beyondftd -addr 127.0.0.1:$$p -cache $(LOADGEN_DIR)/c$$p -out '' \
+		$(LOADGEN_DIR)/beyondft serve -addr 127.0.0.1:$$p -cache $(LOADGEN_DIR)/c$$p -out '' \
 			-self http://127.0.0.1:$$p -peers "$$peers" \
 			-replication 2 -gossip-interval 250ms 2> $(LOADGEN_DIR)/log$$p & \
 		pids="$$pids $$!"; \
@@ -299,7 +297,7 @@ bench-cluster:
 	for p in $(LOADGEN_PORTS); do \
 		for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:$$p/readyz && break; sleep 0.1; done; \
 	done; \
-	$(LOADGEN_DIR)/loadgen -targets "$$peers" -rps $(LOADGEN_RPS) \
+	$(LOADGEN_DIR)/beyondft loadgen -targets "$$peers" -rps $(LOADGEN_RPS) \
 		-duration $(LOADGEN_DUR) -name 3node \
 		|| { kill $$pids 2>/dev/null; exit 1; }; \
 	kill -TERM $$pids; \
@@ -312,15 +310,16 @@ bench-cluster:
 bench-all:
 	go test -timeout 0 -bench=. -benchmem ./...
 
+# The paper's tables and figures, printed; no cache, no artifacts.
 figures:
-	go run ./cmd/figures
+	go run ./cmd/beyondft run -no-cache -out= -only 'table1,fig*'
 
 figures-full:
-	go run ./cmd/figures -full
+	go run ./cmd/beyondft run -no-cache -out= -full -only 'table1,fig*'
 
 # Parallel, cached evaluation of the whole registry (see DESIGN.md §6).
 run:
-	go run ./cmd/runner run
+	go run ./cmd/beyondft run
 
 examples:
 	go run ./examples/quickstart

@@ -207,7 +207,7 @@ func BenchmarkExtensionFailureResilience(b *testing.B) {
 
 // BenchmarkHarnessFigure2 measures the experiment harness's parallel
 // speedup on a registry of CPU-bound Figure-2 jobs: the same job set
-// executed with a single worker (serial, the old cmd/figures behaviour)
+// executed with a single worker (serial, `beyondft run -j 1`)
 // and with one worker per CPU. Each job regenerates the Fig. 2 curves many
 // times so per-job work dwarfs pool scheduling overhead, as in the real
 // packet-sim jobs.

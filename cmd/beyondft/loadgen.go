@@ -1,21 +1,9 @@
-// Command loadgen is an open-loop Poisson load generator for beyondftd:
-// it fires throughput queries at one or more nodes on an absolute arrival
-// schedule (arrivals do not wait for responses, so server slowdowns show
-// up as latency rather than being absorbed by the closed loop), records
-// end-to-end latency in mergeable quantile sketches, and prints a JSON run
-// record with the latency CDF on stdout; -out also merges it into a file.
-//
-//	loadgen -targets http://127.0.0.1:8080 -rps 200 -duration 10s \
-//	        -name 1node -out runs.json
-//
-// Multiple -targets are hit round-robin, which is how the cluster tier is
-// benchmarked: each node forwards what it does not own, so the client needs
-// no ring awareness.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -126,21 +114,35 @@ type outFile struct {
 
 const outFormat = "beyondft-loadgen-v1"
 
-func main() {
-	targetsFlag := flag.String("targets", "http://127.0.0.1:8080", "comma-separated beyondftd base URLs, hit round-robin")
-	rps := flag.Float64("rps", 100, "target offered load in requests/second (Poisson arrivals)")
-	duration := flag.Duration("duration", 10*time.Second, "generation window")
-	conc := flag.Int("conc", 256, "max in-flight requests; arrivals beyond this are dropped (and counted)")
-	specPool := flag.Int("specs", 64, "distinct specs in the query pool (seeds 1..N over one topology)")
-	alpha := flag.Float64("alpha", stats.DefaultSketchAlpha, "sketch relative accuracy for the latency CDF")
-	seed := flag.Int64("seed", 1, "RNG seed for arrivals and spec choice")
-	warmup := flag.Bool("warmup", true, "prime every pool spec once (sequentially, unrecorded) before the timed run")
-	name := flag.String("name", "run", "record name in the -out file (overwrites a same-named run)")
-	out := flag.String("out", "", "JSON file to merge the run record into (empty: stdout only)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	maxErrorRate := flag.Float64("max-error-rate", 0,
+// cmdLoadgen is an open-loop Poisson load generator for the daemon
+// (serve): it fires throughput queries at one or more nodes on an absolute arrival
+// schedule (arrivals do not wait for responses, so server slowdowns show
+// up as latency rather than being absorbed by the closed loop), records
+// end-to-end latency in mergeable quantile sketches, and prints a JSON run
+// record with the latency CDF on stdout; -out also merges it into a file.
+//
+//	beyondft loadgen -targets http://127.0.0.1:8080 -rps 200 -duration 10s \
+//	        -name 1node -out runs.json
+//
+// Multiple -targets are hit round-robin, which is how the cluster tier is
+// benchmarked: each node forwards what it does not own, so the client needs
+// no ring awareness.
+func cmdLoadgen(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	targetsFlag := fs.String("targets", "http://127.0.0.1:8080", "comma-separated daemon base URLs, hit round-robin")
+	rps := fs.Float64("rps", 100, "target offered load in requests/second (Poisson arrivals)")
+	duration := fs.Duration("duration", 10*time.Second, "generation window")
+	conc := fs.Int("conc", 256, "max in-flight requests; arrivals beyond this are dropped (and counted)")
+	specPool := fs.Int("specs", 64, "distinct specs in the query pool (seeds 1..N over one topology)")
+	alpha := fs.Float64("alpha", stats.DefaultSketchAlpha, "sketch relative accuracy for the latency CDF")
+	seed := fs.Int64("seed", 1, "RNG seed for arrivals and spec choice")
+	warmup := fs.Bool("warmup", true, "prime every pool spec once (sequentially, unrecorded) before the timed run")
+	name := fs.String("name", "run", "record name in the -out file (overwrites a same-named run)")
+	out := fs.String("out", "", "JSON file to merge the run record into (empty: stdout only)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
+	maxErrorRate := fs.Float64("max-error-rate", 0,
 		"tolerated errored fraction of requests before exiting 1 (0 = any error fails); membership-churn benches budget the kill window here")
-	flag.Parse()
+	fs.Parse(args)
 
 	logger := log.New(os.Stderr, "loadgen: ", log.LstdFlags|log.Lmsgprefix)
 	targets := strings.Split(*targetsFlag, ",")
@@ -148,7 +150,7 @@ func main() {
 		targets[i] = strings.TrimRight(strings.TrimSpace(tgt), "/")
 	}
 	if *rps <= 0 || len(targets) == 0 {
-		logger.Fatal("need -rps > 0 and at least one -targets URL")
+		return errors.New("need -rps > 0 and at least one -targets URL")
 	}
 
 	// The spec pool: one small topology family, seeds varying, so steady
@@ -179,15 +181,17 @@ func main() {
 		},
 	}
 
-	// queryEnvelope is the slice of beyondftd's response we tally.
+	// queryEnvelope is the slice of the daemon's response we tally.
 	type queryEnvelope struct {
 		Source string `json:"source"`
 	}
 	do := func(target, spec string) {
 		start := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		// Not derived from the command's ctx: a signal stops the arrivals,
+		// and the requests already sent finish within -timeout and count.
+		reqCtx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		req, err := http.NewRequestWithContext(reqCtx, http.MethodPost,
 			target+"/v1/throughput", strings.NewReader(spec))
 		if err != nil {
 			errorsC.Inc()
@@ -217,11 +221,9 @@ func main() {
 			bySource[source]++
 		} else {
 			errsByTarget[target]++
-		}
-		tallyMu.Unlock()
-		if resp.StatusCode != http.StatusOK {
 			errorsC.Inc()
 		}
+		tallyMu.Unlock()
 	}
 
 	// Prime the caches so the timed window measures steady state: a cold
@@ -231,20 +233,20 @@ func main() {
 	if *warmup {
 		wStart := time.Now()
 		for i, spec := range specs {
-			req, err := http.NewRequest(http.MethodPost,
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 				targets[i%len(targets)]+"/v1/throughput", strings.NewReader(spec))
 			if err != nil {
-				logger.Fatal(err)
+				return err
 			}
 			req.Header.Set("Content-Type", "application/json")
 			resp, err := client.Do(req)
 			if err != nil {
-				logger.Fatalf("warmup: %v", err)
+				return fmt.Errorf("warmup: %w", err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				logger.Fatalf("warmup: spec %d -> status %d", i, resp.StatusCode)
+				return fmt.Errorf("warmup: spec %d -> status %d", i, resp.StatusCode)
 			}
 		}
 		logger.Printf("warmup: %d specs primed in %s", len(specs), time.Since(wStart).Round(time.Millisecond))
@@ -265,7 +267,7 @@ func main() {
 		*rps, *duration, len(targets), len(specs))
 	for {
 		next = next.Add(time.Duration(rng.ExpFloat64() / *rps * float64(time.Second)))
-		if next.After(deadline) {
+		if next.After(deadline) || ctx.Err() != nil {
 			break
 		}
 		if d := time.Until(next); d > 0 {
@@ -311,13 +313,11 @@ func main() {
 
 	doc := outFile{Format: outFormat, Runs: map[string]runRecord{}}
 	if *out != "" {
-		if data, err := os.ReadFile(*out); err == nil {
-			if err := json.Unmarshal(data, &doc); err != nil {
-				logger.Fatalf("existing %s is not a %s file: %v", *out, outFormat, err)
-			}
-			if doc.Runs == nil {
-				doc.Runs = map[string]runRecord{}
-			}
+		if err := readJSON(*out, &doc); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("existing %s is not a %s file: %w", *out, outFormat, err)
+		}
+		if doc.Runs == nil {
+			doc.Runs = map[string]runRecord{}
 		}
 	}
 	doc.Format = outFormat
@@ -325,7 +325,7 @@ func main() {
 
 	pretty, err := json.MarshalIndent(doc.Runs[*name], "", "  ")
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	fmt.Printf("%s: %s\n", *name, pretty)
 	reg.WriteTo(os.Stderr)
@@ -333,25 +333,21 @@ func main() {
 	if *out != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		logger.Printf("run %q merged into %s", *name, *out)
 	}
-	if rec.Errors > 0 {
-		total := rec.Requests
-		if total < 1 {
-			total = 1
-		}
-		rate := float64(rec.Errors) / float64(total)
+	if rec.Errors > 0 { // every error is a request's, so Requests > 0
+		rate := float64(rec.Errors) / float64(rec.Requests)
 		if rate > *maxErrorRate {
-			logger.Printf("FAIL: %d/%d requests errored (%.3f%% > budget %.3f%%)",
+			return fmt.Errorf("%d/%d requests errored (%.3f%% > budget %.3f%%)",
 				rec.Errors, rec.Requests, 100*rate, 100**maxErrorRate)
-			os.Exit(1)
 		}
 		logger.Printf("WARNING: %d/%d requests errored (%.3f%%, within budget %.3f%%)",
 			rec.Errors, rec.Requests, 100*rate, 100**maxErrorRate)
 	}
+	return nil
 }

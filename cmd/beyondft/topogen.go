@@ -1,44 +1,43 @@
-// Command topogen builds any of the repository's topologies and prints its
-// structural properties: sizes, degree, diameter, average shortest path,
-// spectral gap, and port/cost accounting.
-//
-// Examples:
-//
-//	topogen -topo fattree -k 16
-//	topogen -topo xpander -degree 11 -lift 18 -servers 5
-//	topogen -topo jellyfish -n 216 -degree 11 -servers 5
-//	topogen -topo slimfly -q 17 -servers 24
-//	topogen -topo longhop -dim 9 -degree 10 -servers 8
-//	topogen -topo fattree -k 16 -cost 0.77
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"beyondft/internal/cost"
 	"beyondft/internal/topology"
 )
 
-func main() {
-	kind := flag.String("topo", "fattree", "fattree | jellyfish | xpander | slimfly | longhop | dragonfly | lps")
-	k := flag.Int("k", 16, "fat-tree k")
-	costFrac := flag.Float64("cost", 1.0, "fat-tree: build at this fraction of full cost")
-	n := flag.Int("n", 216, "jellyfish: switch count")
-	degree := flag.Int("degree", 11, "network degree (jellyfish/xpander/longhop)")
-	lift := flag.Int("lift", 18, "xpander: switches per meta-node")
-	servers := flag.Int("servers", 5, "servers per switch")
-	q := flag.Int("q", 17, "slimfly: prime q = 1 mod 4")
-	dim := flag.Int("dim", 9, "longhop: dimension (2^dim switches)")
-	dfA := flag.Int("a", 4, "dragonfly: routers per group")
-	dfH := flag.Int("h", 2, "dragonfly: global links per router")
-	lpsP := flag.Int("p", 5, "lps: generator prime p (p+1 = degree)")
-	lpsQ := flag.Int("lpsq", 13, "lps: field prime q")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+// cmdTopogen builds any of the repository's topologies and prints its
+// structural properties: sizes, degree, diameter, average shortest path,
+// spectral gap, and port/cost accounting.
+//
+//	beyondft topogen -topo fattree -k 16
+//	beyondft topogen -topo xpander -degree 11 -lift 18 -servers 5
+//	beyondft topogen -topo jellyfish -n 216 -degree 11 -servers 5
+//	beyondft topogen -topo slimfly -q 17 -servers 24
+//	beyondft topogen -topo longhop -dim 9 -degree 10 -servers 8
+//	beyondft topogen -topo fattree -k 16 -cost 0.77
+func cmdTopogen(_ context.Context, args []string) error {
+	fs := flag.NewFlagSet("topogen", flag.ExitOnError)
+	kind := fs.String("topo", "fattree", "fattree | jellyfish | xpander | slimfly | longhop | dragonfly | lps")
+	k := fs.Int("k", 16, "fat-tree k")
+	costFrac := fs.Float64("cost", 1.0, "fat-tree: build at this fraction of full cost")
+	n := fs.Int("n", 216, "jellyfish: switch count")
+	degree := fs.Int("degree", 11, "network degree (jellyfish/xpander/longhop)")
+	lift := fs.Int("lift", 18, "xpander: switches per meta-node")
+	servers := fs.Int("servers", 5, "servers per switch")
+	q := fs.Int("q", 17, "slimfly: prime q = 1 mod 4")
+	dim := fs.Int("dim", 9, "longhop: dimension (2^dim switches)")
+	dfA := fs.Int("a", 4, "dragonfly: routers per group")
+	dfH := fs.Int("h", 2, "dragonfly: global links per router")
+	lpsP := fs.Int("p", 5, "lps: generator prime p (p+1 = degree)")
+	lpsQ := fs.Int("lpsq", 13, "lps: field prime q")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.Parse(args)
 
 	rng := rand.New(rand.NewSource(*seed))
 	var t *topology.Topology
@@ -79,12 +78,10 @@ func main() {
 		}
 		fmt.Printf("lps: Ramanujan graph X^{%d,%d} over %s(2,%d)\n", l.P, l.Q, group, l.Q)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *kind)
-		os.Exit(1)
+		return fmt.Errorf("unknown topology %q", *kind)
 	}
 	if err := t.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "invalid topology: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("invalid topology: %w", err)
 	}
 
 	fmt.Printf("name:            %s\n", t.Name)
@@ -104,4 +101,5 @@ func main() {
 	ps := t.G.PathStats() // one parallel APSP sweep covers both rows
 	fmt.Printf("diameter:        %d\n", ps.Diameter)
 	fmt.Printf("avg path:        %.3f hops\n", ps.Mean)
+	return nil
 }

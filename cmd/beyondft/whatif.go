@@ -1,19 +1,3 @@
-// Command whatif sweeps a family of what-if scenarios — single-link /
-// single-switch failures, k-link failure samples, rack additions — over a
-// topology and prints the throughput distribution and the worst-k frontier.
-// It is the CLI face of the incremental engine the daemon serves at
-// /v1/whatif: one coarse-ε warm-started solve per scenario, fine-ε
-// re-solves for the frontier only.
-//
-// stdout is a pure function of the flags (histogram, worst-k table): run it
-// twice, or at different -workers, and the bytes match — `make whatif-smoke`
-// relies on exactly that. Run-specific counters (cache hits, warm starts,
-// routing iterations) go to stderr.
-//
-// Example:
-//
-//	whatif -topo jellyfish -n 20 -degree 4 -servers 2 -family single-link
-//	whatif -topo xpander -degree 6 -lift 9 -family k-link -fk 3 -fsamples 64 -cache .harness-cache
 package main
 
 import (
@@ -22,56 +6,52 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"os/signal"
 
 	"beyondft/internal/eval"
 	"beyondft/internal/fluid"
-	"beyondft/internal/graph"
 	"beyondft/internal/harness"
 	"beyondft/internal/whatif"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "whatif: %v\n", err)
-		os.Exit(1)
-	}
-}
+// cmdWhatif sweeps a family of what-if scenarios — single-link /
+// single-switch failures, k-link failure samples, rack additions — over a
+// topology and prints the throughput distribution and the worst-k frontier.
+// It is the command-line face of the incremental engine the daemon serves
+// at /v1/whatif: one coarse-ε warm-started solve per scenario, fine-ε
+// re-solves for the frontier only.
+//
+// stdout is a pure function of the flags (histogram, worst-k table): run it
+// twice, or at different -workers, and the bytes match — `make whatif-smoke`
+// relies on exactly that. Run-specific counters (cache hits, warm starts,
+// routing iterations) go to stderr.
+//
+//	beyondft whatif -topo jellyfish -n 20 -degree 4 -servers 2 -family single-link
+//	beyondft whatif -topo xpander -degree 6 -lift 9 -family k-link-sample -fk 3 -fsamples 64 -cache .harness-cache
+func cmdWhatif(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
+	spec := topoFlags(fs, eval.TopoSpec{Kind: "jellyfish", K: 8, N: 20, Degree: 4, Lift: 9, Servers: 2, Q: 5, Dim: 6})
+	tmKind := fs.String("tm", "longest-matching", "longest-matching | permutation | all-to-all")
+	x := fs.Float64("x", 1.0, "fraction of active racks")
+	seed := fs.Int64("seed", 1, "random seed (topology + workload)")
 
-func run() error {
-	kind := flag.String("topo", "jellyfish", "fattree | jellyfish | xpander | slimfly | longhop")
-	k := flag.Int("k", 8, "fat-tree k")
-	n := flag.Int("n", 20, "jellyfish: switch count")
-	degree := flag.Int("degree", 4, "network degree")
-	lift := flag.Int("lift", 9, "xpander lift")
-	servers := flag.Int("servers", 2, "servers per switch")
-	q := flag.Int("q", 5, "slimfly q")
-	dim := flag.Int("dim", 6, "longhop dim")
-	tmKind := flag.String("tm", "longest-matching", "longest-matching | permutation | all-to-all")
-	x := flag.Float64("x", 1.0, "fraction of active racks")
-	seed := flag.Int64("seed", 1, "random seed (topology + workload)")
+	family := fs.String("family", "single-link", "single-link | single-switch | k-link-sample | rack-add")
+	fk := fs.Int("fk", 0, "k-link-sample: links failed per scenario (default 3)")
+	fsamples := fs.Int("fsamples", 0, "sampled families: scenario count (defaults per family)")
+	fracks := fs.Int("fracks", 0, "rack-add: racks added per scenario (default 1)")
+	fdegree := fs.Int("fdegree", 0, "rack-add: uplinks per added rack (default 4)")
+	fseed := fs.Int64("fseed", 1, "family sampling seed")
 
-	family := flag.String("family", "single-link", "single-link | single-switch | k-link-sample | rack-add")
-	fk := flag.Int("fk", 0, "k-link-sample: links failed per scenario (default 3)")
-	fsamples := flag.Int("fsamples", 0, "sampled families: scenario count (defaults per family)")
-	fracks := flag.Int("fracks", 0, "rack-add: racks added per scenario (default 1)")
-	fdegree := flag.Int("fdegree", 0, "rack-add: uplinks per added rack (default 4)")
-	fseed := flag.Int64("fseed", 1, "family sampling seed")
-
-	coarse := flag.Float64("coarse", eval.DefaultCoarseEps, "coarse rung ε")
-	fine := flag.Float64("fine", eval.DefaultFineEps, "fine rung ε (equal to -coarse: one rung, no frontier re-solve)")
-	topk := flag.Int("topk", 0, "frontier size re-solved at fine ε (0 = default 8)")
-	workers := flag.Int("workers", graph.EnvParallelism(),
-		"parallel scenario workers, 0 = GOMAXPROCS (default $"+graph.WorkersEnv+")")
-	cacheDir := flag.String("cache", "", "content-addressed scenario cache directory ('' = none)")
-	flag.Parse()
+	coarse := fs.Float64("coarse", eval.DefaultCoarseEps, "coarse rung ε")
+	fine := fs.Float64("fine", eval.DefaultFineEps, "fine rung ε (equal to -coarse: one rung, no frontier re-solve)")
+	topk := fs.Int("topk", 0, "frontier size re-solved at fine ε (0 = default 8)")
+	workers := workersFlag(fs, "parallel scenario workers")
+	cacheDir := fs.String("cache", "", "content-addressed scenario cache directory ('' = none)")
+	fs.Parse(args)
 
 	// One stream drives the topology build, the rack choice and the
 	// permutation pairing, in that order.
 	rng := rand.New(rand.NewSource(*seed))
-	spec := eval.TopoSpec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift,
-		Servers: *servers, Q: *q, Dim: *dim}
-	t, err := spec.Build(rng)
+	t, err := buildTopo(spec, rng)
 	if err != nil {
 		return err
 	}
@@ -109,8 +89,6 @@ func run() error {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	rep, err := whatif.Evaluate(t.G, fluid.Commodities(m), scens, whatif.Options{
 		Ladder:  ladder,
 		Workers: *workers,

@@ -7,5 +7,5 @@
 // The root package holds the benchmark harness (bench_test.go), with one
 // benchmark per table and figure of the paper. The implementation lives in
 // internal/ (see DESIGN.md for the map) and is exercised through the
-// binaries in cmd/ and the runnable examples in examples/.
+// one command, cmd/beyondft, and the runnable examples in examples/.
 package beyondft

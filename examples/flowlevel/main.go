@@ -65,5 +65,5 @@ func main() {
 	run(&xp.Topology, flowsim.ECMP, "xpander ECMP")
 	run(&xp.Topology, flowsim.HYB, "xpander HYB")
 	fmt.Println("\nFlow-level rates are max-min fair and transport-free: use this for")
-	fmt.Println("fast sweeps, then confirm with the packet-level engine (cmd/pktsim).")
+	fmt.Println("fast sweeps, then confirm with the packet-level engine (beyondft pktsim).")
 }

@@ -1,4 +1,4 @@
-// Package cluster turns N beyondftd processes into one horizontally
+// Package cluster turns N `beyondft serve` processes into one horizontally
 // scalable service: a consistent-hash ring assigns every cache key
 // (harness.Key) a single owning node, non-owners forward requests to the
 // owner over stdlib net/http instead of recomputing (cluster-wide

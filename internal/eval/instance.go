@@ -41,7 +41,7 @@ type TopoSpec struct {
 	DesignHash string `json:"design_hash,omitempty"`
 }
 
-// Normalize fills defaults (cmd/throughput's) and zeroes fields the kind
+// Normalize fills defaults (`beyondft throughput`'s) and zeroes fields the kind
 // ignores, then validates: every precondition of the constructors is
 // checked here, so bad input is an error and never a constructor panic, and
 // every admitted spec builds at most MaxSwitches switches. Each kind

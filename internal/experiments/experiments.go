@@ -1,6 +1,6 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation. Each driver returns Figure values whose series carry
-// the same rows the paper plots; cmd/figures prints them and bench_test.go
+// the same rows the paper plots; `beyondft run` prints them and bench_test.go
 // wraps them as benchmarks.
 //
 // Every driver runs at a laptop-scale default configuration (same per-server

@@ -84,7 +84,7 @@ func one(f func(Config) *Figure) func(Config) []*Figure {
 
 // drivers is the registration table: every table/figure of the paper's
 // evaluation (plus the extensions) as (job name, driver) pairs, in paper
-// order. cmd/figures, cmd/runner and the harness benchmarks all consume
+// order. `beyondft run`, the daemon and the harness benchmarks all consume
 // this one table via Config.Registry.
 var drivers = []struct {
 	name string

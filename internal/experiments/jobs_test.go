@@ -87,8 +87,9 @@ func TestJobsOrderAndParallelismInvariant(t *testing.T) {
 }
 
 // TestRegistryCoversAllDrivers pins the registry's shape: every driver of
-// the paper's evaluation is registered exactly once, under its cmd/figures
-// id, with a spec that tracks the configuration.
+// the paper's evaluation is registered exactly once, under the job name
+// `beyondft run -only` selects it by, with a spec that tracks the
+// configuration.
 func TestRegistryCoversAllDrivers(t *testing.T) {
 	reg := DefaultConfig().Registry()
 	if reg.Len() != len(drivers) {

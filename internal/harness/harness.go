@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strings"
 )
 
 // Job is one unit of evaluation work: a figure, a table, or any other
@@ -109,21 +110,26 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Match returns, in registration order, the jobs whose name matches the
-// path.Match pattern (e.g. "figure5*", "fig1?"). An empty pattern matches
-// everything. Invalid patterns return an error.
-func (r *Registry) Match(pattern string) ([]Job, error) {
-	if pattern == "" {
+// Match returns, in registration order, the jobs whose name matches any of
+// the comma-separated path.Match patterns (e.g. "figure5*", "table1,fig1?").
+// An empty pattern matches everything. Invalid patterns return an error.
+func (r *Registry) Match(patterns string) ([]Job, error) {
+	if patterns == "" {
 		return r.Jobs(), nil
+	}
+	globs := strings.Split(patterns, ",")
+	for _, g := range globs {
+		if _, err := path.Match(g, ""); err != nil {
+			return nil, fmt.Errorf("harness: bad pattern %q: %w", g, err)
+		}
 	}
 	var out []Job
 	for _, j := range r.jobs {
-		ok, err := path.Match(pattern, j.Name)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad pattern %q: %w", pattern, err)
-		}
-		if ok {
-			out = append(out, j)
+		for _, g := range globs {
+			if ok, _ := path.Match(g, j.Name); ok { // g is valid, checked above
+				out = append(out, j)
+				break
+			}
 		}
 	}
 	return out, nil

@@ -68,11 +68,21 @@ func TestRegistryMatch(t *testing.T) {
 	if len(got) != 2 || got[0].Name != "fig5a" || got[1].Name != "fig5b" {
 		t.Fatalf("fig5* matched %v", got)
 	}
+	got, err = r.Match("table1,fig5?")
+	if err != nil {
+		t.Fatalf("match: %v", err)
+	}
+	if len(got) != 3 || got[0].Name != "fig5a" || got[1].Name != "fig5b" || got[2].Name != "table1" {
+		t.Fatalf("table1,fig5? matched %v, want registration order", got)
+	}
 	all, err := r.Match("")
 	if err != nil || len(all) != 4 {
 		t.Fatalf("empty pattern should match all: %v, %v", all, err)
 	}
 	if _, err := r.Match("[bad"); err == nil {
+		t.Fatalf("invalid pattern accepted")
+	}
+	if _, err := r.Match("fig5*,[bad"); err == nil {
 		t.Fatalf("invalid pattern accepted")
 	}
 }

@@ -118,7 +118,7 @@ func (s *Span) Duration() time.Duration {
 
 // Record is the serializable snapshot of a span tree: offsets and durations
 // in milliseconds, JSON-stable, persisted into harness manifests and
-// returned by beyondftd's ?trace=1.
+// returned by the daemon's ?trace=1.
 type Record struct {
 	Name     string    `json:"name"`
 	StartMs  float64   `json:"start_ms"` // offset from the trace root's start

@@ -82,7 +82,7 @@ type EngineConfig struct {
 	// L1Bytes is the in-memory LRU budget; <= 0 disables the memory tier.
 	L1Bytes int64
 	// L2, if non-nil, is the on-disk tier shared with the batch harness —
-	// a daemon and `runner run` pointed at the same directory see each
+	// a daemon and `beyondft run` pointed at the same directory see each
 	// other's results.
 	L2 *harness.Cache
 	// L2MaxBytes, if > 0, prunes the disk tier (oldest entries first) back

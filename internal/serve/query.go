@@ -75,7 +75,7 @@ func specOf(req any) string {
 
 // ThroughputRequest is the body of POST /v1/throughput: evaluate a
 // topology's per-server throughput in the fluid-flow model under a traffic
-// matrix family — the interactive twin of cmd/throughput.
+// matrix family — the interactive twin of `beyondft throughput`.
 type ThroughputRequest struct {
 	Topo TopoSpec `json:"topo"`
 	// TM is the traffic matrix family: longest-matching (default),

@@ -1,5 +1,5 @@
 // Package serve is the topology-analysis query service: a long-running
-// daemon (cmd/beyondftd) exposing the experiment registry and ad-hoc
+// daemon (`beyondft serve`) exposing the experiment registry and ad-hoc
 // what-if queries (throughput under a traffic matrix, path statistics)
 // over a JSON HTTP API, stdlib only.
 //
@@ -41,10 +41,10 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Experiments scopes the job registry (scale, seed, epsilon) exactly
-	// like cmd/runner's flags.
+	// like `beyondft run`'s -full and -seed.
 	Experiments experiments.Config
 	// CacheDir is the L2 content-addressed cache directory, shared with
-	// `runner run`; empty disables the disk tier.
+	// `beyondft run`; empty disables the disk tier.
 	CacheDir string
 	// L1Bytes budgets the in-memory result cache; <= 0 disables it.
 	L1Bytes int64

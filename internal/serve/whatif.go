@@ -16,7 +16,7 @@ import (
 
 // maxWhatifScenarios bounds how many scenarios one interactive request may
 // enumerate. A full single-link sweep on an 8k-switch fabric is a batch
-// workload — `runner run 'whatif*'` — not a request; the cap keeps a single
+// workload — `beyondft run -only 'whatif-*'` — not a request; the cap keeps a single
 // POST from occupying a compute slot for minutes.
 const maxWhatifScenarios = 4096
 

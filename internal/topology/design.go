@@ -19,7 +19,7 @@ import (
 // an explicit edge list plus the server attachment vector. It is how
 // search-found (or otherwise hand-crafted) networks become first-class named
 // topologies: a Design registered under a name can be evaluated by every
-// surface that accepts a topology kind — cmd/throughput, the daemon's
+// surface that accepts a topology kind — `beyondft throughput`, the daemon's
 // /v1/throughput, the experiment drivers — without re-running the process
 // that produced it.
 //

@@ -15,7 +15,7 @@ import (
 const specVersion = "validate-v1"
 
 // Jobs exposes the full validation sweep to the experiment harness so
-// cmd/runner can execute and cache it alongside the figure jobs. A job
+// `beyondft run` can execute and cache it alongside the figure jobs. A job
 // returns its []Check result only when every check passes; any failure is
 // an error, so a failing sweep is never cached as a good result.
 func Jobs(seed int64, full bool) []harness.Job {
