@@ -142,7 +142,8 @@ loc:
 	@for d in internal/*/ cmd/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
-	@printf '%6d  total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%6d  total  (tests: %d)\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
+		$$(find internal cmd -name '*_test.go' | xargs cat | wc -l)
 
 # The kernel micro-benchmarks, for profiling and before/after looks on one
 # box; numbers are claimed from `make pairs` (README "Benchmark trajectory").

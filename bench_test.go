@@ -65,12 +65,10 @@ func BenchmarkObservation1FatTreeInflexibility(b *testing.B) {
 	// capped at its oversubscription for a 2/k-fraction pod-to-pod TM.
 	for i := 0; i < b.N; i++ {
 		half := topology.NewFatTreeOversubscribed(4, 1)
-		var src, dst []int
+		m := &tm.TM{Name: "pod-to-pod"}
 		for e := 0; e < 2; e++ {
-			src = append(src, half.EdgeBase[0]+e)
-			dst = append(dst, half.EdgeBase[1]+e)
+			m.Demands = append(m.Demands, tm.Demand{Src: half.EdgeBase[0] + e, Dst: half.EdgeBase[1] + e, Amount: 2})
 		}
-		m := tm.PodToPod(src, dst, 2)
 		v, err := fluid.ThroughputExact(half.G, m)
 		if err != nil {
 			b.Fatal(err)
@@ -321,7 +319,7 @@ func BenchmarkGKMaxConcurrentFlow(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	sf := topology.NewSlimFly(5, 6)
 	racks := workload.ActiveRacks(&sf.Topology, 0.5, false, rng)
-	m := tm.LongestMatching(sf.G, racks, tm.Uniform(6))
+	m := tm.LongestMatching(sf.G, racks, func(int) int { return 6 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := fluid.Throughput(sf.G, m, fluid.GKOptions{Epsilon: 0.1}); v <= 0 {
@@ -492,7 +490,7 @@ func BenchmarkAblationGKEpsilon(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	jf := topology.NewJellyfish(50, 7, 6, rng)
 	racks := workload.ActiveRacks(jf, 0.6, false, rng)
-	m := tm.LongestMatching(jf.G, racks, tm.Uniform(6))
+	m := tm.LongestMatching(jf.G, racks, func(int) int { return 6 })
 	for _, eps := range []float64{0.20, 0.10, 0.05} {
 		eps := eps
 		b.Run(benchName(eps), func(b *testing.B) {

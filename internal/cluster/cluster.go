@@ -256,9 +256,6 @@ func (c *Cluster) Metrics() *Metrics { return c.metrics }
 // Replication returns the configured owners-per-key factor R.
 func (c *Cluster) Replication() int { return c.cfg.Replication }
 
-// Owner returns the primary ring owner of key.
-func (c *Cluster) Owner(key string) string { return c.ring.Load().Owner(key) }
-
 // Owners returns the key's R distinct replica owners in ring order; the
 // first is the primary (the node that computes fresh results).
 func (c *Cluster) Owners(key string) []string {

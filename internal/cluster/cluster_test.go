@@ -36,7 +36,7 @@ func keyOwnedBy(t *testing.T, c *Cluster, owner string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		k := "probe-" + strings.Repeat("x", i%7) + time.Duration(i).String()
-		if c.Owner(k) == owner {
+		if c.Owners(k)[0] == owner {
 			return k
 		}
 	}
@@ -489,7 +489,7 @@ func TestFetchRoutes(t *testing.T) {
 	for i := 0; cold.Key == ""; i++ {
 		e := entry("j", fmt.Sprintf(`{"i":%d}`, i), "s", `{"v":2}`)
 		switch {
-		case c.Owner(e.Key) != self:
+		case c.Owners(e.Key)[0] != self:
 		case warm.Key == "":
 			warm = e
 		default:

@@ -153,15 +153,6 @@ func (m *Membership) OnChange(fn func(live []string)) {
 	m.mu.Unlock()
 }
 
-// Live returns the members currently counted as ring members: alive and
-// suspect (a suspect is probably a false alarm; evicting it early would
-// churn ownership twice).
-func (m *Membership) Live() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.liveLocked()
-}
-
 func (m *Membership) liveLocked() []string {
 	out := make([]string, 0, len(m.table))
 	for n, st := range m.table {

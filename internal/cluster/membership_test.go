@@ -117,7 +117,7 @@ func (f *memFleet) round() {
 }
 
 func liveSetEquals(m *Membership, want ...string) bool {
-	got := m.Live()
+	got := live(m)
 	if len(got) != len(want) {
 		return false
 	}
@@ -142,7 +142,7 @@ func TestMembershipSteadyState(t *testing.T) {
 	}
 	for n, m := range f.nodes {
 		if !liveSetEquals(m, "a", "b", "c") {
-			t.Fatalf("node %s live set = %v, want all three alive", n, m.Live())
+			t.Fatalf("node %s live set = %v, want all three alive", n, live(m))
 		}
 		if m.SuspectCount() != 0 {
 			t.Fatalf("node %s suspects %d members in a healthy fleet", n, m.SuspectCount())
@@ -173,7 +173,7 @@ func TestMembershipDeathConverges(t *testing.T) {
 	}
 	if converged < 0 {
 		t.Fatalf("survivors did not evict the dead node within %d rounds (a=%v b=%v)",
-			bound, f.nodes["a"].Live(), f.nodes["b"].Live())
+			bound, live(f.nodes["a"]), live(f.nodes["b"]))
 	}
 	t.Logf("death converged in %d rounds (bound %d)", converged, bound)
 }
@@ -192,7 +192,7 @@ func TestMembershipRejoinRefutesTombstone(t *testing.T) {
 		f.round()
 	}
 	if !liveSetEquals(f.nodes["a"], "a", "b") {
-		t.Fatalf("precondition: c not evicted (a sees %v)", f.nodes["a"].Live())
+		t.Fatalf("precondition: c not evicted (a sees %v)", live(f.nodes["a"]))
 	}
 
 	// Rejoin: a brand-new process, same URL, fresh incarnation counter.
@@ -209,7 +209,7 @@ func TestMembershipRejoinRefutesTombstone(t *testing.T) {
 	}
 	if rejoined < 0 {
 		t.Fatalf("fleet did not re-admit the rejoined node (a=%v b=%v c=%v)",
-			f.nodes["a"].Live(), f.nodes["b"].Live(), f.nodes["c"].Live())
+			live(f.nodes["a"]), live(f.nodes["b"]), live(f.nodes["c"]))
 	}
 	t.Logf("rejoin converged in %d rounds", rejoined)
 
@@ -297,4 +297,11 @@ func TestMembershipMergeRules(t *testing.T) {
 			}
 		}
 	}
+}
+
+// live is the member set the ring counts: alive and suspect members.
+func live(m *Membership) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.liveLocked()
 }

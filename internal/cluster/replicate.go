@@ -159,10 +159,6 @@ func (c *Cluster) ReplicateAsync(e Entry) {
 	c.repl.enqueue(replJob{entry: e, targets: targets})
 }
 
-// ReplicationPending returns the number of queued plus in-flight replica
-// pushes — tests use it to quiesce before asserting fleet state.
-func (c *Cluster) ReplicationPending() int64 { return c.repl.pending.Load() }
-
 // FetchSibling tries to read key from its other replica owners' caches
 // (cache-only: the peer never computes or forwards). It returns the first
 // hit, or ok=false when no sibling has the bytes. This is the primary's

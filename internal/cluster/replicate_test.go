@@ -122,9 +122,9 @@ func replCluster(t *testing.T, peerURL string) *Cluster {
 func waitQuiesced(t *testing.T, c *Cluster) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.ReplicationPending() != 0 {
+	for c.repl.pending.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replication queue never drained (%d pending)", c.ReplicationPending())
+			t.Fatalf("replication queue never drained (%d pending)", c.repl.pending.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -267,7 +267,7 @@ func TestReplicatorQueueOverflowDrops(t *testing.T) {
 	if got := c.Metrics().ReplicaDrops.Load(); got != 10 {
 		t.Fatalf("replica drops = %d, want 10", got)
 	}
-	if got := c.ReplicationPending(); got != replQueueDepth {
+	if got := c.repl.pending.Load(); got != replQueueDepth {
 		t.Fatalf("pending = %d, want %d", got, replQueueDepth)
 	}
 }

@@ -95,14 +95,6 @@ func (r *Ring) successor(h uint64) int {
 	return i
 }
 
-// Owner returns the node that owns key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.nodes[r.points[r.successor(pointHash(key))].node]
-}
-
 // Owners returns up to n distinct nodes in clockwise ring order starting at
 // key's owner: the owner itself, then the successors a failed forward
 // hedges to. Every node computes the same list, which is what makes

@@ -31,8 +31,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	shuffled := []string{nodes[3], nodes[0], nodes[4], nodes[4], nodes[1], nodes[2]} // reordered + duplicate
 	r2 := NewRing(shuffled, 64)
 	for _, k := range testKeys(2048) {
-		if r1.Owner(k) != r2.Owner(k) {
-			t.Fatalf("owner of %q depends on construction order: %q vs %q", k, r1.Owner(k), r2.Owner(k))
+		if r1.Owners(k, 1)[0] != r2.Owners(k, 1)[0] {
+			t.Fatalf("owner of %q depends on construction order: %q vs %q", k, r1.Owners(k, 1)[0], r2.Owners(k, 1)[0])
 		}
 	}
 	if got := len(r1.Nodes()); got != 5 {
@@ -61,7 +61,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(20000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	for node, cnt := range counts {
 		frac := float64(cnt) / float64(len(keys))
@@ -86,7 +86,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 
 	moved := 0
 	for _, k := range keys {
-		ob, oa := before.Owner(k), after.Owner(k)
+		ob, oa := before.Owners(k, 1)[0], after.Owners(k, 1)[0]
 		if ob != oa {
 			moved++
 			if oa != nodes[n] {
@@ -102,7 +102,7 @@ func TestRingRebalanceBounds(t *testing.T) {
 
 	// Removal is the mirror image: only keys owned by the removed node move.
 	for _, k := range keys {
-		oa, ob := after.Owner(k), before.Owner(k)
+		oa, ob := after.Owners(k, 1)[0], before.Owners(k, 1)[0]
 		if oa == nodes[n] {
 			continue // re-homed to some survivor, any is fine
 		}
@@ -121,8 +121,8 @@ func TestRingOwners(t *testing.T) {
 		if len(owners) != 3 {
 			t.Fatalf("Owners(%q, 3) = %v", k, owners)
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners[0] = %q, Owner = %q", owners[0], r.Owner(k))
+		if owners[0] != r.Owners(k, 1)[0] {
+			t.Fatalf("Owners(k, 3)[0] = %q, Owners(k, 1)[0] = %q", owners[0], r.Owners(k, 1)[0])
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -136,7 +136,7 @@ func TestRingOwners(t *testing.T) {
 		t.Fatalf("Owners capped at %d, want 4 (membership size)", len(got))
 	}
 	var empty Ring
-	if empty.Owner("k") != "" || empty.Owners("k", 2) != nil {
+	if empty.Owners("k", 1) != nil || empty.Owners("k", 2) != nil {
 		t.Fatal("empty ring must own nothing")
 	}
 }

@@ -167,19 +167,6 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
-// waitReplQuiesced waits until every cluster's async replica queue drains.
-func waitReplQuiesced(t *testing.T, cls ...*cluster.Cluster) {
-	t.Helper()
-	waitFor(t, "replication queues to drain", 10*time.Second, func() bool {
-		for _, c := range cls {
-			if c.ReplicationPending() != 0 {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // smokeHasAll asks a node, over the replication wire protocol itself,
 // whether its cache holds every key.
 func smokeHasAll(t *testing.T, base string, keys []string) bool {
@@ -297,7 +284,20 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	// Let the async replica pushes land before the kill: every A key must
 	// reach its sibling owner so node 1's death loses nothing.
-	waitReplQuiesced(t, cls...)
+	keysAt := map[string][]string{}
+	for _, k := range allKeys {
+		for _, o := range cls[0].Owners(k) {
+			keysAt[o] = append(keysAt[o], k)
+		}
+	}
+	waitFor(t, "every A key to reach all its owners", 10*time.Second, func() bool {
+		for base, keys := range keysAt {
+			if !smokeHasAll(t, base, keys) {
+				return false
+			}
+		}
+		return true
+	})
 
 	// Kill node 1 mid-run: its gossip stops first (a live protocol would
 	// keep advertising it), readiness flips, then the listener dies. The
@@ -343,7 +343,6 @@ func TestClusterSmoke(t *testing.T) {
 	// With R=2 on a two-node ring, replication makes both survivors hold
 	// every key — the precondition for the rejoined node to warm itself
 	// without a single recompute.
-	waitReplQuiesced(t, cls[0], cls[2])
 	waitFor(t, "both survivors to hold every key", 10*time.Second, func() bool {
 		return smokeHasAll(t, bases[0], allKeys) && smokeHasAll(t, bases[2], allKeys)
 	})

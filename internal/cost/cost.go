@@ -51,21 +51,3 @@ func Delta(technology string) float64 {
 	}
 	return 0
 }
-
-// DynamicPortsForEqualCost returns the number of flexible network ports an
-// equal-cost dynamic network can afford given that the static network uses
-// staticPorts network ports, at flexibility premium delta.
-func DynamicPortsForEqualCost(staticPorts int, delta float64) float64 {
-	if delta <= 0 {
-		return 0
-	}
-	return float64(staticPorts) / delta
-}
-
-// StaticPortsForEqualCost returns the number of static network ports an
-// equal-cost static network can afford given a dynamic network with
-// dynPorts flexible ports at premium delta (the §7 comparison rule:
-// "an expander-based design with δx ports").
-func StaticPortsForEqualCost(dynPorts int, delta float64) float64 {
-	return float64(dynPorts) * delta
-}

@@ -36,19 +36,3 @@ func TestDeltaAtLeast1Point5(t *testing.T) {
 		t.Fatalf("unknown technology should return 0")
 	}
 }
-
-func TestEqualCostConversions(t *testing.T) {
-	// A dynamic network can buy 1/δ of the static ports: the paper's 0.67x.
-	got := DynamicPortsForEqualCost(300, 1.5)
-	if math.Abs(got-200) > 1e-9 {
-		t.Fatalf("dynamic ports = %v, want 200", got)
-	}
-	// And the §7 rule: compare a dynamic design with x ports against a
-	// static design with δx ports.
-	if s := StaticPortsForEqualCost(200, 1.5); math.Abs(s-300) > 1e-9 {
-		t.Fatalf("static ports = %v, want 300", s)
-	}
-	if DynamicPortsForEqualCost(100, 0) != 0 {
-		t.Fatalf("zero delta should yield 0")
-	}
-}

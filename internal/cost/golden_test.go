@@ -22,12 +22,15 @@ func TestGoldenFatTreeVsXpander(t *testing.T) {
 		wantSwitches int     // 5k²/4
 		wantNetPorts int     // k³
 		wantDollars  float64 // TotalPortsUsed × $215
-		xpSwitches   int     // ~2/3 of the fat-tree switch budget
-		maxPortRatio float64 // xpander ports / fat-tree ports
+		// The equal-cost Xpander on ~2/3 of the fat-tree's switches, each of
+		// k ports: s = ⌈servers/switches⌉ servers per switch, degree k−s,
+		// and the largest lift that fits the switch budget.
+		xpDegree, xpLift, xpServers int
+		maxPortRatio                float64 // xpander ports / fat-tree ports
 	}{
-		{k: 4, wantServers: 16, wantSwitches: 20, wantNetPorts: 64, wantDollars: 17_200, xpSwitches: 13, maxPortRatio: 0.70},
-		{k: 8, wantServers: 128, wantSwitches: 80, wantNetPorts: 512, wantDollars: 137_600, xpSwitches: 53, maxPortRatio: 0.70},
-		{k: 16, wantServers: 1024, wantSwitches: 320, wantNetPorts: 4096, wantDollars: 1_100_800, xpSwitches: 216, maxPortRatio: 0.68},
+		{k: 4, wantServers: 16, wantSwitches: 20, wantNetPorts: 64, wantDollars: 17_200, xpDegree: 2, xpLift: 4, xpServers: 2, maxPortRatio: 0.70},
+		{k: 8, wantServers: 128, wantSwitches: 80, wantNetPorts: 512, wantDollars: 137_600, xpDegree: 5, xpLift: 8, xpServers: 3, maxPortRatio: 0.70},
+		{k: 16, wantServers: 1024, wantSwitches: 320, wantNetPorts: 4096, wantDollars: 1_100_800, xpDegree: 11, xpLift: 18, xpServers: 5, maxPortRatio: 0.68},
 	}
 	for _, tc := range cases {
 		ft := topology.NewFatTree(tc.k)
@@ -45,7 +48,7 @@ func TestGoldenFatTreeVsXpander(t *testing.T) {
 			t.Errorf("k=%d: fat-tree costs $%.0f, want $%.0f", tc.k, dollars, tc.wantDollars)
 		}
 
-		xp := topology.NewXpanderForBudget(tc.xpSwitches, tc.k, tc.wantServers, rand.New(rand.NewSource(1)))
+		xp := topology.NewXpander(tc.xpDegree, tc.xpLift, tc.xpServers, rand.New(rand.NewSource(1)))
 		if err := xp.Validate(); err != nil {
 			t.Errorf("k=%d: xpander invalid: %v", tc.k, err)
 			continue
@@ -84,12 +87,5 @@ func TestGoldenDeltaTable(t *testing.T) {
 	}
 	if got := Delta("hollow-core-fiber"); got != 0 {
 		t.Errorf("Delta(unknown) = %v, want 0", got)
-	}
-	// The equal-cost conversions must be mutual inverses at any δ.
-	for _, delta := range []float64{1.5, 370.0 / 215.0} {
-		dyn := DynamicPortsForEqualCost(1024, delta)
-		if back := StaticPortsForEqualCost(int(math.Round(dyn)), delta); math.Abs(back-1024) > delta {
-			t.Errorf("δ=%.3f: 1024 static → %.1f dynamic → %.1f static", delta, dyn, back)
-		}
 	}
 }

@@ -80,7 +80,6 @@ func TestTopoSpecBuildEveryKind(t *testing.T) {
 	if err := topology.RegisterDesign(d); err != nil {
 		t.Fatal(err)
 	}
-	defer topology.UnregisterDesign(d.Name)
 	for _, spec := range []TopoSpec{
 		{Kind: "fattree", K: 4},
 		{Kind: "jellyfish", N: 10, Degree: 3, Servers: 2},

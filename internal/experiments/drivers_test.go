@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"beyondft/internal/graph"
 	"beyondft/internal/sim"
 )
 
@@ -131,17 +132,18 @@ func TestFluidDriverSmoke(t *testing.T) {
 	}
 }
 
-// TestMooreBoundCurve pins the exposed Moore-bound helper: the average-path
-// lower bound exceeds 1 for any non-trivial network, grows with n, and
-// shrinks as the degree grows.
+// TestMooreBoundCurve pins the Moore-bound curve the restricted model uses:
+// the average-path lower bound exceeds 1 for any non-trivial network, grows
+// with n, and shrinks as the degree grows.
 func TestMooreBoundCurve(t *testing.T) {
-	if b := MooreBoundCurve(64, 8); b <= 1 {
-		t.Errorf("MooreBoundCurve(64,8) = %g, want > 1", b)
+	moore := graph.MooreAvgPathLowerBound
+	if b := moore(64, 8); b <= 1 {
+		t.Errorf("MooreAvgPathLowerBound(64,8) = %g, want > 1", b)
 	}
-	if MooreBoundCurve(1024, 8) <= MooreBoundCurve(64, 8) {
+	if moore(1024, 8) <= moore(64, 8) {
 		t.Error("bound must grow with n at fixed degree")
 	}
-	if MooreBoundCurve(1024, 16) >= MooreBoundCurve(1024, 8) {
+	if moore(1024, 16) >= moore(1024, 8) {
 		t.Error("bound must shrink with degree at fixed n")
 	}
 }

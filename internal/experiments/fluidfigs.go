@@ -6,7 +6,6 @@ import (
 
 	"beyondft/internal/cost"
 	"beyondft/internal/fluid"
-	"beyondft/internal/graph"
 	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 	"beyondft/internal/workload"
@@ -310,7 +309,3 @@ func (c Config) Figure6b() *Figure {
 	f.Notes = append(f.Notes, "paper: the advantage is consistent or improves with scale")
 	return f
 }
-
-// MooreBoundCurve exposes the Moore-bound average-path lower bound used by
-// the restricted model (handy for the examples).
-func MooreBoundCurve(n, d int) float64 { return graph.MooreAvgPathLowerBound(n, d) }

@@ -30,9 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
-	"beyondft/internal/obs"
 	"beyondft/internal/sim"
 	"beyondft/internal/slab"
 	"beyondft/internal/stats"
@@ -102,15 +100,6 @@ type Flow struct {
 // FCT returns the completion time; valid when Done.
 func (f *Flow) FCT() sim.Time { return f.EndNs - f.StartNs }
 
-// Rate returns the flow's current max-min allocation in Gbps; 0 when the
-// flow is done or not yet allocated.
-func (f *Flow) Rate() float64 {
-	if f.Done || f.rate < 0 {
-		return 0
-	}
-	return f.rate
-}
-
 // shard owns the flows with ID % Shards == its index. Its active list stays
 // in ascending flow-ID order by construction: IDs are assigned in start
 // order, so appends keep it sorted, and completions compact in place.
@@ -177,48 +166,12 @@ type Network struct {
 
 	fctSketch  *stats.Sketch
 	fctMoments *stats.Moments
-	onComplete func(*Flow)
 
-	liveGauge     *obs.Gauge
-	slabGauge     *obs.Gauge
-	slabHighGauge *obs.Gauge
-
-	// Event-loop statistics (see Stats).
+	// Event-loop statistics, carried through checkpoints: event instants
+	// processed, max-min reallocation rounds and the arrival-heap high water.
 	loopEvents    uint64
 	allocRounds   uint64
 	heapHighWater int
-	wall          time.Duration
-}
-
-// LoopStats summarizes the flow-level event loop for observability: event
-// instants processed, max-min reallocation rounds, the arrival-heap depth
-// high water, and the simulated-time/wall-time relation of all Run calls.
-type LoopStats struct {
-	Events        uint64        `json:"events"`
-	AllocRounds   uint64        `json:"alloc_rounds"`
-	HeapHighWater int           `json:"heap_high_water"`
-	SimTime       sim.Time      `json:"sim_time_ns"`
-	WallTime      time.Duration `json:"wall_time_ns"`
-}
-
-// SimPerWall reports simulated nanoseconds covered per wall-clock
-// nanosecond spent inside Run; 0 before any Run call.
-func (s LoopStats) SimPerWall() float64 {
-	if s.WallTime <= 0 {
-		return 0
-	}
-	return float64(s.SimTime) / float64(s.WallTime)
-}
-
-// Stats returns a snapshot of the network's loop statistics.
-func (n *Network) Stats() LoopStats {
-	return LoopStats{
-		Events:        n.loopEvents,
-		AllocRounds:   n.allocRounds,
-		HeapHighWater: n.heapHighWater,
-		SimTime:       n.now,
-		WallTime:      n.wall,
-	}
 }
 
 type arrival struct {
@@ -383,23 +336,6 @@ func (n *Network) Completed() int64 { return n.finished }
 // nanoseconds. It is live: merges of or additions to the returned sketch
 // corrupt the simulation's statistics.
 func (n *Network) FCTSketch() *stats.Sketch { return n.fctSketch }
-
-// FCTMoments returns the streaming moments of completed-flow FCTs (ns).
-func (n *Network) FCTMoments() *stats.Moments { return n.fctMoments }
-
-// SetOnComplete registers a callback invoked for every completing flow, in
-// flow-ID order within each completion instant, before the slot is
-// recycled. The *Flow is valid only during the call in discard mode.
-func (n *Network) SetOnComplete(fn func(*Flow)) { n.onComplete = fn }
-
-// SetMetrics attaches observability gauges (nil-safe): live flow count,
-// slab occupancy (live slots), and slab high water, updated at every event
-// instant.
-func (n *Network) SetMetrics(live, slabOccupancy, slabHighWater *obs.Gauge) {
-	n.liveGauge = live
-	n.slabGauge = slabOccupancy
-	n.slabHighGauge = slabHighWater
-}
 
 // SlabHighWater returns the peak live-slot count — the number that bounds
 // flow memory regardless of total flows started.
@@ -687,8 +623,6 @@ func (n *Network) allocate() {
 // completeEps finishes, in ID order; an arrival tying with a departure can
 // no longer postpone the completion by an extra allocation round.
 func (n *Network) Run(until sim.Time) {
-	wall := time.Now()
-	defer func() { n.wall += time.Since(wall) }()
 	for n.now < until {
 		if n.dirty {
 			n.allocate()
@@ -741,9 +675,6 @@ func (n *Network) Run(until sim.Time) {
 				fct := float64(f.FCT())
 				n.fctSketch.Add(fct)
 				n.fctMoments.Add(fct)
-				if n.onComplete != nil {
-					n.onComplete(f)
-				}
 				if n.Cfg.DiscardCompleted {
 					n.flowSlab.Free(slot)
 				}
@@ -756,9 +687,6 @@ func (n *Network) Run(until sim.Time) {
 		for len(n.pending) > 0 && n.pending[0].at <= n.now {
 			n.startFlow(n.pending.pop())
 		}
-		n.liveGauge.Set(int64(n.ActiveFlows()))
-		n.slabGauge.Set(int64(n.flowSlab.InUse()))
-		n.slabHighGauge.Set(int64(n.flowSlab.HighWater()))
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
-	"beyondft/internal/obs"
 	"beyondft/internal/sim"
 	"beyondft/internal/stats"
 	"beyondft/internal/topology"
@@ -231,20 +231,19 @@ func TestSketchMatchesRetainedFCTs(t *testing.T) {
 		}
 		fcts = append(fcts, float64(f.FCT()))
 	}
-	sorted := stats.NewSorted(fcts)
 	sk := n.FCTSketch()
 	if sk.Count() != uint64(len(fcts)) {
 		t.Fatalf("sketch count %d, want %d", sk.Count(), len(fcts))
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := sorted.Percentile(q * 100)
+		exact := stats.Percentile(fcts, q*100)
 		est := sk.Quantile(q)
-		if math.Abs(est-exact) > 2*sk.Alpha()*exact {
+		if math.Abs(est-exact) > 2*stats.DefaultSketchAlpha*exact {
 			t.Fatalf("q=%v: sketch %v vs exact %v outside 2*alpha", q, est, exact)
 		}
 	}
-	if sk.Min() != sorted.Min() || sk.Max() != sorted.Max() {
-		t.Fatalf("sketch extremes %v/%v vs exact %v/%v", sk.Min(), sk.Max(), sorted.Min(), sorted.Max())
+	if sk.Min() != slices.Min(fcts) || sk.Max() != slices.Max(fcts) {
+		t.Fatalf("sketch extremes %v/%v vs exact %v/%v", sk.Min(), sk.Max(), slices.Min(fcts), slices.Max(fcts))
 	}
 }
 
@@ -258,10 +257,6 @@ func TestDiscardModeBoundsMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DiscardCompleted = true
 	n := NewNetwork(&topo.Topology, cfg)
-	live := &obs.Gauge{}
-	occ := &obs.Gauge{}
-	high := &obs.Gauge{}
-	n.SetMetrics(live, occ, high)
 	// Light load (small flows, ~8% offered) so concurrency — and hence the
 	// expected high water — stays small while 50k flows churn through.
 	rng := sim.NewRNG(41)
@@ -284,14 +279,13 @@ func TestDiscardModeBoundsMemory(t *testing.T) {
 	if hw := n.SlabHighWater(); hw > 1_000 {
 		t.Fatalf("slab high water %d for 50k flows — memory not flat in flow count", hw)
 	}
-	if live.Load() != 0 {
-		t.Fatalf("live gauge %d after drain, want 0", live.Load())
+	if live := n.ActiveFlows(); live != 0 {
+		t.Fatalf("%d live flows after drain, want 0", live)
 	}
-	if occ.Load() != 0 {
-		t.Fatalf("slab occupancy gauge %d after drain, want 0", occ.Load())
-	}
-	if high.Load() != int64(n.SlabHighWater()) {
-		t.Fatalf("high-water gauge %d, want %d", high.Load(), n.SlabHighWater())
+	occ := 0
+	n.flowSlab.Range(func(int32, *Flow) bool { occ++; return true })
+	if occ != 0 {
+		t.Fatalf("slab occupancy %d after drain, want 0", occ)
 	}
 }
 

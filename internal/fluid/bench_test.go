@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"beyondft/internal/graph"
 	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 )
@@ -47,7 +48,7 @@ func BenchmarkMaxConcurrentFlow(b *testing.B) {
 	for r := 0; r < jf.G.N(); r += 2 {
 		racks = append(racks, r)
 	}
-	m := tm.LongestMatching(jf.G, racks, tm.Uniform(6))
+	m := tm.LongestMatching(jf.G, racks, func(int) int { return 6 })
 	nw := NewNetwork(jf.G, 1.0)
 	comms := Commodities(m)
 	b.ReportAllocs()
@@ -209,7 +210,8 @@ func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths []
 		all[i] = i
 	}
 	far := -1
-	for u, row := range jf.G.Frozen().BFSMany(all) {
+	var buf graph.BFSBuffer
+	for u, row := range jf.G.Frozen().BFSManyInto(&buf, all) {
 		for v, d := range row {
 			if d > far {
 				src, dst, far = u, v, d
@@ -221,7 +223,7 @@ func routingDijkstraInputs(tb testing.TB) (nw *Network, src, dst int, lengths []
 	gkDebugBoundary = func(_ float64, length []float64) {
 		lengths = append(lengths, append([]float64(nil), length...))
 	}
-	MaxConcurrentFlow(nw, Commodities(tm.LongestMatching(jf.G, all, tm.Uniform(6))),
+	MaxConcurrentFlow(nw, Commodities(tm.LongestMatching(jf.G, all, func(int) int { return 6 })),
 		GKOptions{Epsilon: 0.08, Workers: 1, MaxPhases: skip + keep})
 	gkDebugBoundary = nil
 	if lengths = lengths[skip:]; len(lengths) < 64 {

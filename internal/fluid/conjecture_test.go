@@ -55,7 +55,7 @@ func TestConjecture24Evidence(t *testing.T) {
 
 	worstPerm := 2.0
 	for i := 0; i < 10; i++ {
-		m := tm.RandomPermutation(racks, tm.Uniform(2), rng)
+		m := tm.RandomPermutation(racks, func(int) int { return 2 }, rng)
 		v, err := ThroughputExact(topo.G, m)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestConjecture24Evidence(t *testing.T) {
 		if len(m.Demands) == 0 {
 			continue
 		}
-		if err := m.ValidateHose(tm.Uniform(2)); err != nil {
+		if err := m.ValidateHose(func(int) int { return 2 }); err != nil {
 			t.Fatalf("generator produced invalid hose TM: %v", err)
 		}
 		v, err := ThroughputExact(topo.G, m)
@@ -103,7 +103,7 @@ func TestLemma22Construction(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		shuffled := append([]int(nil), racks...)
 		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		m := tm.RandomPermutation(shuffled[:4], tm.Uniform(2), rng)
+		m := tm.RandomPermutation(shuffled[:4], func(int) int { return 2 }, rng)
 		v, err := ThroughputExact(topo.G, m)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestLemma22Construction(t *testing.T) {
 	// Full permutations.
 	fullWorst := 2.0
 	for i := 0; i < 8; i++ {
-		m := tm.RandomPermutation(racks, tm.Uniform(2), rng)
+		m := tm.RandomPermutation(racks, func(int) int { return 2 }, rng)
 		v, err := ThroughputExact(topo.G, m)
 		if err != nil {
 			t.Fatal(err)

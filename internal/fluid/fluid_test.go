@@ -88,29 +88,30 @@ func TestGKMatchesExactOnSmallGraphs(t *testing.T) {
 	}
 }
 
+// podToPod is Observation 1's TM: edge switch e of pod a sends all its
+// servers' demand to edge switch e of pod b.
+func podToPod(ft *topology.FatTree, a, b int) *tm.TM {
+	m := &tm.TM{Name: "pod-to-pod"}
+	for e := 0; e < ft.K/2; e++ {
+		m.Demands = append(m.Demands, tm.Demand{Src: ft.EdgeBase[a] + e, Dst: ft.EdgeBase[b] + e, Amount: float64(ft.K / 2)})
+	}
+	return m
+}
+
 func TestObservation1FatTreeInflexibility(t *testing.T) {
 	// Observation 1: a fat-tree oversubscribed to x of full capacity has a
 	// pod-to-pod TM over 2/k of the servers capped at x per-server throughput.
 	k := 4
 	full := topology.NewFatTree(k)
 	half := topology.NewFatTreeOversubscribed(k, 1) // 1 of k/2=2 cores: x = 0.5
-	podTM := func(ft *topology.FatTree) *tm.TM {
-		// Every edge switch of pod 0 sends to the matching edge switch of pod 1.
-		var src, dst []int
-		for e := 0; e < k/2; e++ {
-			src = append(src, ft.EdgeBase[0]+e)
-			dst = append(dst, ft.EdgeBase[1]+e)
-		}
-		return tm.PodToPod(src, dst, k/2)
-	}
-	tFull, err := ThroughputExact(full.G, podTM(full))
+	tFull, err := ThroughputExact(full.G, podToPod(full, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tFull < 1-1e-6 {
 		t.Fatalf("full fat-tree pod-to-pod throughput %.4f, want 1.0", tFull)
 	}
-	tHalf, err := ThroughputExact(half.G, podTM(half))
+	tHalf, err := ThroughputExact(half.G, podToPod(half, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestTheorem21Proportionality(t *testing.T) {
 	// Worst sampled full-size permutation throughput.
 	worstFull := math.Inf(1)
 	for i := 0; i < 6; i++ {
-		m := tm.RandomPermutation(topo.ToRs(), tm.Uniform(3), rng)
+		m := tm.RandomPermutation(topo.ToRs(), func(int) int { return 3 }, rng)
 		v, err := ThroughputExact(topo.G, m)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +194,7 @@ func TestTheorem21Proportionality(t *testing.T) {
 		racks := topo.ToRs()
 		rng.Shuffle(len(racks), func(a, b int) { racks[a], racks[b] = racks[b], racks[a] })
 		sub := racks[:4]
-		m := tm.RandomPermutation(sub, tm.Uniform(3), rng)
+		m := tm.RandomPermutation(sub, func(int) int { return 3 }, rng)
 		v, err := ThroughputExact(topo.G, m)
 		if err != nil {
 			t.Fatal(err)

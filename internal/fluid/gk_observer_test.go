@@ -34,7 +34,7 @@ func observerFixture(t testing.TB) (*Network, []Commodity) {
 	for r := 0; r < jf.G.N(); r++ {
 		racks = append(racks, r)
 	}
-	m := tm.LongestMatching(jf.G, racks, tm.Uniform(4))
+	m := tm.LongestMatching(jf.G, racks, func(int) int { return 4 })
 	return NewNetwork(jf.G, 1.0), Commodities(m)
 }
 

@@ -145,7 +145,7 @@ func TestThroughputSanityAfterHotPathRewrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomConnectedGraph(8, 8, rng)
 	racks := []int{0, 1, 2, 3, 4, 5}
-	m := tm.LongestMatching(g, racks, tm.Uniform(2))
+	m := tm.LongestMatching(g, racks, func(int) int { return 2 })
 	nw := NewNetwork(g, 1.0)
 	comms := Commodities(m)
 	exact, err := MaxConcurrentFlowExact(nw, comms)

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"beyondft/internal/graph"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 )
 
@@ -137,13 +136,7 @@ func almost(a, b, tol float64) bool {
 func TestPropertyObservation1Tight(t *testing.T) {
 	for _, core := range []int{1, 2} {
 		ft := topology.NewFatTreeOversubscribed(4, core)
-		var src, dst []int
-		for e := 0; e < 2; e++ {
-			src = append(src, ft.EdgeBase[2]+e)
-			dst = append(dst, ft.EdgeBase[3]+e)
-		}
-		m := tm.PodToPod(src, dst, 2)
-		v, err := ThroughputExact(ft.G, m)
+		v, err := ThroughputExact(ft.G, podToPod(ft, 2, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,59 +29,50 @@ func randomRegular(n, d int, rng *rand.Rand) *Graph {
 // 1024-node random regular graph, serial (1 worker) vs the full pool.
 func BenchmarkAPSP(b *testing.B) {
 	g := randomRegular(1024, 8, rand.New(rand.NewSource(1)))
-	g.Frozen() // build outside the timed region: the kernel is the target
+	c := g.Frozen() // build outside the timed region: the kernel is the target
+	all := make([]int, c.N())
+	for i := range all {
+		all[i] = i
+	}
+	var buf BFSBuffer
 	defer SetParallelism(0)
 	b.Run("serial", func(b *testing.B) {
 		SetParallelism(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g.APSP()
+			c.BFSManyInto(&buf, all)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		SetParallelism(0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g.APSP()
+			c.BFSManyInto(&buf, all)
 		}
 	})
 }
 
 // BenchmarkPathStats measures the fused diameter+mean sweep (what topogen
-// runs) against the two-pass equivalent.
+// runs).
 func BenchmarkPathStats(b *testing.B) {
 	g := randomRegular(1024, 8, rand.New(rand.NewSource(2)))
 	g.Frozen()
-	defer SetParallelism(0)
-	b.Run("fused", func(b *testing.B) {
-		SetParallelism(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ps := g.PathStats(); !ps.Connected {
-				b.Fatal("disconnected")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ps := g.PathStats(); !ps.Connected {
+			b.Fatal("disconnected")
 		}
-	})
-	b.Run("two-pass", func(b *testing.B) {
-		SetParallelism(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if g.Diameter() < 0 {
-				b.Fatal("disconnected")
-			}
-			g.AvgShortestPath()
-		}
-	})
+	}
 }
 
-// BenchmarkBFS measures one flat-array BFS (the unit of every kernel above).
+// BenchmarkBFS measures one BFS over the frozen view.
 func BenchmarkBFS(b *testing.B) {
 	g := randomRegular(4096, 8, rand.New(rand.NewSource(3)))
 	c := g.Frozen()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.BFS(i % c.N())
+		ViewBFS(c, i%c.N())
 	}
 }
 

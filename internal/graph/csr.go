@@ -76,10 +76,11 @@ func (c *CSR) Row(u int) (neighbors, mults []int32) {
 // without racing in-flight readers.
 var parallelism atomic.Int32
 
-// SetParallelism caps the worker count used by the parallel kernels (APSP,
-// PathStats, BFSMany and their Graph wrappers). n <= 0 restores the default
-// of GOMAXPROCS. All kernels produce identical results at any setting; this
-// exists for benchmarking serial baselines and for determinism tests.
+// SetParallelism caps the worker count used by the parallel kernels
+// (PathStats, BFSManyInto and the Graph wrappers over them). n <= 0 restores
+// the default of GOMAXPROCS. All kernels produce identical results at any
+// setting; this exists for benchmarking serial baselines and for
+// determinism tests.
 func SetParallelism(n int) { parallelism.Store(int32(n)) }
 
 // Parallelism returns the current worker cap (GOMAXPROCS if unset).
@@ -156,18 +157,6 @@ func (c *CSR) bfsFrom(src int, dist []int32, queue []int32) int {
 	return tail
 }
 
-// BFS returns the unweighted hop distances from src (-1 if unreachable).
-func (c *CSR) BFS(src int) []int {
-	dist := make([]int32, c.n)
-	queue := make([]int32, c.n)
-	c.bfsInto(src, dist, queue)
-	out := make([]int, c.n)
-	for i, d := range dist {
-		out[i] = int(d)
-	}
-	return out
-}
-
 // bfsWorkers fans BFS sources across the worker pool; emit(i, dist) receives
 // each source's distance row (a per-worker scratch buffer, valid only inside
 // the call) and must only write state addressed by i.
@@ -192,25 +181,6 @@ func (c *CSR) bfsWorkers(sources []int, emit func(i int, dist []int32)) {
 	})
 }
 
-// APSP returns all-pairs unweighted hop distances, fanning BFS sources
-// across the worker pool. dist[u][v] == -1 for unreachable pairs. The result
-// is identical at any parallelism setting.
-func (c *CSR) APSP() [][]int {
-	sources := make([]int, c.n)
-	for i := range sources {
-		sources[i] = i
-	}
-	return c.BFSMany(sources)
-}
-
-// BFSMany returns the BFS distance rows for the given sources (rows[i] is
-// the row for sources[i]), computed in parallel. Identical at any
-// parallelism setting. The rows share one backing array.
-func (c *CSR) BFSMany(sources []int) [][]int {
-	var buf BFSBuffer
-	return c.BFSManyInto(&buf, sources)
-}
-
 // BFSBuffer keeps the rows of a BFSManyInto call for the next one to write
 // over.
 type BFSBuffer struct {
@@ -218,8 +188,11 @@ type BFSBuffer struct {
 	all  []int
 }
 
-// BFSManyInto is BFSMany into buf's rows, which are grown only when a call
-// needs more than any before it; the result is valid until buf's next call.
+// BFSManyInto returns the BFS distance rows for the given sources (rows[i]
+// is the row for sources[i], -1 where unreachable), computed in parallel and
+// identical at any parallelism setting. The rows share buf's backing array,
+// which is grown only when a call needs more than any before it; the result
+// is valid until buf's next call.
 func (c *CSR) BFSManyInto(buf *BFSBuffer, sources []int) [][]int {
 	if cap(buf.rows) < len(sources) {
 		buf.rows = make([][]int, len(sources))
@@ -239,10 +212,9 @@ func (c *CSR) BFSManyInto(buf *BFSBuffer, sources []int) [][]int {
 }
 
 // PathStats summarizes the shortest-path length distribution of a graph in
-// one (parallel) APSP sweep: the diameter and the mean over ordered distinct
-// pairs. Connected is false for disconnected graphs or n < 2, in which case
-// Diameter is -1 and Mean is NaN — matching Diameter() and
-// AvgShortestPath().
+// one (parallel) all-pairs BFS sweep: the diameter and the mean over ordered
+// distinct pairs. Connected is false for disconnected graphs or n < 2, in
+// which case Diameter is -1 and Mean is NaN.
 type PathStats struct {
 	Diameter  int
 	Mean      float64

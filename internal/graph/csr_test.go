@@ -43,6 +43,21 @@ func mapBFS(g *Graph, src int) []int {
 	return dist
 }
 
+// bfsRows is BFSManyInto on a fresh buffer.
+func bfsRows(c *CSR, sources ...int) [][]int {
+	var buf BFSBuffer
+	return c.BFSManyInto(&buf, sources)
+}
+
+// apsp is the all-pairs BFS: one row per node.
+func apsp(c *CSR) [][]int {
+	all := make([]int, c.N())
+	for i := range all {
+		all[i] = i
+	}
+	return bfsRows(c, all...)
+}
+
 // TestCSRMatchesMapRandom is the CSR-vs-map property test: on random
 // multigraphs (including after mutations), the frozen view must agree with
 // the adjacency maps on edges, rows, and BFS distances.
@@ -54,7 +69,7 @@ func TestCSRMatchesMapRandom(t *testing.T) {
 
 		check := func(stage string) {
 			c := g.Frozen()
-			// Rows match Neighbors/Multiplicity.
+			// Rows match Neighbors and the adjacency multiplicities.
 			total := 0
 			for u := 0; u < n; u++ {
 				nbr, mult := c.Row(u)
@@ -66,8 +81,8 @@ func TestCSRMatchesMapRandom(t *testing.T) {
 					if int(nbr[k]) != want[k] {
 						t.Fatalf("trial %d %s: node %d neighbor[%d] = %d, want %d", trial, stage, u, k, nbr[k], want[k])
 					}
-					if int(mult[k]) != g.Multiplicity(u, want[k]) {
-						t.Fatalf("trial %d %s: node %d mult[%d] = %d, want %d", trial, stage, u, k, mult[k], g.Multiplicity(u, want[k]))
+					if int(mult[k]) != g.adj[u][want[k]] {
+						t.Fatalf("trial %d %s: node %d mult[%d] = %d, want %d", trial, stage, u, k, mult[k], g.adj[u][want[k]])
 					}
 					total += int(mult[k])
 				}
@@ -80,7 +95,7 @@ func TestCSRMatchesMapRandom(t *testing.T) {
 			for u := 0; u < n; u++ {
 				for _, v := range g.Neighbors(u) {
 					if v > u {
-						wantEdges = append(wantEdges, Edge{U: u, V: v, Mult: g.Multiplicity(u, v)})
+						wantEdges = append(wantEdges, Edge{U: u, V: v, Mult: g.adj[u][v]})
 					}
 				}
 			}
@@ -93,7 +108,7 @@ func TestCSRMatchesMapRandom(t *testing.T) {
 			}
 			// BFS over flat arrays matches BFS over the maps.
 			for src := 0; src < n; src++ {
-				if got, want := g.BFS(src), mapBFS(g, src); !reflect.DeepEqual(got, want) {
+				if got, want := bfsRows(g.Frozen(), src)[0], mapBFS(g, src); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d %s: BFS(%d) = %v, want %v", trial, stage, src, got, want)
 				}
 			}
@@ -129,7 +144,7 @@ func TestFrozenCachedUntilMutation(t *testing.T) {
 	if c3 == c1 {
 		t.Fatal("Frozen not invalidated by AddEdge")
 	}
-	if d := c3.BFS(0)[3]; d != 3 {
+	if d := bfsRows(c3, 0)[0][3]; d != 3 {
 		t.Fatalf("post-mutation view: dist(0,3) = %d, want 3", d)
 	}
 	g.RemoveEdge(2, 3)
@@ -138,8 +153,8 @@ func TestFrozenCachedUntilMutation(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsDeterministic asserts identical APSP/BFSMany/PathStats
-// results at worker counts 1, 2, and NumCPU.
+// TestParallelKernelsDeterministic asserts identical all-pairs BFS,
+// BFSManyInto and PathStats results at worker counts 1, 2, and NumCPU.
 func TestParallelKernelsDeterministic(t *testing.T) {
 	defer SetParallelism(0)
 	rng := rand.New(rand.NewSource(7))
@@ -153,18 +168,18 @@ func TestParallelKernelsDeterministic(t *testing.T) {
 		var wantStats PathStats
 		for _, w := range []int{1, 2, runtime.NumCPU()} {
 			SetParallelism(w)
-			apsp := g.APSP()
-			many := g.Frozen().BFSMany(sources)
+			all := apsp(g.Frozen())
+			many := bfsRows(g.Frozen(), sources...)
 			stats := g.PathStats()
 			if wantAPSP == nil {
-				wantAPSP, wantMany, wantStats = apsp, many, stats
+				wantAPSP, wantMany, wantStats = all, many, stats
 				continue
 			}
-			if !reflect.DeepEqual(apsp, wantAPSP) {
+			if !reflect.DeepEqual(all, wantAPSP) {
 				t.Fatalf("trial %d: APSP differs at %d workers", trial, w)
 			}
 			if !reflect.DeepEqual(many, wantMany) {
-				t.Fatalf("trial %d: BFSMany differs at %d workers", trial, w)
+				t.Fatalf("trial %d: BFSManyInto differs at %d workers", trial, w)
 			}
 			// Mean is an exact integer-sum quotient, so compare bitwise (NaN
 			// for disconnected trials compares via bit pattern).
@@ -177,7 +192,7 @@ func TestParallelKernelsDeterministic(t *testing.T) {
 }
 
 // TestPathStatsMatchesSerialSweep checks the one-sweep PathStats against
-// independent Diameter/AvgShortestPath computations from BFS rows.
+// the diameter and mean computed independently from map-BFS rows.
 func TestPathStatsMatchesSerialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -206,9 +221,6 @@ func TestPathStatsMatchesSerialSweep(t *testing.T) {
 			if ps.Connected || ps.Diameter != -1 || !math.IsNaN(ps.Mean) {
 				t.Fatalf("trial %d: disconnected graph got %+v", trial, ps)
 			}
-			if g.Diameter() != -1 || !math.IsNaN(g.AvgShortestPath()) {
-				t.Fatalf("trial %d: Diameter/AvgShortestPath disagree on disconnection", trial)
-			}
 			continue
 		}
 		if !ps.Connected || ps.Diameter != wantDiam {
@@ -217,9 +229,6 @@ func TestPathStatsMatchesSerialSweep(t *testing.T) {
 		wantMean := float64(wantTotal) / float64(pairs)
 		if math.Abs(ps.Mean-wantMean) > 1e-12 {
 			t.Fatalf("trial %d: mean = %v, want %v", trial, ps.Mean, wantMean)
-		}
-		if g.Diameter() != wantDiam || math.Abs(g.AvgShortestPath()-wantMean) > 1e-12 {
-			t.Fatalf("trial %d: wrappers disagree with sweep", trial)
 		}
 	}
 }

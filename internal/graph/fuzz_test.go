@@ -91,7 +91,7 @@ func checkKShortestPaths(t *testing.T, g *Graph, k int) {
 	n := g.N()
 	src, dst := 0, n-1
 	frozen := g.Frozen()
-	distBefore := frozen.BFS(src)
+	distBefore := ViewBFS(frozen, src)
 
 	paths := g.KShortestPaths(src, dst, k)
 

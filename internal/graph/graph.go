@@ -97,9 +97,6 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 // HasEdge reports whether at least one edge connects u and v.
 func (g *Graph) HasEdge(u, v int) bool { return g.adj[u][v] > 0 }
 
-// Multiplicity returns the number of parallel edges between u and v.
-func (g *Graph) Multiplicity(u, v int) int { return g.adj[u][v] }
-
 // Degree returns the degree of u, counting multiplicity.
 func (g *Graph) Degree(u int) int {
 	d := 0

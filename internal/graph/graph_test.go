@@ -19,13 +19,13 @@ func TestBasicOps(t *testing.T) {
 	if !g.HasEdge(0, 1) || g.HasEdge(0, 2) {
 		t.Fatalf("adjacency wrong")
 	}
-	if g.Multiplicity(2, 3) != 3 {
-		t.Fatalf("multiplicity = %d, want 3", g.Multiplicity(2, 3))
+	if g.adj[2][3] != 3 {
+		t.Fatalf("multiplicity = %d, want 3", g.adj[2][3])
 	}
 	if g.Degree(2) != 4 {
 		t.Fatalf("degree(2) = %d, want 4 (1 + 3 trunked)", g.Degree(2))
 	}
-	if !g.RemoveEdge(2, 3) || g.Multiplicity(2, 3) != 2 {
+	if !g.RemoveEdge(2, 3) || g.adj[2][3] != 2 {
 		t.Fatalf("RemoveEdge should decrement multiplicity")
 	}
 	if g.RemoveEdge(0, 3) {
@@ -75,16 +75,17 @@ func TestBFSAndDiameter(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	d := g.BFS(0)
+	d := ViewBFS(g.Frozen(), 0)
 	for i, want := range []int{0, 1, 2, 3} {
 		if d[i] != want {
 			t.Fatalf("BFS dist[%d] = %d, want %d", i, d[i], want)
 		}
 	}
-	if g.Diameter() != 3 {
-		t.Fatalf("diameter = %d, want 3", g.Diameter())
+	ps := g.PathStats()
+	if ps.Diameter != 3 {
+		t.Fatalf("diameter = %d, want 3", ps.Diameter)
 	}
-	if got := g.AvgShortestPath(); math.Abs(got-(10.0/6.0)) > 1e-12 {
+	if got := ps.Mean; math.Abs(got-(10.0/6.0)) > 1e-12 {
 		t.Fatalf("avg path = %v, want 10/6", got)
 	}
 }
@@ -95,9 +96,9 @@ func TestAPSPMatchesBFS(t *testing.T) {
 	for i := 1; i < 12; i++ {
 		g.AddEdge(i, rng.Intn(i)) // random tree: connected
 	}
-	d := g.APSP()
+	d := apsp(g.Frozen())
 	for u := 0; u < 12; u++ {
-		bu := g.BFS(u)
+		bu := ViewBFS(g.Frozen(), u)
 		for v := 0; v < 12; v++ {
 			if d[u][v] != bu[v] {
 				t.Fatalf("APSP[%d][%d] = %d, BFS = %d", u, v, d[u][v], bu[v])
@@ -360,7 +361,7 @@ func TestMooreBoundIsActuallyALowerBound(t *testing.T) {
 		if g == nil || !g.Connected() {
 			return true // skip rare failures
 		}
-		return g.AvgShortestPath() >= MooreAvgPathLowerBound(n, d)-1e-9
+		return g.PathStats().Mean >= MooreAvgPathLowerBound(n, d)-1e-9
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rng}
 	if err := quick.Check(check, cfg); err != nil {
@@ -437,8 +438,9 @@ func TestCopyFromReusesRows(t *testing.T) {
 	}
 }
 
-// The scratch forms of BFSMany and MaxWeightMatching must return what the
-// plain ones do whatever their buffers were last used for.
+// The scratch forms of BFSManyInto and MaxWeightMatching must return what a
+// fresh buffer and the plain form do whatever their buffers were last used
+// for.
 func TestScratchKernelsMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var bfs BFSBuffer
@@ -447,8 +449,8 @@ func TestScratchKernelsMatchPlain(t *testing.T) {
 		c := randomMultigraph(n, 0.25, rng).Frozen()
 		sources := rng.Perm(n)[:1+n/2]
 		rows := c.BFSManyInto(&bfs, sources)
-		if want := c.BFSMany(sources); !reflect.DeepEqual(rows, want) {
-			t.Fatalf("n=%d: BFSManyInto differs from BFSMany", n)
+		if want := bfsRows(c, sources...); !reflect.DeepEqual(rows, want) {
+			t.Fatalf("n=%d: BFSManyInto on a used buffer differs from a fresh one", n)
 		}
 		w := func(a, b int) float64 { return float64(rows[0][a] + rows[0][b]) }
 		got, want := match.MaxWeightMatching(sources, w), MaxWeightMatching(sources, w)

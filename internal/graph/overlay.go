@@ -37,11 +37,6 @@ type Delta struct {
 	AddNodes int `json:"add_nodes,omitempty"`
 }
 
-// Empty reports whether the delta perturbs nothing.
-func (d Delta) Empty() bool {
-	return len(d.DelEdges) == 0 && len(d.AddEdges) == 0 && len(d.DelNodes) == 0 && d.AddNodes == 0
-}
-
 // Overlay is a Delta applied over a frozen CSR view without rebuilding it:
 // rows the delta does not touch alias the base arrays, touched rows are
 // re-merged once at construction. It implements View, so path kernels and
@@ -213,20 +208,6 @@ func (o *Overlay) Row(u int) (neighbors, mults []int32) {
 	return o.base.Row(u)
 }
 
-// Materialize copies the overlay into a standalone CSR (flat arrays, no
-// aliasing of the base). Used where a long-lived snapshot is worth the
-// O(n+m) copy; the what-if hot path never needs it.
-func (o *Overlay) Materialize() *CSR {
-	c := &CSR{n: o.n, rowStart: make([]int32, o.n+1)}
-	for u := 0; u < o.n; u++ {
-		nbr, mult := o.Row(u)
-		c.neighbor = append(c.neighbor, nbr...)
-		c.mult = append(c.mult, mult...)
-		c.rowStart[u+1] = int32(len(c.neighbor))
-	}
-	return c
-}
-
 // ViewConnected reports whether every node of the view is reachable from
 // node 0 (vacuously true for n <= 1) — connectivity over all v.N() nodes,
 // matching CSR.Connected on a rebuilt graph of the same shape. Masked
@@ -247,7 +228,7 @@ func ViewConnected(v View) bool {
 }
 
 // ViewBFS runs an unweighted BFS over any View from src, returning hop
-// distances with -1 for unreachable nodes — the same contract as CSR.BFS.
+// distances with -1 for unreachable nodes.
 func ViewBFS(v View, src int) []int {
 	n := v.N()
 	dist := make([]int, n)

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 )
 
@@ -98,16 +97,6 @@ func (r *Registry) Lookup(name string) (Job, bool) {
 		return Job{}, false
 	}
 	return r.jobs[i], true
-}
-
-// Names returns the sorted job names.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		names = append(names, j.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Match returns, in registration order, the jobs whose name matches any of

@@ -14,7 +14,7 @@ import (
 // in-flight packets, the pending event keys ((time, seq) pairs) of timers,
 // tx-done and delivery events, the RNG stream, and the engine clock.
 // Restoring into a fresh Network on the same topology re-arms each pending
-// event under its original key via sim.Engine's ScheduleExact, so the
+// event under its original key via sim.Engine's SchedulePacketExact, so the
 // continuation pops events in exactly the uninterrupted order and the run
 // is bit-identical to one that never stopped.
 //
@@ -398,6 +398,5 @@ func (n *Network) Restore(cp *Checkpoint) error {
 		l.BytesTx = ls.BytesTx
 		l.MaxQueue = ls.MaxQueue
 	}
-	n.updateGauges()
 	return nil
 }

@@ -71,9 +71,9 @@ func TestDCTCPKeepsQueuesNearThreshold(t *testing.T) {
 	over := 0
 	for i := 0; i < 200; i++ {
 		n.Eng.Run(n.Eng.Now() + sim.Time(200*sim.Microsecond))
-		for _, q := range n.QueueLengths() {
+		for _, l := range n.interLinks {
 			samples++
-			if q > 3*cfg.ECNThresholdPackets {
+			if l.QueueLen() > 3*cfg.ECNThresholdPackets {
 				over++
 			}
 		}
@@ -116,7 +116,6 @@ func TestDeterministicAcrossInstrumentation(t *testing.T) {
 		}
 		n.Eng.Run(2 * sim.Second)
 		_ = n.InterSwitchStats()
-		_ = n.QueueLengths()
 		var last sim.Time
 		for _, f := range n.Flows() {
 			if f.EndNs > last {

@@ -83,8 +83,8 @@ func TestKSPCacheBounded(t *testing.T) {
 			}
 		}
 	}
-	if got := n.KSPCacheSize(); got != 4 {
-		t.Fatalf("KSPCacheSize = %d, want the bound 4", got)
+	if got := len(n.kspCache); got != 4 {
+		t.Fatalf("KSP cache holds %d pairs, want the bound 4", got)
 	}
 	// A bounded cache still returns correct paths after eviction churn.
 	paths := n.kspPaths(0, 4)

@@ -90,7 +90,7 @@ func goldenRun(t *testing.T, c goldenCase) goldenRecord {
 		Events:         n.Eng.Processed(),
 		Drops:          n.TotalDrops,
 		HeapHighWater:  n.LoopStats().HeapHighWater,
-		FlowsCompleted: n.FlowsCompleted(),
+		FlowsCompleted: n.ended,
 		MeanFCT:        golden.Bits(n.FCTMoments().Mean()),
 		P99FCT:         golden.Bits(n.FCTSketch().Quantile(0.99)),
 		TransmittedSum: sum,

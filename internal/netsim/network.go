@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"beyondft/internal/obs"
 	"beyondft/internal/sim"
 	"beyondft/internal/slab"
 	"beyondft/internal/stats"
@@ -66,10 +65,6 @@ type Network struct {
 	fctSketch  *stats.Sketch
 	fctMoments *stats.Moments
 	onComplete func(*Flow)
-
-	liveGauge     *obs.Gauge
-	slabGauge     *obs.Gauge
-	slabHighGauge *obs.Gauge
 
 	// pendingArrivals counts ScheduleFlow closures not yet fired; checkpoints
 	// refuse while any exist (closures cannot be serialized — drivers that
@@ -231,9 +226,6 @@ func NewNetwork(t *topology.Topology, cfg Config) *Network {
 	return n
 }
 
-// NumServers returns the number of servers in the simulation.
-func (n *Network) NumServers() int { return n.numServers }
-
 // Flows returns all flows started so far (retain mode only; empty when
 // DiscardCompleted streams them out instead).
 func (n *Network) Flows() []*Flow { return n.flows }
@@ -241,9 +233,6 @@ func (n *Network) Flows() []*Flow { return n.flows }
 // FlowsStarted returns the number of flows ever started (MPTCP parents
 // count once; their hidden subflows do not).
 func (n *Network) FlowsStarted() int64 { return n.started }
-
-// FlowsCompleted returns the number of non-hidden flows completed.
-func (n *Network) FlowsCompleted() int64 { return n.ended }
 
 // FCTSketch returns the streaming FCT sketch (nanoseconds) over completed
 // non-hidden flows.
@@ -257,22 +246,6 @@ func (n *Network) FCTMoments() *stats.Moments { return n.fctMoments }
 // completion instant, before its state is recycled. Drivers in
 // DiscardCompleted mode use it to classify flows into their own statistics.
 func (n *Network) SetOnComplete(fn func(*Flow)) { n.onComplete = fn }
-
-// SetMetrics attaches observability gauges: live tracks in-progress flows,
-// slabOccupancy the live conn slots, and slabHighWater the peak slot count
-// (the number that bounds heap use). Any gauge may be nil.
-func (n *Network) SetMetrics(live, slabOccupancy, slabHighWater *obs.Gauge) {
-	n.liveGauge = live
-	n.slabGauge = slabOccupancy
-	n.slabHighGauge = slabHighWater
-	n.updateGauges()
-}
-
-func (n *Network) updateGauges() {
-	n.liveGauge.Set(n.started - n.ended)
-	n.slabGauge.Set(int64(n.conns.InUse()))
-	n.slabHighGauge.Set(int64(n.conns.HighWater()))
-}
 
 // SlabHighWater returns the peak number of concurrently allocated conn
 // slots — the quantity that bounds flow-state memory regardless of how many
@@ -309,7 +282,6 @@ func (n *Network) tryRecycle(c *conn) {
 		return
 	}
 	n.conns.Free(c.flow.ID)
-	n.updateGauges()
 }
 
 // inject hands a packet to its sending host's NIC, counting it for the
@@ -424,7 +396,6 @@ func (n *Network) allocConn(srcServer, dstServer int, sizeBytes int64, pkts int3
 	if !n.Cfg.DiscardCompleted {
 		n.flows = append(n.flows, &c.flow)
 	}
-	n.updateGauges()
 	return c
 }
 
@@ -515,7 +486,6 @@ func (n *Network) recordCompletion(f *Flow) {
 	if n.onComplete != nil {
 		n.onComplete(f)
 	}
-	n.updateGauges()
 }
 
 // kspPaths returns (and caches) up to Cfg.KSPPaths loopless shortest paths
@@ -555,10 +525,6 @@ func (n *Network) kspPaths(srcTor, dstTor int32) [][]int32 {
 	n.kspOrder = append(n.kspOrder, key)
 	return paths
 }
-
-// KSPCacheSize returns the number of (src,dst) ToR pairs currently held by
-// the k-shortest-paths cache (bounded by Cfg.KSPCacheEntries).
-func (n *Network) KSPCacheSize() int { return len(n.kspCache) }
 
 // ScheduleFlow injects a flow at absolute time at.
 func (n *Network) ScheduleFlow(at sim.Time, srcServer, dstServer int, sizeBytes int64) {
@@ -602,16 +568,6 @@ func (n *Network) InterSwitchStats() LinkStats {
 		s.Links++
 	}
 	return s
-}
-
-// QueueLengths returns the instantaneous queue length of every inter-switch
-// link (for occupancy snapshots in tests and tools).
-func (n *Network) QueueLengths() []int {
-	out := make([]int, len(n.interLinks))
-	for i, l := range n.interLinks {
-		out[i] = l.QueueLen()
-	}
-	return out
 }
 
 // pickVia selects a VLB intermediate switch: uniform over all switches

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"beyondft/internal/obs"
 	"beyondft/internal/sim"
 	"beyondft/internal/stats"
 	"beyondft/internal/topology"
@@ -194,13 +193,10 @@ func TestNetsimDiscardBoundsMemory(t *testing.T) {
 	// Light load: big gaps keep few flows in flight at once.
 	arrivals := drawArrivals(5, flows, servers, float64(80*sim.Microsecond))
 
-	reg := obs.NewRegistry()
 	n := NewNetwork(&topo.Topology, scaleCfg(7))
-	n.SetMetrics(reg.Gauge("netsim.flows.live"), reg.Gauge("netsim.slab.in_use"),
-		reg.Gauge("netsim.slab.high_water"))
 	drive(n, arrivals, 0)
 
-	if got := n.FlowsCompleted(); got != flows {
+	if got := n.ended; got != flows {
 		t.Fatalf("completed %d of %d flows", got, flows)
 	}
 	if len(n.Flows()) != 0 {
@@ -210,14 +206,13 @@ func TestNetsimDiscardBoundsMemory(t *testing.T) {
 	if hw >= flows/4 {
 		t.Fatalf("slab high water %d not flat in flow count %d", hw, flows)
 	}
-	if reg.Gauge("netsim.slab.high_water").Load() != int64(hw) {
-		t.Fatalf("high-water gauge %d != slab %d", reg.Gauge("netsim.slab.high_water").Load(), hw)
+	if live := n.started - n.ended; live != 0 {
+		t.Fatalf("%d live flows after drain, want 0", live)
 	}
-	if live := reg.Gauge("netsim.flows.live").Load(); live != 0 {
-		t.Fatalf("live-flow gauge %d after drain, want 0", live)
-	}
-	if inUse := reg.Gauge("netsim.slab.in_use").Load(); inUse != 0 {
-		t.Fatalf("slab-occupancy gauge %d after drain, want 0", inUse)
+	inUse := 0
+	n.conns.Range(func(int32, *conn) bool { inUse++; return true })
+	if inUse != 0 {
+		t.Fatalf("slab occupancy %d after drain, want 0", inUse)
 	}
 }
 
@@ -363,7 +358,7 @@ func BenchmarkNetsimScale1M(b *testing.B) {
 			n.StartFlow(src, dst, int64(1_000+rng.Intn(100_000)))
 		}
 		n.Eng.Run(at + 60*sim.Second)
-		if got := n.FlowsCompleted(); got != flows {
+		if got := n.ended; got != flows {
 			b.Fatalf("completed %d of %d", got, flows)
 		}
 		b.ReportMetric(float64(n.SlabHighWater()), "slab-high-water")

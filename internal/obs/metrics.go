@@ -44,19 +44,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Raise lifts the gauge to n if n is larger (high-water tracking).
-func (g *Gauge) Raise(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -105,14 +92,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sumUs.Add(int64(d / time.Microsecond))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Registry is a named collection of counters, gauges and histograms that

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -45,19 +44,15 @@ func TestSpanTreeStructure(t *testing.T) {
 func TestSpanDurations(t *testing.T) {
 	s := StartSpan("outer")
 	c := s.Child("inner")
-	time.Sleep(5 * time.Millisecond)
 	c.End()
-	d := c.Duration()
+	d := c.Record().DurMs
 	c.End() // idempotent: must not restretch
-	if got := c.Duration(); got != d {
-		t.Fatalf("End not idempotent: %v then %v", d, got)
-	}
-	if d < 4*time.Millisecond {
-		t.Fatalf("child duration %v, want >= ~5ms", d)
+	if got := c.Record().DurMs; got != d {
+		t.Fatalf("End not idempotent: %vms then %vms", d, got)
 	}
 	s.End()
-	if s.Duration() < c.Duration() {
-		t.Fatalf("parent %v shorter than child %v", s.Duration(), c.Duration())
+	if r := s.Record(); r.DurMs < r.Children[0].DurMs {
+		t.Fatalf("parent %vms shorter than child %vms", r.DurMs, r.Children[0].DurMs)
 	}
 	// Records of unended spans report a running duration.
 	u := StartSpan("running")
@@ -74,7 +69,7 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	}
 	c.End()
 	c.SetAttr("k", 1)
-	if c.Duration() != 0 || c.Record() != nil {
+	if c.Record() != nil {
 		t.Fatal("nil span not inert")
 	}
 	var r *Record
@@ -164,15 +159,11 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(5)
-	g.Raise(9)
 	if g.Load() != 0 {
 		t.Fatal("nil gauge not inert")
 	}
 	var h *Histogram
-	h.Observe(time.Millisecond)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram not inert")
-	}
+	h.Observe(time.Millisecond) // must not panic
 	var r *Registry
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
 		t.Fatal("nil registry returned live instruments")
@@ -182,41 +173,14 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 }
 
-func TestGaugeRaise(t *testing.T) {
-	var g Gauge
-	g.Raise(10)
-	g.Raise(5) // lower: ignored
-	if g.Load() != 10 {
-		t.Fatalf("got %d, want 10", g.Load())
-	}
-	g.Raise(12)
-	if g.Load() != 12 {
-		t.Fatalf("got %d, want 12", g.Load())
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for v := int64(0); v < 1000; v++ {
-				g.Raise(v*8 + int64(i))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if g.Load() != 999*8+7 {
-		t.Fatalf("concurrent Raise lost the max: %d", g.Load())
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	h.Observe(500 * time.Microsecond) // le=1
 	h.Observe(5 * time.Millisecond)   // le=10
 	h.Observe(50 * time.Millisecond)  // le=100
 	h.Observe(2 * time.Second)        // +Inf
-	if h.Count() != 4 {
-		t.Fatalf("count=%d", h.Count())
+	if h.count.Load() != 4 {
+		t.Fatalf("count=%d", h.count.Load())
 	}
 	for i, want := range []int64{1, 1, 1, 1} {
 		if got := h.buckets[i].Load(); got != want {

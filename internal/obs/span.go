@@ -102,20 +102,6 @@ func (s *Span) SetAttr(key string, v float64) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
 }
 
-// Duration returns the frozen duration, or the running duration if the
-// span has not Ended yet. Nil-safe (returns 0).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tree.mu.Lock()
-	defer s.tree.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}
-
 // Record is the serializable snapshot of a span tree: offsets and durations
 // in milliseconds, JSON-stable, persisted into harness manifests and
 // returned by the daemon's ?trace=1.

@@ -156,9 +156,6 @@ func roundRobinSchedule(n int) [][]int {
 	return rounds
 }
 
-// NumServers returns the server population (for workload scaling).
-func (n *Network) NumServers() int { return n.Cfg.NumToRs * n.Cfg.ServersPerToR }
-
 // ToROfServer maps a global server ID to its ToR.
 func (n *Network) ToROfServer(server int) int { return server / n.Cfg.ServersPerToR }
 

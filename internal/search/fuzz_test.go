@@ -56,7 +56,7 @@ func FuzzRewire(f *testing.F) {
 			if rng.Intn(2) == 0 {
 				m, ok = ProposeSwap(topo, rng)
 			} else {
-				m, ok = ProposeRebalance(topo, rng)
+				m, ok = rebalance(topo, rng)
 			}
 			if !ok {
 				continue

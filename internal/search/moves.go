@@ -108,16 +108,12 @@ func validSwap(g *graph.Graph, m Move) bool {
 	return g.HasEdge(a, b) && g.HasEdge(c, d) && !g.HasEdge(a, c) && !g.HasEdge(b, d)
 }
 
-// ProposeRebalance draws a random port-rebalance move for non-regular
-// graphs: re-home one endpoint of an edge (A,B) to a switch C that has a
-// free port, moving a unit of network degree from B to C while total port
-// spend is unchanged. Requires SwitchPorts > 0 to know the port budget.
-// Returns ok=false when no valid move exists (regular full graphs).
-func ProposeRebalance(t *topology.Topology, rng *rand.Rand) (Move, bool) {
-	return proposeRebalance(t, t.G.Edges(), rng)
-}
-
-// proposeRebalance is ProposeRebalance given the edge list of t's graph.
+// proposeRebalance draws a random port-rebalance move for non-regular
+// graphs, given the edge list of t's graph: re-home one endpoint of an edge
+// (A,B) to a switch C that has a free port, moving a unit of network degree
+// from B to C while total port spend is unchanged. Requires SwitchPorts > 0
+// to know the port budget. Returns ok=false when no valid move exists
+// (regular full graphs).
 func proposeRebalance(t *topology.Topology, edges []graph.Edge, rng *rand.Rand) (Move, bool) {
 	if t.SwitchPorts <= 0 {
 		return Move{}, false

@@ -97,7 +97,7 @@ func TestRebalancePropertySweep(t *testing.T) {
 		applied := 0
 		for i := 0; i < 50; i++ {
 			before := topo.G.Edges()
-			m, ok := ProposeRebalance(topo, rng)
+			m, ok := rebalance(topo, rng)
 			if !ok {
 				continue
 			}
@@ -150,7 +150,7 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 		propose func(*topology.Topology, *rand.Rand) (Move, bool)
 	}{
 		{"swap", regular, ProposeSwap},
-		{"rebalance", uneven, ProposeRebalance},
+		{"rebalance", uneven, rebalance},
 	}
 	for _, tc := range cases {
 		roundTrips := 0
@@ -244,4 +244,9 @@ func TestProposalStreamDeterministic(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("no moves drawn")
 	}
+}
+
+// rebalance draws a rebalance move over t's current edge list.
+func rebalance(t *topology.Topology, rng *rand.Rand) (Move, bool) {
+	return proposeRebalance(t, t.G.Edges(), rng)
 }

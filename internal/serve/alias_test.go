@@ -123,7 +123,23 @@ func TestEngineHasDoesNotPerturbL1(t *testing.T) {
 func TestAliasHitCountsLikeAnL1Hit(t *testing.T) {
 	s := newTestServer(t, nil)
 	m := s.Metrics()
-	lat := m.Latency("/v1/throughput")
+	latCount := func() int64 {
+		// The endpoint histogram's _count series, as /metrics shows it.
+		var b strings.Builder
+		if _, err := m.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		const series = `beyondftd_request_duration_ms_count{endpoint="/v1/throughput"} `
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series); ok {
+				var n int64
+				fmt.Sscan(v, &n)
+				return n
+			}
+		}
+		t.Fatalf("no %s series", series)
+		return 0
+	}
 	first, code, _ := serveBody(t, s, "/v1/throughput", smallThroughputBody)
 	if code != http.StatusOK || first.Source != SourceComputed {
 		t.Fatalf("cold: %d %q", code, first.Source)
@@ -131,7 +147,7 @@ func TestAliasHitCountsLikeAnL1Hit(t *testing.T) {
 	if m.AliasHits.Load() != 0 {
 		t.Fatal("a first-seen body was an alias hit")
 	}
-	reqs, l1, obsN, lru := m.Requests.Load(), m.L1Hits.Load(), lat.Count(), s.engine.L1Stats()
+	reqs, l1, obsN, lru := m.Requests.Load(), m.L1Hits.Load(), latCount(), s.engine.L1Stats()
 	const n = 3
 	for i := 0; i < n; i++ {
 		qr, code, _ := serveBody(t, s, "/v1/throughput", smallThroughputBody)
@@ -148,7 +164,7 @@ func TestAliasHitCountsLikeAnL1Hit(t *testing.T) {
 	if d := m.L1Hits.Load() - l1; d != n {
 		t.Errorf("L1 hits moved by %d, want %d", d, n)
 	}
-	if d := lat.Count() - obsN; d != n {
+	if d := latCount() - obsN; d != n {
 		t.Errorf("latency observations moved by %d, want %d", d, n)
 	}
 	after := s.engine.L1Stats()

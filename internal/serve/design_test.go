@@ -19,7 +19,6 @@ func TestServeDesignKind(t *testing.T) {
 	if err := topology.RegisterDesign(d); err != nil {
 		t.Fatal(err)
 	}
-	defer topology.UnregisterDesign(d.Name)
 
 	s, err := New(testConfig(t, t.TempDir()))
 	if err != nil {

@@ -115,9 +115,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// Metrics returns the engine's metrics set (shared with the server).
-func (e *Engine) Metrics() *Metrics { return e.metrics }
-
 // L1Stats exposes the memory tier's occupancy for /healthz.
 func (e *Engine) L1Stats() harness.LRUStats { return e.l1.Stats() }
 

@@ -87,16 +87,6 @@ type LoopStats struct {
 	WallTime      time.Duration `json:"wall_time_ns"`
 }
 
-// SimPerWall reports how many simulated nanoseconds the engine covered per
-// wall-clock nanosecond spent in the run loop (higher is faster); 0 before
-// any Run call.
-func (s LoopStats) SimPerWall() float64 {
-	if s.WallTime <= 0 {
-		return 0
-	}
-	return float64(s.SimTime) / float64(s.WallTime)
-}
-
 // Stats returns a snapshot of the engine's loop statistics. The high water
 // is tracked in push with a single integer compare, so the per-event cost
 // of keeping these numbers is negligible.
@@ -252,17 +242,12 @@ func (e *Engine) SchedulePacket(at Time, pfn func(any), arg any) uint64 {
 	return e.seq
 }
 
-// ScheduleExact re-inserts a generic event under a previously recorded
+// SchedulePacketExact re-inserts a packet event under a previously recorded
 // sequence number. It exists for checkpoint restore only: re-arming the
 // pending events of a snapshot with their original (time, seq) keys makes
 // the restored run's event order — including exact-time ties — bit-identical
 // to the uninterrupted one. The caller owns seq uniqueness; SeqClock/SetClock
 // restore the counter itself.
-func (e *Engine) ScheduleExact(at Time, seq uint64, fn func()) {
-	e.push(at, seq, callClosure, fn)
-}
-
-// SchedulePacketExact is ScheduleExact for packet events.
 func (e *Engine) SchedulePacketExact(at Time, seq uint64, pfn func(any), arg any) {
 	e.push(at, seq, pfn, arg)
 }
@@ -272,7 +257,7 @@ func (e *Engine) SchedulePacketExact(at Time, seq uint64, pfn func(any), arg any
 func (e *Engine) SeqClock() uint64 { return e.seq }
 
 // SetClock force-sets the simulated time and sequence counter. Checkpoint
-// restore only: it must run before any ScheduleExact calls so clamping and
+// restore only: it must run before any SchedulePacketExact calls so clamping and
 // fresh sequence numbers line up with the snapshotted run.
 func (e *Engine) SetClock(now Time, seq uint64) {
 	e.now = now

@@ -137,17 +137,12 @@ func (e *frozenEngine) SchedulePacket(at Time, pfn func(any), arg any) uint64 {
 	return e.seq
 }
 
-// ScheduleExact re-inserts a generic event under a previously recorded
+// SchedulePacketExact re-inserts a packet event under a previously recorded
 // sequence number. It exists for checkpoint restore only: re-arming the
 // pending events of a snapshot with their original (time, seq) keys makes
 // the restored run's event order — including exact-time ties — bit-identical
 // to the uninterrupted one. The caller owns seq uniqueness; SeqClock/SetClock
 // restore the counter itself.
-func (e *frozenEngine) ScheduleExact(at Time, seq uint64, fn func()) {
-	e.push(frozenEvent{at: at, seq: seq, fn: fn})
-}
-
-// SchedulePacketExact is ScheduleExact for packet events.
 func (e *frozenEngine) SchedulePacketExact(at Time, seq uint64, pfn func(any), arg any) {
 	e.push(frozenEvent{at: at, seq: seq, pfn: pfn, arg: arg})
 }
@@ -157,7 +152,7 @@ func (e *frozenEngine) SchedulePacketExact(at Time, seq uint64, pfn func(any), a
 func (e *frozenEngine) SeqClock() uint64 { return e.seq }
 
 // SetClock force-sets the simulated time and sequence counter. Checkpoint
-// restore only: it must run before any ScheduleExact calls so clamping and
+// restore only: it must run before any SchedulePacketExact calls so clamping and
 // fresh sequence numbers line up with the snapshotted run.
 func (e *frozenEngine) SetClock(now Time, seq uint64) {
 	e.now = now

@@ -86,7 +86,6 @@ type scriptEngine interface {
 	Processed() uint64
 	Schedule(at Time, fn func()) uint64
 	SchedulePacket(at Time, pfn func(any), arg any) uint64
-	ScheduleExact(at Time, seq uint64, fn func())
 	SchedulePacketExact(at Time, seq uint64, pfn func(any), arg any)
 	SeqClock() uint64
 	SetClock(now Time, seq uint64)
@@ -104,7 +103,7 @@ type scriptEngine interface {
 //
 //	op%8 0,1  Schedule / SchedulePacket at Now+arg%32, possibly in the past
 //	          after a Run (both clamp); the handler's children come from arg
-//	     2,3  ScheduleExact / SchedulePacketExact: reserve arg%3+1 sequence
+//	     2,3  SchedulePacketExact: reserve arg%3+1 sequence
 //	          numbers with SetClock and insert them in reverse order at one
 //	          unclamped time, which may lie before Now
 //	     4    Run(Now + arg%16): a cut point, often mid-tie
@@ -162,11 +161,7 @@ func runEngineScript(eng scriptEngine, data []byte) []string {
 				seq := new(uint64)
 				*seq = s
 				h := handlerFor(seq, arg, 1)
-				if op == 2 {
-					eng.ScheduleExact(at, s, h)
-				} else {
-					eng.SchedulePacketExact(at, s, func(any) { h() }, nil)
-				}
+				eng.SchedulePacketExact(at, s, func(any) { h() }, nil)
 			}
 		case 4:
 			ran("run", eng.Run(eng.Now()+Time(arg%16)))

@@ -34,9 +34,6 @@ func (r *RNG) Uint64() uint64 {
 	return x ^ (x >> 31)
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n); it panics when n <= 0. The
 // modulo bias is below 2^-32 for every n the simulators use (switch,
 // server and path-choice counts), far under any simulated effect.

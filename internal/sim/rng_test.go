@@ -101,8 +101,8 @@ func TestScheduleExactPreservesTieOrder(t *testing.T) {
 
 	e2 := NewEngine()
 	e2.SetClock(0, e1.SeqClock())
-	e2.ScheduleExact(10, sb, func() { order = append(order, "b") })
-	e2.ScheduleExact(10, sa, func() { order = append(order, "a") })
+	e2.SchedulePacketExact(10, sb, func(any) { order = append(order, "b") }, nil)
+	e2.SchedulePacketExact(10, sa, func(any) { order = append(order, "a") }, nil)
 	e2.RunAll()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("tie order after restore = %v, want [a b]", order)

@@ -26,7 +26,6 @@ type Slab[T any] struct {
 	free      []int32 // LIFO free list of recycled slots
 	next      int32   // lowest never-allocated slot
 	live      []uint64
-	inUse     int
 }
 
 // New returns a slab with the given block size (rounded up to at least 64).
@@ -58,7 +57,6 @@ func (s *Slab[T]) Alloc() (int32, *T) {
 		s.live = append(s.live, 0)
 	}
 	s.live[w] |= 1 << b
-	s.inUse++
 	return idx, s.At(idx)
 }
 
@@ -70,7 +68,6 @@ func (s *Slab[T]) Free(idx int32) {
 		panic("slab: free of non-live slot")
 	}
 	s.live[w] &^= 1 << b
-	s.inUse--
 	s.free = append(s.free, idx)
 }
 
@@ -89,16 +86,10 @@ func (s *Slab[T]) Live(idx int32) bool {
 	return s.live[int(idx)/64]&(1<<(uint(idx)%64)) != 0
 }
 
-// InUse returns the number of live objects.
-func (s *Slab[T]) InUse() int { return s.inUse }
-
 // HighWater returns the peak slot count ever allocated — the quantity that
 // bounds the slab's heap footprint regardless of how many objects have
 // passed through it.
 func (s *Slab[T]) HighWater() int { return int(s.next) }
-
-// FreeCount returns the number of recycled slots awaiting reuse.
-func (s *Slab[T]) FreeCount() int { return len(s.free) }
 
 // Range calls f for every live slot in ascending index order, stopping if f
 // returns false. Iteration order is deterministic.
@@ -148,5 +139,4 @@ func (s *Slab[T]) Restore(free []int32, next int32) {
 		}
 		s.live[w] &^= 1 << b
 	}
-	s.inUse = int(next) - len(free)
 }

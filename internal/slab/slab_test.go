@@ -25,8 +25,8 @@ func TestAllocFreeRecyclesLIFO(t *testing.T) {
 	if cap(pc.buf) < 3 {
 		t.Fatalf("recycled slot lost its buffer capacity")
 	}
-	if s.InUse() != 2 || s.HighWater() != 2 {
-		t.Fatalf("inUse=%d highWater=%d, want 2,2", s.InUse(), s.HighWater())
+	if inUse(s) != 2 || s.HighWater() != 2 {
+		t.Fatalf("inUse=%d highWater=%d, want 2,2", inUse(s), s.HighWater())
 	}
 }
 
@@ -122,8 +122,8 @@ func TestFreeListRestoreRoundTrip(t *testing.T) {
 
 	r := New[obj](64)
 	r.Restore(free, next)
-	if r.InUse() != s.InUse() || r.HighWater() != s.HighWater() {
-		t.Fatalf("restored inUse=%d hw=%d, want %d,%d", r.InUse(), r.HighWater(), s.InUse(), s.HighWater())
+	if inUse(r) != inUse(s) || r.HighWater() != s.HighWater() {
+		t.Fatalf("restored inUse=%d hw=%d, want %d,%d", inUse(r), r.HighWater(), inUse(s), s.HighWater())
 	}
 	if r.Live(idxs[10]) || r.Live(idxs[42]) || !r.Live(idxs[0]) {
 		t.Fatal("restored liveness wrong")
@@ -137,3 +137,7 @@ func TestFreeListRestoreRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// inUse is the number of live objects: slots ever allocated less the free
+// list.
+func inUse[T any](s *Slab[T]) int { return int(s.next) - len(s.free) }

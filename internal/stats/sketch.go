@@ -76,9 +76,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// Alpha returns the declared relative accuracy.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // bucketOf maps a positive value to its bucket index ⌈log_γ x⌉.
 func (s *Sketch) bucketOf(x float64) int32 {
 	return int32(math.Ceil(math.Log(x) * s.invLogG))
@@ -333,8 +330,8 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Moments is a streaming accumulator of count/mean/variance/extremes
-// (Welford's algorithm), mergeable via the parallel-combination rule. It is
+// Moments is a streaming accumulator of count, sum, mean and extremes
+// (Welford's algorithm; its second moment rides along in checkpoints). It is
 // the retained-[]float64 replacement for every mean the simulators report.
 type Moments struct {
 	N    uint64  `json:"n"`
@@ -365,66 +362,12 @@ func (m *Moments) Add(x float64) {
 	}
 }
 
-// Merge folds o into m (Chan et al. pairwise combination).
-func (m *Moments) Merge(o *Moments) {
-	if o == nil || o.N == 0 {
-		return
-	}
-	if m.N == 0 {
-		*m = *o
-		return
-	}
-	n1, n2 := float64(m.N), float64(o.N)
-	d := o.mean - m.mean
-	tot := n1 + n2
-	m.m2 += o.m2 + d*d*n1*n2/tot
-	m.mean += d * n2 / tot
-	m.N += o.N
-	m.Sum += o.Sum
-	if o.MinV < m.MinV {
-		m.MinV = o.MinV
-	}
-	if o.MaxV > m.MaxV {
-		m.MaxV = o.MaxV
-	}
-}
-
-// Count returns the number of values recorded.
-func (m *Moments) Count() uint64 { return m.N }
-
 // Mean returns the running mean, or NaN when empty.
 func (m *Moments) Mean() float64 {
 	if m.N == 0 {
 		return math.NaN()
 	}
 	return m.mean
-}
-
-// Variance returns the population variance, or NaN for fewer than one value.
-func (m *Moments) Variance() float64 {
-	if m.N == 0 {
-		return math.NaN()
-	}
-	return m.m2 / float64(m.N)
-}
-
-// Std returns the population standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest recorded value, or NaN when empty.
-func (m *Moments) Min() float64 {
-	if m.N == 0 {
-		return math.NaN()
-	}
-	return m.MinV
-}
-
-// Max returns the largest recorded value, or NaN when empty.
-func (m *Moments) Max() float64 {
-	if m.N == 0 {
-		return math.NaN()
-	}
-	return m.MaxV
 }
 
 // momentsJSON carries the unexported running terms through JSON.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -32,21 +34,20 @@ func paretoSample(n int, seed uint64) []float64 {
 // error of the exact sample quantile.
 func checkRankError(t *testing.T, name string, xs []float64, sk *Sketch) {
 	t.Helper()
-	sorted := NewSorted(xs)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
 	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
 	got := sk.Quantiles(qs)
 	for i, q := range qs {
-		exact := sorted.Percentile(q * 100)
+		exact := Percentile(xs, q*100)
 		est := got[i]
 		// The sketch answers the nearest-rank quantile; compare against the
 		// tightest enclosing order statistics rather than the interpolated
 		// percentile to keep the bound honest at distribution jumps.
 		loRank := int(math.Floor(q * float64(len(xs)-1)))
 		hiRank := int(math.Ceil(q * float64(len(xs)-1)))
-		loV := sorted.Percentile(float64(loRank) / float64(len(xs)-1) * 100)
-		hiV := sorted.Percentile(float64(hiRank) / float64(len(xs)-1) * 100)
-		lo := loV * (1 - sk.Alpha())
-		hi := hiV * (1 + sk.Alpha())
+		lo := sorted[loRank] * (1 - sk.alpha)
+		hi := sorted[hiRank] * (1 + sk.alpha)
 		if est < lo || est > hi {
 			t.Errorf("%s q=%v: estimate %v outside [%v, %v] (exact %v)", name, q, est, lo, hi, exact)
 		}
@@ -82,15 +83,15 @@ func TestSketchRankErrorBounds(t *testing.T) {
 		if sk.Count() != uint64(len(tc.xs)) {
 			t.Errorf("%s: count %d, want %d", tc.name, sk.Count(), len(tc.xs))
 		}
-		if got, want := sk.Min(), Min(tc.xs); got != want {
+		if got, want := sk.Min(), slices.Min(tc.xs); got != want {
 			t.Errorf("%s: min %v, want %v", tc.name, got, want)
 		}
-		if got, want := sk.Max(), Max(tc.xs); got != want {
+		if got, want := sk.Max(), slices.Max(tc.xs); got != want {
 			t.Errorf("%s: max %v, want %v", tc.name, got, want)
 		}
 		// Mean is bucket-derived (order-independent), so it carries the same
 		// alpha relative error as the quantiles.
-		if got, want := sk.Mean(), Mean(tc.xs); math.Abs(got-want) > sk.Alpha()*math.Abs(want) {
+		if got, want := sk.Mean(), Mean(tc.xs); math.Abs(got-want) > sk.alpha*math.Abs(want) {
 			t.Errorf("%s: mean %v outside alpha of %v", tc.name, got, want)
 		}
 	}
@@ -205,8 +206,8 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Count() != sk.Count() || back.Alpha() != sk.Alpha() {
-		t.Fatalf("round trip lost count/alpha: %d/%v vs %d/%v", back.Count(), back.Alpha(), sk.Count(), sk.Alpha())
+	if back.Count() != sk.Count() || back.alpha != sk.alpha {
+		t.Fatalf("round trip lost count/alpha: %d/%v vs %d/%v", back.Count(), back.alpha, sk.Count(), sk.alpha)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.99} {
 		if a, b := sk.Quantile(q), back.Quantile(q); a != b {
@@ -286,8 +287,8 @@ func TestMomentsMatchesExactAndMerges(t *testing.T) {
 	if math.Abs(m.Mean()-wantMean) > 1e-9*math.Abs(wantMean) {
 		t.Fatalf("mean %v, want %v", m.Mean(), wantMean)
 	}
-	if m.Min() != Min(xs) || m.Max() != Max(xs) {
-		t.Fatalf("extremes %v/%v, want %v/%v", m.Min(), m.Max(), Min(xs), Max(xs))
+	if m.MinV != slices.Min(xs) || m.MaxV != slices.Max(xs) {
+		t.Fatalf("extremes %v/%v, want %v/%v", m.MinV, m.MaxV, slices.Min(xs), slices.Max(xs))
 	}
 	var ss float64
 	for _, x := range xs {
@@ -295,30 +296,8 @@ func TestMomentsMatchesExactAndMerges(t *testing.T) {
 		ss += d * d
 	}
 	wantVar := ss / float64(len(xs))
-	if math.Abs(m.Variance()-wantVar) > 1e-6*wantVar {
-		t.Fatalf("variance %v, want %v", m.Variance(), wantVar)
-	}
-
-	// Sharded merge agrees with the single accumulator.
-	parts := make([]*Moments, 4)
-	for i := range parts {
-		parts[i] = NewMoments()
-	}
-	for i, x := range xs {
-		parts[i%4].Add(x)
-	}
-	merged := NewMoments()
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != m.Count() {
-		t.Fatalf("merged count %d, want %d", merged.Count(), m.Count())
-	}
-	if math.Abs(merged.Mean()-m.Mean()) > 1e-9*math.Abs(m.Mean()) {
-		t.Fatalf("merged mean %v, want %v", merged.Mean(), m.Mean())
-	}
-	if math.Abs(merged.Variance()-m.Variance()) > 1e-6*m.Variance() {
-		t.Fatalf("merged variance %v, want %v", merged.Variance(), m.Variance())
+	if v := m.m2 / float64(m.N); math.Abs(v-wantVar) > 1e-6*wantVar {
+		t.Fatalf("variance %v, want %v", v, wantVar)
 	}
 
 	// JSON round trip preserves the running terms.
@@ -332,53 +311,14 @@ func TestMomentsMatchesExactAndMerges(t *testing.T) {
 	}
 	back.Add(5)
 	m.Add(5)
-	if back.Mean() != m.Mean() || back.Variance() != m.Variance() {
+	if back.Mean() != m.Mean() || back.m2 != m.m2 {
 		t.Fatal("moments diverged after JSON round trip")
 	}
 }
 
 func TestMomentsEmpty(t *testing.T) {
 	m := NewMoments()
-	if !math.IsNaN(m.Mean()) || !math.IsNaN(m.Variance()) || !math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) {
+	if !math.IsNaN(m.Mean()) {
 		t.Fatal("empty moments should answer NaN")
-	}
-	o := NewMoments()
-	o.Add(2)
-	m.Merge(o)
-	if m.Count() != 1 || m.Mean() != 2 {
-		t.Fatalf("merge into empty gave count=%d mean=%v", m.Count(), m.Mean())
-	}
-}
-
-func TestSortedWrapperMatchesFreeFunctions(t *testing.T) {
-	xs := paretoSample(2_000, 8)
-	s := NewSorted(xs)
-	for _, p := range []float64{0, 1, 25, 50, 75, 99, 100} {
-		if a, b := s.Percentile(p), Percentile(xs, p); a != b {
-			t.Fatalf("p%v: Sorted %v vs free %v", p, a, b)
-		}
-	}
-	a, b := s.CDF(), CDF(xs)
-	if len(a) != len(b) {
-		t.Fatalf("CDF lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("CDF point %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if s.Min() != Min(xs) || s.Max() != Max(xs) || s.Len() != len(xs) {
-		t.Fatal("Sorted extremes/len disagree with free functions")
-	}
-	// SortInPlace returns the same answers without copying.
-	own := append([]float64(nil), xs...)
-	ip := SortInPlace(own)
-	if ip.Percentile(50) != s.Percentile(50) {
-		t.Fatal("SortInPlace median differs")
-	}
-	// Empty behaves.
-	e := NewSorted(nil)
-	if !math.IsNaN(e.Percentile(50)) || e.CDF() != nil || !math.IsNaN(e.Min()) || !math.IsNaN(e.Max()) {
-		t.Fatal("empty Sorted should answer NaN/nil")
 	}
 }

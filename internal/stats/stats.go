@@ -1,8 +1,11 @@
 // Package stats provides the summary statistics the paper reports: means,
-// percentiles and empirical CDFs.
+// percentiles, fixed-bin histograms and streaming FCT sketches.
 package stats
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Mean returns the arithmetic mean, or NaN for empty input.
 func Mean(xs []float64) float64 {
@@ -17,60 +20,28 @@ func Mean(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between order statistics; NaN for empty input. It copies
-// and sorts xs on every call — callers querying several percentiles of one
-// sample should build a Sorted once instead.
+// interpolation between order statistics; NaN for empty input. It sorts a
+// copy of xs; the input is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	return NewSorted(xs).Percentile(p)
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64 // P(value <= X)
-}
-
-// CDF returns the empirical CDF of xs at each distinct value. Like
-// Percentile, it sorts per call; use Sorted for repeated queries.
-func CDF(xs []float64) []CDFPoint {
-	return NewSorted(xs).CDF()
-}
-
-// Min and Max return extrema (NaN for empty input).
-func Min(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
 	}
-	return m
-}
-
-// Max returns the maximum of xs, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
+	if p >= 100 {
+		return s[len(s)-1]
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
 	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // Hist is a fixed-bin histogram of values over a closed range: bin i counts

@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -59,7 +59,7 @@ func TestPercentileOrderedProperty(t *testing.T) {
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 7 {
 			v := Percentile(xs, p)
-			if v < prev-1e-9 || v < Min(xs)-1e-9 || v > Max(xs)+1e-9 {
+			if v < prev-1e-9 || v < slices.Min(xs)-1e-9 || v > slices.Max(xs)+1e-9 {
 				return false
 			}
 			prev = v
@@ -68,54 +68,5 @@ func TestPercentileOrderedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2, 2})
-	if len(pts) != 3 {
-		t.Fatalf("distinct points = %d, want 3", len(pts))
-	}
-	if pts[0].X != 1 || math.Abs(pts[0].P-0.25) > 1e-12 {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	if pts[1].X != 2 || math.Abs(pts[1].P-0.75) > 1e-12 {
-		t.Fatalf("second point = %+v", pts[1])
-	}
-	if pts[2].P != 1 {
-		t.Fatalf("last point P = %v, want 1", pts[2].P)
-	}
-	if CDF(nil) != nil {
-		t.Fatalf("CDF of empty should be nil")
-	}
-}
-
-func TestCDFIsMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(rng.Intn(20))
-	}
-	pts := CDF(xs)
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].X < pts[j].X }) {
-		t.Fatalf("CDF x values not sorted")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P <= pts[i-1].P {
-			t.Fatalf("CDF not strictly increasing at %d", i)
-		}
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 11 {
-		t.Fatalf("min/max/sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatalf("extrema of empty should be NaN")
-	}
-	if Sum(nil) != 0 {
-		t.Fatalf("sum of empty should be 0")
 	}
 }

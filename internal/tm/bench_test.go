@@ -30,7 +30,7 @@ func BenchmarkLongestMatching(b *testing.B) {
 		defer graph.SetParallelism(0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if m := LongestMatching(g, racks, Uniform(4)); len(m.Demands) == 0 {
+			if m := LongestMatching(g, racks, func(int) int { return 4 }); len(m.Demands) == 0 {
 				b.Fatal("empty TM")
 			}
 		}

@@ -1,7 +1,6 @@
 // Package tm builds the rack-level traffic matrices used by the fluid-flow
 // throughput engine (§2, §5): permutation TMs, the longest-matching TMs of
-// Jyothi et al. used as near-worst-case inputs, all-to-all, many-to-one,
-// one-to-many and the fat-tree pod-to-pod TM of Observation 1.
+// Jyothi et al. used as near-worst-case inputs, and all-to-all.
 //
 // Demands are expressed in units of server line rate: a rack hosting s
 // servers that sends all its traffic to one peer rack has demand s. The
@@ -13,7 +12,6 @@ package tm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"beyondft/internal/graph"
 )
@@ -28,30 +26,6 @@ type Demand struct {
 type TM struct {
 	Name    string
 	Demands []Demand
-}
-
-// ActiveRacks returns the sorted set of racks appearing in the TM.
-func (m *TM) ActiveRacks() []int {
-	set := map[int]bool{}
-	for _, d := range m.Demands {
-		set[d.Src] = true
-		set[d.Dst] = true
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// TotalDemand returns the sum of all demand amounts.
-func (m *TM) TotalDemand() float64 {
-	total := 0.0
-	for _, d := range m.Demands {
-		total += d.Amount
-	}
-	return total
 }
 
 // ValidateHose checks the hose-model constraint at scale t=1: the total
@@ -83,11 +57,6 @@ func (m *TM) ValidateHose(serversOf func(rack int) int) error {
 	return nil
 }
 
-// Uniform returns a serversOf function for homogeneous racks.
-func Uniform(serversPerRack int) func(int) int {
-	return func(int) int { return serversPerRack }
-}
-
 // RandomPermutation builds a random rack-level permutation TM over the given
 // racks: racks are paired up and each pair exchanges demand equal to the
 // smaller rack's server count in both directions. len(racks) must be even.
@@ -104,36 +73,6 @@ func RandomPermutation(racks []int, serversOf func(int) int, rng *rand.Rand) *TM
 		m.Demands = append(m.Demands,
 			Demand{Src: a, Dst: b, Amount: amt},
 			Demand{Src: b, Dst: a, Amount: amt})
-	}
-	return m
-}
-
-// RandomDerangement builds a random server-style permutation at rack level:
-// every rack sends to exactly one distinct rack and receives from exactly
-// one, with no fixed points (a directed cycle cover), which is the TM family
-// of Theorem 2.1 at rack granularity.
-func RandomDerangement(racks []int, serversOf func(int) int, rng *rand.Rand) *TM {
-	n := len(racks)
-	if n < 2 {
-		panic("tm: derangement needs >= 2 racks")
-	}
-	perm := rng.Perm(n)
-	// Fix fixed points by swapping with a neighbor.
-	for i := 0; i < n; i++ {
-		if perm[i] == i {
-			j := (i + 1) % n
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	m := &TM{Name: fmt.Sprintf("derangement-%d", n)}
-	for i := 0; i < n; i++ {
-		if perm[i] == i {
-			continue // can remain only for n==1
-		}
-		amt := float64(minInt(serversOf(racks[i]), serversOf(racks[perm[i]])))
-		m.Demands = append(m.Demands, Demand{
-			Src: racks[i], Dst: racks[perm[i]], Amount: amt,
-		})
 	}
 	return m
 }
@@ -208,54 +147,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ManyToOne builds a TM where every source rack sends to a single sink rack,
-// respecting the sink's hose constraint: each of the k sources sends
-// serversPerRack/k units.
-func ManyToOne(sources []int, sink int, serversPerRack int) *TM {
-	if len(sources) == 0 {
-		panic("tm: many-to-one needs sources")
-	}
-	per := float64(serversPerRack) / float64(len(sources))
-	m := &TM{Name: fmt.Sprintf("many-to-one-%d", len(sources))}
-	for _, s := range sources {
-		if s == sink {
-			panic("tm: source equals sink")
-		}
-		m.Demands = append(m.Demands, Demand{Src: s, Dst: sink, Amount: per})
-	}
-	return m
-}
-
-// OneToMany is the mirror image of ManyToOne.
-func OneToMany(source int, sinks []int, serversPerRack int) *TM {
-	if len(sinks) == 0 {
-		panic("tm: one-to-many needs sinks")
-	}
-	per := float64(serversPerRack) / float64(len(sinks))
-	m := &TM{Name: fmt.Sprintf("one-to-many-%d", len(sinks))}
-	for _, s := range sinks {
-		if s == source {
-			panic("tm: sink equals source")
-		}
-		m.Demands = append(m.Demands, Demand{Src: source, Dst: s, Amount: per})
-	}
-	return m
-}
-
-// PodToPod builds the Observation-1 TM: every rack in srcRacks sends all its
-// demand to a distinct rack in dstRacks (index-aligned), modelling one pod's
-// servers each talking to a unique server in another pod.
-func PodToPod(srcRacks, dstRacks []int, serversPerRack int) *TM {
-	if len(srcRacks) != len(dstRacks) {
-		panic("tm: pod-to-pod needs equal-size rack sets")
-	}
-	m := &TM{Name: "pod-to-pod"}
-	for i := range srcRacks {
-		m.Demands = append(m.Demands, Demand{
-			Src: srcRacks[i], Dst: dstRacks[i], Amount: float64(serversPerRack),
-		})
-	}
-	return m
 }

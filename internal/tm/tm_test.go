@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"beyondft/internal/graph"
 )
@@ -22,11 +21,11 @@ func ringGraph(n int) *graph.Graph {
 func TestRandomPermutationStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	racks := []int{2, 4, 6, 8, 10, 12}
-	m := RandomPermutation(racks, Uniform(5), rng)
+	m := RandomPermutation(racks, func(int) int { return 5 }, rng)
 	if len(m.Demands) != 6 {
 		t.Fatalf("demands = %d, want 6 (3 pairs x 2 directions)", len(m.Demands))
 	}
-	if err := m.ValidateHose(Uniform(5)); err != nil {
+	if err := m.ValidateHose(func(int) int { return 5 }); err != nil {
 		t.Fatal(err)
 	}
 	// Every rack appears exactly once as source and once as destination.
@@ -50,40 +49,7 @@ func TestRandomPermutationOddPanics(t *testing.T) {
 			t.Fatalf("odd rack count should panic")
 		}
 	}()
-	RandomPermutation([]int{1, 2, 3}, Uniform(1), rand.New(rand.NewSource(1)))
-}
-
-func TestRandomDerangementNoFixedPoints(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		racks := make([]int, n)
-		for i := range racks {
-			racks[i] = i * 3
-		}
-		m := RandomDerangement(racks, Uniform(2), rng)
-		if len(m.Demands) != n {
-			return false
-		}
-		outDeg := map[int]int{}
-		inDeg := map[int]int{}
-		for _, d := range m.Demands {
-			if d.Src == d.Dst {
-				return false
-			}
-			outDeg[d.Src]++
-			inDeg[d.Dst]++
-		}
-		for _, r := range racks {
-			if outDeg[r] != 1 || inDeg[r] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+	RandomPermutation([]int{1, 2, 3}, func(int) int { return 1 }, rand.New(rand.NewSource(1)))
 }
 
 func TestLongestMatchingPrefersDistantRacks(t *testing.T) {
@@ -91,13 +57,13 @@ func TestLongestMatchingPrefersDistantRacks(t *testing.T) {
 	// total distance should beat a poor (adjacent) matching by a wide margin.
 	g := ringGraph(12)
 	racks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	m := LongestMatching(g, racks, Uniform(1))
+	m := LongestMatching(g, racks, func(int) int { return 1 })
 	if len(m.Demands) != 12 {
 		t.Fatalf("demands = %d, want 12", len(m.Demands))
 	}
 	total := 0
 	for _, d := range m.Demands {
-		total += g.BFS(d.Src)[d.Dst]
+		total += graph.ViewBFS(g.Frozen(), d.Src)[d.Dst]
 	}
 	// Optimal pairing on a 12-ring matches antipodal nodes: distance 6 each,
 	// 12 directed demands -> 72. Adjacent pairing would give 12.
@@ -108,8 +74,8 @@ func TestLongestMatchingPrefersDistantRacks(t *testing.T) {
 
 func TestAllToAllHoseTight(t *testing.T) {
 	racks := []int{0, 1, 2, 3}
-	m := AllToAll(racks, Uniform(6))
-	if err := m.ValidateHose(Uniform(6)); err != nil {
+	m := AllToAll(racks, func(int) int { return 6 })
+	if err := m.ValidateHose(func(int) int { return 6 }); err != nil {
 		t.Fatal(err)
 	}
 	// Each rack's total outgoing demand is exactly its server count.
@@ -124,60 +90,18 @@ func TestAllToAllHoseTight(t *testing.T) {
 	}
 }
 
-func TestManyToOneOneToMany(t *testing.T) {
-	m := ManyToOne([]int{1, 2, 3}, 0, 6)
-	if err := m.ValidateHose(Uniform(6)); err != nil {
-		t.Fatal(err)
-	}
-	in := 0.0
-	for _, d := range m.Demands {
-		in += d.Amount
-	}
-	if math.Abs(in-6) > 1e-9 {
-		t.Fatalf("sink receives %v, want 6 (hose-limited)", in)
-	}
-	o := OneToMany(0, []int{1, 2, 3}, 6)
-	if err := o.ValidateHose(Uniform(6)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPodToPod(t *testing.T) {
-	m := PodToPod([]int{0, 1}, []int{2, 3}, 4)
-	if len(m.Demands) != 2 {
-		t.Fatalf("demands = %d, want 2", len(m.Demands))
-	}
-	if m.Demands[0].Dst != 2 || m.Demands[1].Dst != 3 {
-		t.Fatalf("index alignment broken: %+v", m.Demands)
-	}
-}
-
 func TestValidateHoseCatchesViolations(t *testing.T) {
 	m := &TM{Name: "bad", Demands: []Demand{{Src: 0, Dst: 1, Amount: 10}}}
-	if err := m.ValidateHose(Uniform(5)); err == nil {
+	if err := m.ValidateHose(func(int) int { return 5 }); err == nil {
 		t.Fatalf("overloaded source not caught")
 	}
 	m2 := &TM{Name: "self", Demands: []Demand{{Src: 0, Dst: 0, Amount: 1}}}
-	if err := m2.ValidateHose(Uniform(5)); err == nil {
+	if err := m2.ValidateHose(func(int) int { return 5 }); err == nil {
 		t.Fatalf("self demand not caught")
 	}
 	m3 := &TM{Name: "neg", Demands: []Demand{{Src: 0, Dst: 1, Amount: -1}}}
-	if err := m3.ValidateHose(Uniform(5)); err == nil {
+	if err := m3.ValidateHose(func(int) int { return 5 }); err == nil {
 		t.Fatalf("negative demand not caught")
-	}
-}
-
-func TestActiveRacksAndTotalDemand(t *testing.T) {
-	m := &TM{Demands: []Demand{
-		{Src: 5, Dst: 2, Amount: 1.5},
-		{Src: 2, Dst: 9, Amount: 2.5},
-	}}
-	ar := m.ActiveRacks()
-	if len(ar) != 3 || ar[0] != 2 || ar[1] != 5 || ar[2] != 9 {
-		t.Fatalf("active racks = %v", ar)
-	}
-	if m.TotalDemand() != 4 {
-		t.Fatalf("total demand = %v, want 4", m.TotalDemand())
 	}
 }
 
@@ -218,7 +142,7 @@ func TestLongestMatchingDeterministicAcrossWorkers(t *testing.T) {
 		var want string
 		for _, w := range []int{1, 2, runtime.NumCPU()} {
 			graph.SetParallelism(w)
-			m := LongestMatching(g, racks, Uniform(4))
+			m := LongestMatching(g, racks, func(int) int { return 4 })
 			got := fmt.Sprintf("%v", m)
 			if want == "" {
 				want = got

@@ -245,13 +245,6 @@ func RegisterDesign(d *Design) error {
 	return nil
 }
 
-// UnregisterDesign removes a named design (used by tests and reloads).
-func UnregisterDesign(name string) {
-	designRegistry.Lock()
-	defer designRegistry.Unlock()
-	delete(designRegistry.byName, name)
-}
-
 // LookupDesign returns the registered design with the given name.
 func LookupDesign(name string) (*Design, bool) {
 	designRegistry.RLock()

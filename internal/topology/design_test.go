@@ -76,7 +76,7 @@ func TestDesignValidateRejectsBadInputs(t *testing.T) {
 func TestDesignRegistry(t *testing.T) {
 	d := DesignOf(NewJellyfish(10, 3, 2, rand.New(rand.NewSource(5))))
 	d.Name = "test-registry-design"
-	defer UnregisterDesign(d.Name)
+	defer unregisterDesign(d.Name)
 
 	if err := RegisterDesign(d); err != nil {
 		t.Fatalf("register: %v", err)
@@ -112,7 +112,7 @@ func TestDesignFileAndDirLoading(t *testing.T) {
 	dir := t.TempDir()
 	d := DesignOf(NewJellyfish(12, 4, 2, rand.New(rand.NewSource(9))))
 	d.Name = "test-dir-design"
-	defer UnregisterDesign(d.Name)
+	defer unregisterDesign(d.Name)
 
 	path := filepath.Join(dir, d.Name+".json")
 	if err := d.WriteFile(path); err != nil {
@@ -165,4 +165,11 @@ func TestHashOfMatchesDesignHash(t *testing.T) {
 			t.Errorf("%s: HashOf %s, DesignOf().Hash() %s", c.Name, got, want)
 		}
 	}
+}
+
+// unregisterDesign removes a design a test registered.
+func unregisterDesign(name string) {
+	designRegistry.Lock()
+	defer designRegistry.Unlock()
+	delete(designRegistry.byName, name)
 }

@@ -71,6 +71,3 @@ func NewDragonFly(a, h, p int) *DragonFly {
 
 // Groups returns the number of groups.
 func (d *DragonFly) Groups() int { return d.A*d.H + 1 }
-
-// GroupOf returns the group index of a router.
-func (d *DragonFly) GroupOf(router int) int { return router / d.A }

@@ -94,33 +94,6 @@ func (ft *FatTree) OversubscriptionRatio() float64 {
 	return float64(ft.CorePerColumn) / float64(ft.K/2)
 }
 
-// Pod returns the pod index of a switch, or -1 for core switches.
-func (ft *FatTree) Pod(sw int) int {
-	if sw < ft.NumCore {
-		return -1
-	}
-	return (sw - ft.NumCore) / ft.K
-}
-
-// IsEdge reports whether sw is an edge (ToR) switch.
-func (ft *FatTree) IsEdge(sw int) bool {
-	if sw < ft.NumCore {
-		return false
-	}
-	return (sw-ft.NumCore)%ft.K >= ft.K/2
-}
-
-// EdgeSwitches returns all edge (ToR) switches in ascending order.
-func (ft *FatTree) EdgeSwitches() []int {
-	var out []int
-	for p := 0; p < ft.K; p++ {
-		for e := 0; e < ft.K/2; e++ {
-			out = append(out, ft.EdgeBase[p]+e)
-		}
-	}
-	return out
-}
-
 // CostFraction returns the ratio of this fat-tree's port count (network +
 // server) to that of the full-bandwidth fat-tree with the same k.
 func (ft *FatTree) CostFraction() float64 {

@@ -79,9 +79,6 @@ func NewSlimFly(q, serversPerSwitch int) *SlimFly {
 	}
 }
 
-// NetworkDegree returns the SlimFly network degree (3q−1)/2.
-func (s *SlimFly) NetworkDegree() int { return (3*s.Q - 1) / 2 }
-
 // SlimFlyQ reports whether q is a valid SlimFly parameter: a prime ≡ 1
 // (mod 4). Callers taking q from outside check it before NewSlimFly panics.
 func SlimFlyQ(q int) bool { return isPrime(q) && q%4 == 1 }

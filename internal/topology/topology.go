@@ -96,16 +96,6 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// ServerID maps (switch, local index) pairs to global server IDs laid out
-// switch by switch; FirstServer gives the first global ID on a switch.
-func (t *Topology) FirstServer(sw int) int {
-	id := 0
-	for i := 0; i < sw; i++ {
-		id += t.Servers[i]
-	}
-	return id
-}
-
 // ServerSwitch returns, for every global server ID, the switch it attaches to.
 func (t *Topology) ServerSwitch() []int {
 	out := make([]int, 0, t.TotalServers())

@@ -67,33 +67,3 @@ func randomMatchingPermutation(lift int, rng *rand.Rand, a, b int) []int {
 	perm := rng.Perm(lift)
 	return perm
 }
-
-// MetaNode returns the meta-node index of a switch.
-func (x *Xpander) MetaNode(sw int) int { return sw / x.Lift }
-
-// NewXpanderForBudget builds an Xpander from a budget of numSwitches
-// switches with switchPorts ports each, targeting totalServers servers. It
-// picks the server count per switch s = ceil(totalServers/numSwitches),
-// network degree d = switchPorts - s, and shrinks the switch count to the
-// largest multiple of d+1 that fits the budget. Returns the topology and
-// the actually supported server count (>= totalServers when feasible).
-//
-// This mirrors the paper's equal-cost configurations, e.g. §6.4's Xpander
-// at 33% lower cost than a k=16 fat-tree: 216 switches × 16 ports,
-// 5 servers/switch, degree 11 → 12 meta-nodes × 18 lift, 1080 servers.
-func NewXpanderForBudget(numSwitches, switchPorts, totalServers int, rng *rand.Rand) *Xpander {
-	if numSwitches < 2 || switchPorts < 3 || totalServers < 1 {
-		panic("xpander: invalid budget")
-	}
-	s := (totalServers + numSwitches - 1) / numSwitches
-	d := switchPorts - s
-	if d < 2 {
-		panic(fmt.Sprintf("xpander: budget leaves degree %d < 2", d))
-	}
-	meta := d + 1
-	lift := numSwitches / meta
-	if lift < 1 {
-		panic(fmt.Sprintf("xpander: %d switches cannot form %d meta-nodes", numSwitches, meta))
-	}
-	return NewXpander(d, lift, s, rng)
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -482,8 +483,15 @@ func TestWhatifStreamingAndMetrics(t *testing.T) {
 	if m.Promotions.Load() != int64(rep.Promoted) {
 		t.Fatalf("promotion counter %d, report says %d", m.Promotions.Load(), rep.Promoted)
 	}
-	if m.RungCoarse.Count() == 0 || m.RungFine.Count() == 0 {
-		t.Fatal("rung latency histograms empty")
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, rung := range []string{"coarse", "fine"} {
+		series := `beyondftd_whatif_rung_ms_count{rung="` + rung + `"} `
+		if !strings.Contains(b.String(), series) || strings.Contains(b.String(), series+"0\n") {
+			t.Fatalf("%s rung latency histogram empty", rung)
+		}
 	}
 }
 

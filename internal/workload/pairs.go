@@ -209,30 +209,6 @@ func (s *Skew) Sample(rng Rand) (int, int) {
 	}
 }
 
-// HotFraction returns the fraction of pair-probability mass on hot-hot
-// rack pairs, used to validate the "77% of bytes between 4% of rack pairs"
-// summary statistic.
-func (s *Skew) HotFraction() float64 {
-	// Mass of pairs (i,j), i≠j, both hot, over all i≠j mass.
-	total := 0.0
-	hotMass := 0.0
-	nHot := int(s.theta*float64(len(s.racks)) + 0.5)
-	hotW := s.phi / float64(nHot)
-	for i, wi := range s.weight {
-		for j, wj := range s.weight {
-			if i == j {
-				continue
-			}
-			m := wi * wj
-			total += m
-			if wi == hotW && wj == hotW {
-				hotMass += m
-			}
-		}
-	}
-	return hotMass / total
-}
-
 // TwoRacks is the Fig. 7(b) corner case: nPerRack servers on each of two
 // racks exchange traffic with the other rack's servers.
 type TwoRacks struct {

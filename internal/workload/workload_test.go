@@ -189,21 +189,34 @@ func TestSkewHotFraction(t *testing.T) {
 	s := NewSkew(topo, 0.04, 0.77, rng)
 	// The ProjecToR summary statistic: ~77% of mass between hot pairs is not
 	// exactly preserved at rack granularity because hot-cold pairs exist,
-	// but hot racks must dominate: the hot-hot fraction should far exceed
-	// the uniform baseline.
-	hf := s.HotFraction()
+	// but hot racks must dominate: the sampled hot-hot fraction should far
+	// exceed the uniform baseline.
 	nHot := 2 // round(0.04*54)
-	uniform := float64(nHot*(nHot-1)) / float64(54*53)
-	if hf < 20*uniform {
-		t.Fatalf("hot-hot mass %.4f not concentrated (uniform %.6f)", hf, uniform)
+	hot := map[int]bool{}
+	for i, w := range s.weight {
+		if w == 0.77/float64(nHot) {
+			hot[s.racks[i]] = true
+		}
 	}
+	if len(hot) != nHot {
+		t.Fatalf("%d hot racks, want %d", len(hot), nHot)
+	}
+	uniform := float64(nHot*(nHot-1)) / float64(54*53)
 	// Empirically, flows should hit hot racks much more often than cold.
 	rackOf := func(server int) int { return server / 3 }
 	counts := map[int]int{}
-	for i := 0; i < 20000; i++ {
+	hotHot := 0
+	const samples = 20000
+	for i := 0; i < samples; i++ {
 		a, b := s.Sample(rng)
 		counts[rackOf(a)]++
 		counts[rackOf(b)]++
+		if hot[rackOf(a)] && hot[rackOf(b)] {
+			hotHot++
+		}
+	}
+	if hf := float64(hotHot) / samples; hf < 20*uniform {
+		t.Fatalf("hot-hot mass %.4f not concentrated (uniform %.6f)", hf, uniform)
 	}
 	max, sum := 0, 0
 	for _, c := range counts {
