@@ -160,23 +160,24 @@ bench:
 
 # Paired end-to-end runs, the procedure behind every claimed number
 # (benchmark/README.md "Citing a number"; choosing-metrics §8):
-#   make pairs WORKLOAD=cold_query PARENT=HEAD~1 [SEEDS="501 502 ... 510"]
+#   make pairs WORKLOAD="whatif_sweep cold_query" PARENT=HEAD~1 [SEEDS="501 502 ... 510"]
 # builds ./benchmark once from PARENT's committed files and once from this
-# tree (uncommitted edits included), then runs the two binaries alternately
-# on the same seeds — odd rounds parent first, even rounds change first —
-# each with its own -tmp directory, and prints every reading of the five
-# end-to-end metrics and the failed count, each side's median [q1, q3] (the
-# exclusive method benchmark/aa.go uses) and how many pairs the change won.
-# Last, the CPU time the hypervisor stole during the pair loop (the steal
-# column of /proc/stat) as a share of wall time × nproc: a noisy record
-# shows it. PARENT is unpacked with `git archive`, which leaves nothing in
-# .git.
+# tree (uncommitted edits included), then, seed by seed, runs every listed
+# workload on the two binaries alternately — odd rounds parent first, even
+# rounds change first — each side with its own -tmp directory, so a claim
+# and its controls are read in the same hour on the same box. It prints one
+# table per workload: every reading of the five end-to-end metrics and the
+# failed count, each side's median [q1, q3] (the exclusive method
+# benchmark/aa.go uses) and how many pairs the change won. Last, the CPU
+# time the hypervisor stole during the pair loop (the steal column of
+# /proc/stat) as a share of wall time × nproc: a noisy record shows it.
+# PARENT is unpacked with `git archive`, which leaves nothing in .git.
 PAIRS_DIR := .pairs
 WORKLOAD :=
 PARENT :=
 SEEDS := 501 502 503 504 505 506 507 508 509 510
 pairs:
-	@[ -n "$(WORKLOAD)" ] && [ -n "$(PARENT)" ] || { echo 'usage: make pairs WORKLOAD=<name> PARENT=<rev> [SEEDS="501 ... 510"]'; exit 2; }
+	@[ -n "$(WORKLOAD)" ] && [ -n "$(PARENT)" ] || { echo 'usage: make pairs WORKLOAD="<name> ..." PARENT=<rev> [SEEDS="501 ... 510"]'; exit 2; }
 	@rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/parent
 	@git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
 	@cd $(PAIRS_DIR)/parent && go build -o ../bench.parent ./benchmark
@@ -185,33 +186,37 @@ pairs:
 	@round=0; for seed in $(SEEDS); do \
 		round=$$((round + 1)); order="parent change"; \
 		[ $$((round % 2)) = 1 ] || order="change parent"; \
-		for side in $$order; do \
-			$(PAIRS_DIR)/bench.$$side -workload $(WORKLOAD) -seed $$seed -tmp $(PAIRS_DIR)/tmp.$$side 2> $(PAIRS_DIR)/stderr.$$side \
-				| tail -n 1 > $(PAIRS_DIR)/last.$$side; \
-			grep -q '"correct":true' $(PAIRS_DIR)/last.$$side \
-				|| { echo "pairs: $$side failed on seed $$seed"; cat $(PAIRS_DIR)/stderr.$$side $(PAIRS_DIR)/last.$$side; exit 1; }; \
-			grep -o '"[a-z_]*":{"value":[^,]*\|"failed":[0-9]*' $(PAIRS_DIR)/last.$$side \
-				| sed 's/[":{}]/ /g; s/ value / /' | while read -r metric value; do echo "$$seed $$side $$metric $$value"; done; \
+		for wl in $(WORKLOAD); do \
+			for side in $$order; do \
+				$(PAIRS_DIR)/bench.$$side -workload $$wl -seed $$seed -tmp $(PAIRS_DIR)/tmp.$$side 2> $(PAIRS_DIR)/stderr.$$side \
+					| tail -n 1 > $(PAIRS_DIR)/last.$$side; \
+				grep -q '"correct":true' $(PAIRS_DIR)/last.$$side \
+					|| { echo "pairs: $$side failed $$wl on seed $$seed"; cat $(PAIRS_DIR)/stderr.$$side $(PAIRS_DIR)/last.$$side; exit 1; } >&2; \
+				grep -o '"[a-z_]*":{"value":[^,]*\|"failed":[0-9]*' $(PAIRS_DIR)/last.$$side \
+					| sed 's/[":{}]/ /g; s/ value / /' | while read -r metric value; do echo "$$wl $$seed $$side $$metric $$value"; done; \
+			done; \
 		done; \
 	done > $(PAIRS_DIR)/readings
-	@awk -v title='$(WORKLOAD): $(PARENT) (parent) vs this tree (change)' ' \
-		{ if (!($$1 in seeds)) { seeds[$$1]; seedv[++ns] = $$1 } \
-		  if (!($$3 in mets)) { mets[$$3]; metv[++nm] = $$3 } \
-		  val[$$1, $$2, $$3] = $$4 } \
-		function quart(side, m,   i, j, n, t, k, d) { \
-			n = ns; for (i = 1; i <= n; i++) s[i] = val[seedv[i], side, m] + 0; \
+	@awk -v parent='$(PARENT)' ' \
+		{ if (!($$1 in wls)) { wls[$$1]; wlv[++nw] = $$1 } \
+		  if (!($$2 in seeds)) { seeds[$$2]; seedv[++ns] = $$2 } \
+		  if (!(($$1, $$4) in mets)) { mets[$$1, $$4]; metv[$$1, ++nm[$$1]] = $$4 } \
+		  val[$$1, $$2, $$3, $$4] = $$5 } \
+		function quart(w, side, m,   i, j, n, t, k, d) { \
+			n = ns; for (i = 1; i <= n; i++) s[i] = val[w, seedv[i], side, m] + 0; \
 			for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t } \
 			if (n < 2) return sprintf("%.5g", s[1]); \
 			for (k = 1; k <= 3; k++) { j = int(k * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1; \
 				d = k * (n + 1) - j * 4; q[k] = (s[j] * (4 - d) + s[j + 1] * d) / 4 } \
 			return sprintf("%.5g [%.5g, %.5g]", q[2], q[1], q[3]) } \
-		END { print title; \
-			for (a = 1; a <= nm; a++) { m = metv[a]; up = 0; down = 0; line = ""; \
-				for (b = 1; b <= ns; b++) { p = val[seedv[b], "parent", m] + 0; c = val[seedv[b], "change", m] + 0; \
+		END { for (x = 1; x <= nw; x++) { w = wlv[x]; if (x > 1) print ""; \
+			print w ": " parent " (parent) vs this tree (change)"; \
+			for (a = 1; a <= nm[w]; a++) { m = metv[w, a]; up = 0; down = 0; line = ""; \
+				for (b = 1; b <= ns; b++) { p = val[w, seedv[b], "parent", m] + 0; c = val[w, seedv[b], "change", m] + 0; \
 					if (c > p) up++; else if (c < p) down++; \
 					line = line sprintf("%s%.5g→%.5g", b > 1 ? ", " : "", p, c) } \
 				printf "%s, seeds %s–%s, parent→change: %s\n", m, seedv[1], seedv[ns], line; \
-				printf "  median [q1, q3]: parent %s, change %s; change higher in %d, lower in %d of %d pairs\n", quart("parent", m), quart("change", m), up, down, ns } }' \
+				printf "  median [q1, q3]: parent %s, change %s; change higher in %d, lower in %d of %d pairs\n", quart(w, "parent", m), quart(w, "change", m), up, down, ns } } }' \
 		$(PAIRS_DIR)/readings
 	@{ cat $(PAIRS_DIR)/steal.start; date +%s.%N; awk '$$1 == "cpu" { print $$9 }' /proc/stat; } \
 		| awk -v hz=$$(getconf CLK_TCK) -v cpus=$$(nproc) '{ v[NR] = $$1 } END { \

@@ -117,7 +117,14 @@ func (w *Workspace) LongestMatching(g *graph.Graph, racks []int, serversOf func(
 // ProblemOf is the package function on the workspace's arrays; solves of the
 // problem run on them too.
 func (w *Workspace) ProblemOf(g *graph.Graph, m *tm.TM) Problem {
-	return Problem{NW: w.fluid.Network(g.Frozen(), 1.0), Comms: w.fluid.Commodities(m), ws: &w.fluid}
+	return w.ProblemOn(g.Frozen(), w.fluid.Commodities(m))
+}
+
+// ProblemOn is the cold instance of any view — a frozen graph or a what-if
+// overlay — under comms at unit link capacity, its arc network in the
+// workspace's arrays; solves of the problem run on them too.
+func (w *Workspace) ProblemOn(v graph.View, comms []fluid.Commodity) Problem {
+	return Problem{NW: w.fluid.Network(v, 1.0), Comms: comms, ws: &w.fluid}
 }
 
 // Rung is the outcome of one GK solve at one ε. Its JSON form is the cached

@@ -54,18 +54,17 @@ type Checkpoint struct {
 	// as-is preserves pop order bit-for-bit.
 	Pending []arrivalState `json:"pending"`
 	Sketch  *stats.Sketch  `json:"sketch"`
-	Moments *stats.Moments `json:"moments"`
-
-	LoopEvents    uint64 `json:"loop_events"`
-	AllocRounds   uint64 `json:"alloc_rounds"`
-	HeapHighWater int    `json:"heap_high_water"`
 
 	// Driver is opaque caller state (e.g. the arrival generator's position)
 	// carried alongside the simulator's own.
 	Driver json.RawMessage `json:"driver,omitempty"`
 }
 
-// checkpointVersion guards the snapshot schema.
+// checkpointVersion guards the snapshot schema. Version 1 checkpoints
+// written before the FCT moments and the event-loop counters were dropped
+// still carry them ("moments", "loop_events", "alloc_rounds",
+// "heap_high_water"); decoding ignores those fields, and nothing the run
+// computes read them, so such a checkpoint resumes to the same bytes.
 const checkpointVersion = 1
 
 // Checkpoint snapshots the simulation between Run calls. It requires
@@ -77,22 +76,18 @@ func (n *Network) Checkpoint(driver json.RawMessage) (*Checkpoint, error) {
 	}
 	free, next := n.flowSlab.FreeList()
 	cp := &Checkpoint{
-		Version:       checkpointVersion,
-		Cfg:           n.Cfg,
-		Now:           n.now,
-		RNG:           *n.rng,
-		ArrSeq:        n.arrSeq,
-		Started:       n.started,
-		Finished:      n.finished,
-		Dirty:         n.dirty,
-		SlabFree:      free,
-		SlabNext:      next,
-		Sketch:        n.fctSketch,
-		Moments:       n.fctMoments,
-		LoopEvents:    n.loopEvents,
-		AllocRounds:   n.allocRounds,
-		HeapHighWater: n.heapHighWater,
-		Driver:        driver,
+		Version:  checkpointVersion,
+		Cfg:      n.Cfg,
+		Now:      n.now,
+		RNG:      *n.rng,
+		ArrSeq:   n.arrSeq,
+		Started:  n.started,
+		Finished: n.finished,
+		Dirty:    n.dirty,
+		SlabFree: free,
+		SlabNext: next,
+		Sketch:   n.fctSketch,
+		Driver:   driver,
 	}
 	n.flowSlab.Range(func(slot int32, f *Flow) bool {
 		cp.Flows = append(cp.Flows, flowState{
@@ -140,14 +135,8 @@ func (n *Network) Restore(cp *Checkpoint) error {
 	n.started = cp.Started
 	n.finished = cp.Finished
 	n.dirty = cp.Dirty
-	n.loopEvents = cp.LoopEvents
-	n.allocRounds = cp.AllocRounds
-	n.heapHighWater = cp.HeapHighWater
 	if cp.Sketch != nil {
 		n.fctSketch = cp.Sketch
-	}
-	if cp.Moments != nil {
-		n.fctMoments = cp.Moments
 	}
 	n.flowSlab.Restore(cp.SlabFree, cp.SlabNext)
 	byID := append([]flowState(nil), cp.Flows...)

@@ -164,14 +164,7 @@ type Network struct {
 	phaseShare float64
 	phaseLink  int32
 
-	fctSketch  *stats.Sketch
-	fctMoments *stats.Moments
-
-	// Event-loop statistics, carried through checkpoints: event instants
-	// processed, max-min reallocation rounds and the arrival-heap high water.
-	loopEvents    uint64
-	allocRounds   uint64
-	heapHighWater int
+	fctSketch *stats.Sketch
 }
 
 type arrival struct {
@@ -237,12 +230,11 @@ func (h *arrivalHeap) pop() arrival {
 // NewNetwork builds the flow-level model of a topology.
 func NewNetwork(t *topology.Topology, cfg Config) *Network {
 	n := &Network{
-		Cfg:        cfg,
-		Topo:       t,
-		rng:        sim.NewRNG(cfg.Seed),
-		flowSlab:   slab.New[Flow](1024),
-		fctSketch:  stats.NewSketch(cfg.SketchAlpha),
-		fctMoments: stats.NewMoments(),
+		Cfg:       cfg,
+		Topo:      t,
+		rng:       sim.NewRNG(cfg.Seed),
+		flowSlab:  slab.New[Flow](1024),
+		fctSketch: stats.NewSketch(cfg.SketchAlpha),
 	}
 	for _, sw := range t.ServerSwitch() {
 		n.serverTor = append(n.serverTor, int32(sw))
@@ -395,9 +387,6 @@ func (n *Network) ScheduleFlow(at sim.Time, src, dst int, size int64) {
 	}
 	n.arrSeq++
 	n.pending.push(arrival{at: at, seq: n.arrSeq, src: int32(src), dst: int32(dst), size: size})
-	if len(n.pending) > n.heapHighWater {
-		n.heapHighWater = len(n.pending)
-	}
 }
 
 func (n *Network) startFlow(a arrival) {
@@ -587,7 +576,6 @@ func (n *Network) allocate() {
 	copy(n.capScratch, n.capacity)
 	n.runPhase(phaseAllocReset)
 	unfrozen := n.ActiveFlows()
-	n.allocRounds++
 	for unfrozen > 0 {
 		n.runPhase(phaseLinkScan)
 		best := int32(-1)
@@ -653,7 +641,6 @@ func (n *Network) Run(until sim.Time) {
 		if !eventDue {
 			return // horizon reached
 		}
-		n.loopEvents++
 		// Complete every flow that has finished by this instant, in ID order.
 		n.runPhase(phaseCollectComplete)
 		n.completedBuf = n.completedBuf[:0]
@@ -674,7 +661,6 @@ func (n *Network) Run(until sim.Time) {
 				n.finished++
 				fct := float64(f.FCT())
 				n.fctSketch.Add(fct)
-				n.fctMoments.Add(fct)
 				if n.Cfg.DiscardCompleted {
 					n.flowSlab.Free(slot)
 				}

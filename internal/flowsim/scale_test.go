@@ -111,6 +111,34 @@ func TestShardedFlowRecordsMatchSerial(t *testing.T) {
 // shard count) and requires the continuation to match the uninterrupted
 // run byte for byte.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
+	checkResume(t, func(cp []byte) []byte { return cp })
+}
+
+// TestCheckpointWithDroppedFieldsResumes: a version-1 checkpoint written
+// while the network still kept FCT moments and event-loop counters carries
+// them as four more fields; it decodes, and resumes to the same bytes.
+func TestCheckpointWithDroppedFieldsResumes(t *testing.T) {
+	checkResume(t, func(cp []byte) []byte {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(cp, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["moments"] = json.RawMessage(`{"n":150,"sum":121851825,"min":2100,"max":9100000,"mean":812345.5,"m2":1.5e12}`)
+		fields["loop_events"] = json.RawMessage(`431`)
+		fields["alloc_rounds"] = json.RawMessage(`298`)
+		fields["heap_high_water"] = json.RawMessage(`1`)
+		old, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return old
+	})
+}
+
+// checkResume is TestCheckpointResumeByteIdentical with edit applied to the
+// checkpoint's JSON before it is restored.
+func checkResume(t *testing.T, edit func(cp []byte) []byte) {
+	t.Helper()
 	topo := topology.NewFatTree(4)
 	const flows = 300
 	mkCfg := func(shards int) Config {
@@ -165,7 +193,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cp2 Checkpoint
-	if err := json.Unmarshal(cpBytes, &cp2); err != nil {
+	if err := json.Unmarshal(edit(cpBytes), &cp2); err != nil {
 		t.Fatal(err)
 	}
 

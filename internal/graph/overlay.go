@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // View is the read-only CSR-shaped interface the flat-array kernels and the
@@ -41,62 +42,71 @@ type Delta struct {
 // rows the delta does not touch alias the base arrays, touched rows are
 // re-merged once at construction. It implements View, so path kernels and
 // the fluid solver's arc layout consume it exactly like a rebuilt CSR —
-// NewOverlay guarantees the two are indistinguishable (FuzzDeltaOverlay
-// holds it to that).
+// Reset guarantees the two are indistinguishable (FuzzDeltaOverlay holds it
+// to that).
 //
-// Like the CSR it wraps, an Overlay is immutable and safe for concurrent
-// readers; it stays valid only as long as the base view does (mutating the
-// owning Graph invalidates both).
+// Like the CSR it wraps, an Overlay is immutable between Resets and safe for
+// concurrent readers; it stays valid only as long as the base view does
+// (mutating the owning Graph invalidates both). The zero Overlay is ready
+// for Reset.
 type Overlay struct {
 	base *CSR
 	n    int
-	// patched[u], for touched base rows u, holds the re-merged row;
-	// untouched rows fall through to base. Appended nodes (u >= base.n)
-	// always have a patched row (possibly empty).
-	patched map[int]patchedRow
+	// rows lists the patched nodes, ascending: every base row the delta
+	// touches and every appended node (whose row may be empty). Row k's
+	// neighbors are nbr[start[k]:start[k+1]], their multiplicities in the
+	// same slots of mult; rows not listed fall through to base.
+	rows, start, nbr, mult []int32
+	// The build's own lists, kept for the next Reset: the edge edits in
+	// (u, v) order, both directions of every edge, and the masked nodes,
+	// ascending and distinct.
+	edits   []overlayEdit
+	deleted []int32
 }
 
-type patchedRow struct {
-	neighbor []int32
-	mult     []int32
+// overlayEdit is multiplicity removed from (del) and added to (add) the
+// edge slot (u, v). Deletions apply first, clamped at the base
+// multiplicity, then additions — the same outcome as replaying every
+// RemoveEdge and then every AddEdge on a mutable Graph.
+type overlayEdit struct {
+	u, v     int32
+	del, add int
 }
 
-// NewOverlay applies a delta to a frozen view. It validates endpoints
-// (range, self-loops) and returns an error rather than panicking: deltas
-// arrive from HTTP requests and fuzzers, not just trusted generators.
+// NewOverlay applies a delta to a frozen view: Reset on a fresh Overlay.
 func NewOverlay(base *CSR, d Delta) (*Overlay, error) {
+	o := new(Overlay)
+	if err := o.Reset(base, d); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// Reset makes o the overlay of d over base, in o's own arrays: a caller
+// that applies delta after delta to one Overlay (a what-if worker) allocates
+// only while they grow. Rows o handed out before are invalid after it. It
+// validates endpoints (range, self-loops) and returns an error rather than
+// panicking — deltas arrive from HTTP requests and fuzzers, not just trusted
+// generators — and o is then unusable until the next Reset succeeds.
+func (o *Overlay) Reset(base *CSR, d Delta) error {
+	o.base, o.n = nil, 0
+	o.rows, o.start, o.nbr, o.mult = o.rows[:0], o.start[:0], o.nbr[:0], o.mult[:0]
+	o.edits, o.deleted = o.edits[:0], o.deleted[:0]
 	if base == nil {
-		return nil, fmt.Errorf("graph: overlay over nil view")
+		return fmt.Errorf("graph: overlay over nil view")
 	}
 	if d.AddNodes < 0 {
-		return nil, fmt.Errorf("graph: overlay AddNodes=%d negative", d.AddNodes)
+		return fmt.Errorf("graph: overlay AddNodes=%d negative", d.AddNodes)
 	}
 	n := base.n + d.AddNodes
-	o := &Overlay{base: base, n: n, patched: map[int]patchedRow{}}
-
-	// edits[u][v] accumulates the multiplicity removed from and added to
-	// (u,v) separately: deletions apply first (clamped at the base
-	// multiplicity), then additions — the same outcome as replaying all
-	// RemoveEdge calls then all AddEdge calls on a mutable Graph.
-	edits := map[int]map[int]overlayEdit{}
-	edit := func(u, v, del, add int) {
-		row, ok := edits[u]
-		if !ok {
-			row = map[int]overlayEdit{}
-			edits[u] = row
-		}
-		p := row[v]
-		p.del += del
-		p.add += add
-		row[v] = p
-	}
-	deleted := map[int]bool{}
 	for _, u := range d.DelNodes {
 		if u < 0 || u >= n {
-			return nil, fmt.Errorf("graph: overlay deletes node %d out of range [0,%d)", u, n)
+			return fmt.Errorf("graph: overlay deletes node %d out of range [0,%d)", u, n)
 		}
-		deleted[u] = true
+		o.deleted = append(o.deleted, int32(u))
 	}
+	slices.Sort(o.deleted)
+	o.deleted = slices.Compact(o.deleted)
 	checkEdge := func(e Edge, what string) error {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return fmt.Errorf("graph: overlay %s edge (%d,%d) out of range [0,%d)", what, e.U, e.V, n)
@@ -108,91 +118,102 @@ func NewOverlay(base *CSR, d Delta) (*Overlay, error) {
 	}
 	for _, e := range d.DelEdges {
 		if err := checkEdge(e, "deletes"); err != nil {
-			return nil, err
+			return err
 		}
-		m := e.Mult
-		if m <= 0 {
-			m = 1
-		}
-		edit(e.U, e.V, m, 0)
-		edit(e.V, e.U, m, 0)
+		m := max(e.Mult, 1)
+		o.edits = append(o.edits, overlayEdit{u: int32(e.U), v: int32(e.V), del: m},
+			overlayEdit{u: int32(e.V), v: int32(e.U), del: m})
 	}
 	for _, e := range d.AddEdges {
 		if err := checkEdge(e, "adds"); err != nil {
-			return nil, err
+			return err
 		}
-		if deleted[e.U] || deleted[e.V] {
-			return nil, fmt.Errorf("graph: overlay adds edge (%d,%d) incident to a deleted node", e.U, e.V)
+		if o.isDeleted(int32(e.U)) || o.isDeleted(int32(e.V)) {
+			return fmt.Errorf("graph: overlay adds edge (%d,%d) incident to a deleted node", e.U, e.V)
 		}
-		m := e.Mult
-		if m <= 0 {
-			m = 1
-		}
-		edit(e.U, e.V, 0, m)
-		edit(e.V, e.U, 0, m)
+		m := max(e.Mult, 1)
+		o.edits = append(o.edits, overlayEdit{u: int32(e.U), v: int32(e.V), add: m},
+			overlayEdit{u: int32(e.V), v: int32(e.U), add: m})
 	}
-	// A deleted node's neighbors lose their edges to it, so their rows are
-	// touched too.
-	for u := range deleted {
-		if u < base.n {
-			nbr, _ := base.Row(u)
-			for _, v := range nbr {
-				if _, ok := edits[int(v)]; !ok {
-					edits[int(v)] = map[int]overlayEdit{}
-				}
-			}
-		}
-		edits[u] = map[int]overlayEdit{} // force an (empty) patched row
-	}
+	slices.SortFunc(o.edits, func(a, b overlayEdit) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
 
-	// Appended nodes always get a patched row, even if no edge wires them.
+	// The patched rows: every edited row; every deleted node's, and its
+	// neighbors', which lose their edges to it; every appended node's, even
+	// if no edge wires it.
+	for _, e := range o.edits {
+		o.rows = append(o.rows, e.u)
+	}
+	for _, u := range o.deleted {
+		o.rows = append(o.rows, u)
+		if int(u) < base.n {
+			nbr, _ := base.Row(int(u))
+			o.rows = append(o.rows, nbr...)
+		}
+	}
 	for u := base.n; u < n; u++ {
-		if _, ok := edits[u]; !ok {
-			edits[u] = map[int]overlayEdit{}
-		}
+		o.rows = append(o.rows, int32(u))
 	}
+	slices.Sort(o.rows)
+	o.rows = slices.Compact(o.rows)
 
-	for u, rowEdits := range edits {
-		o.patched[u] = mergeRow(base, u, rowEdits, deleted)
+	o.start = append(o.start, 0)
+	edits := o.edits
+	for _, u := range o.rows {
+		k := 0
+		for k < len(edits) && edits[k].u == u {
+			k++
+		}
+		o.mergeRow(base, u, edits[:k])
+		edits = edits[k:]
+		o.start = append(o.start, int32(len(o.nbr)))
 	}
-	return o, nil
+	o.base, o.n = base, n
+	return nil
 }
 
-// overlayEdit is the multiplicity removed from and added to one edge slot.
-type overlayEdit struct{ del, add int }
+// mergeRow appends node u's patched row to o.nbr/o.mult: the base row (none
+// for appended or deleted nodes) merged with u's edits, which are ascending
+// by v, neighbors to deleted nodes dropped.
+func (o *Overlay) mergeRow(base *CSR, u int32, edits []overlayEdit) {
+	if o.isDeleted(u) {
+		return
+	}
+	var bn, bm []int32
+	if int(u) < base.n {
+		bn, bm = base.Row(int(u))
+	}
+	for len(bn) > 0 || len(edits) > 0 {
+		var v int32
+		m := 0
+		if len(edits) == 0 || len(bn) > 0 && bn[0] < edits[0].v {
+			v, m = bn[0], int(bm[0])
+			bn, bm = bn[1:], bm[1:]
+		} else {
+			v = edits[0].v
+			if len(bn) > 0 && bn[0] == v {
+				m = int(bm[0])
+				bn, bm = bn[1:], bm[1:]
+			}
+			del, add := 0, 0
+			for len(edits) > 0 && edits[0].v == v {
+				del, add = del+edits[0].del, add+edits[0].add
+				edits = edits[1:]
+			}
+			m = max(m-del, 0) + add
+		}
+		if m > 0 && !o.isDeleted(v) {
+			o.nbr = append(o.nbr, v)
+			o.mult = append(o.mult, int32(m))
+		}
+	}
+}
 
-// mergeRow builds node u's patched row: the base row (empty for appended or
-// deleted nodes) with deletions applied first (clamped at the existing
-// multiplicity, matching repeated Graph.RemoveEdge calls), then additions,
-// neighbors to deleted nodes dropped, ascending order restored.
-func mergeRow(base *CSR, u int, rowEdits map[int]overlayEdit, deleted map[int]bool) patchedRow {
-	merged := map[int]int{}
-	if u < base.n && !deleted[u] {
-		nbr, mult := base.Row(u)
-		for k, v := range nbr {
-			merged[int(v)] = int(mult[k])
-		}
-	}
-	for v, e := range rowEdits {
-		m := merged[v] - e.del
-		if m < 0 {
-			m = 0
-		}
-		merged[v] = m + e.add
-	}
-	var pr patchedRow
-	keys := make([]int, 0, len(merged))
-	for v, m := range merged {
-		if m > 0 && !deleted[v] && !deleted[u] {
-			keys = append(keys, v)
-		}
-	}
-	sort.Ints(keys)
-	for _, v := range keys {
-		pr.neighbor = append(pr.neighbor, int32(v))
-		pr.mult = append(pr.mult, int32(merged[v]))
-	}
-	return pr
+// isDeleted reports whether the delta masks node u.
+func (o *Overlay) isDeleted(u int32) bool {
+	_, ok := slices.BinarySearch(o.deleted, u)
+	return ok
 }
 
 // N returns the overlay's node count (base nodes plus appended ones).
@@ -202,8 +223,9 @@ func (o *Overlay) N() int { return o.n }
 // multiplicities. Untouched rows alias the base view's arrays; either way
 // the slices must not be mutated.
 func (o *Overlay) Row(u int) (neighbors, mults []int32) {
-	if pr, ok := o.patched[u]; ok {
-		return pr.neighbor, pr.mult
+	if k, ok := slices.BinarySearch(o.rows, int32(u)); ok {
+		lo, hi := o.start[k], o.start[k+1]
+		return o.nbr[lo:hi:hi], o.mult[lo:hi:hi]
 	}
 	return o.base.Row(u)
 }
@@ -251,3 +273,41 @@ func ViewBFS(v View, src int) []int {
 	}
 	return dist
 }
+
+// Components labels the connected components of an undirected view — rows
+// symmetric, as a CSR's and an Overlay's are — keeping its arrays from one
+// view to the next.
+type Components struct {
+	label, queue []int32
+}
+
+// Label labels v's components, one BFS per component: afterwards Same
+// answers for v, until the next Label.
+func (c *Components) Label(v View) {
+	n := v.N()
+	c.label = slices.Grow(c.label[:0], n)[:n]
+	for i := range c.label {
+		c.label[i] = -1
+	}
+	queue := slices.Grow(c.queue[:0], n)
+	for s := range int32(n) {
+		if c.label[s] >= 0 {
+			continue
+		}
+		c.label[s] = s
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			nbr, _ := v.Row(int(queue[head]))
+			for _, w := range nbr {
+				if c.label[w] < 0 {
+					c.label[w] = s
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	c.queue = queue
+}
+
+// Same reports whether u and w are in one component of the labelled view.
+func (c *Components) Same(u, w int) bool { return c.label[u] == c.label[w] }

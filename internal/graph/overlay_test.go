@@ -39,8 +39,8 @@ func applyDeltaToGraph(g *Graph, d Delta) *Graph {
 }
 
 // requireViewsEqual asserts the overlay presents exactly the same rows as
-// the oracle's rebuilt Frozen() view.
-func requireViewsEqual(t *testing.T, o *Overlay, want *CSR) {
+// want: the oracle's rebuilt Frozen() view, or another overlay.
+func requireViewsEqual(t *testing.T, o *Overlay, want View) {
 	t.Helper()
 	if o.N() != want.N() {
 		t.Fatalf("overlay N=%d, rebuilt N=%d", o.N(), want.N())
@@ -258,5 +258,29 @@ func FuzzDeltaOverlay(f *testing.F) {
 		if ViewConnected(o) != want.Connected() {
 			t.Fatalf("ViewConnected=%v, rebuilt Connected=%v", ViewConnected(o), want.Connected())
 		}
+
+		// The same delta Reset into one reused Overlay, after a larger
+		// delta, a smaller one and a rejected one: nothing of theirs may
+		// show through.
+		larger := Delta{DelEdges: edges, AddNodes: appended + 2}
+		for u := n; u < n+appended+2; u++ {
+			for v := 0; v < n; v++ {
+				larger.AddEdges = append(larger.AddEdges, Edge{U: u, V: v, Mult: 3})
+			}
+		}
+		smaller := Delta{DelEdges: edges[:1]}
+		rejected := Delta{DelNodes: []int{0}, DelEdges: edges, AddNodes: 1, AddEdges: []Edge{{U: n, V: 1}, {U: 0, V: 1}}}
+		var reused Overlay
+		for _, prior := range []Delta{larger, smaller, rejected} {
+			err := reused.Reset(g.Frozen(), prior)
+			if (err != nil) != (prior.DelNodes != nil) {
+				t.Fatalf("prior delta %+v: Reset error %v", prior, err)
+			}
+		}
+		if err := reused.Reset(g.Frozen(), d); err != nil {
+			t.Fatalf("valid delta rejected by a reused overlay: %v", err)
+		}
+		requireViewsEqual(t, &reused, want)
+		requireViewsEqual(t, &reused, o)
 	})
 }

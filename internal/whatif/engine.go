@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,10 +20,6 @@ import (
 
 // histBins is the fixed bin count of the report histogram over [0,1].
 const histBins = 20
-
-// linkCap is the capacity of one unit of link multiplicity: server line
-// rate, the unit of every throughput in the repo.
-const linkCap = 1.0
 
 // Options tunes an Evaluate sweep.
 type Options struct {
@@ -76,7 +73,6 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	coarseKey, fineKey := ladder.CoarseKey(), ladder.FineKey()
 
 	base := g.Frozen()
-	baseNW := fluid.NewNetworkFromView(base, linkCap)
 	rep := &Report{Results: make([]Result, len(scenarios))}
 	var iterations atomic.Int64
 
@@ -84,7 +80,9 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	// warm-starts from; the reported base result is the ladder's fine solve
 	// of the same network.
 	baseSp := opt.Span.Child("base-solve")
-	baseP := eval.Problem{NW: baseNW, Comms: comms}
+	var baseWS eval.Workspace
+	baseP := baseWS.ProblemOn(base, comms)
+	baseNW := baseP.NW
 	baseCoarse, err := ladder.Coarse(baseP)
 	baseFine := baseCoarse
 	if err == nil && ladder.TwoRungs() {
@@ -136,14 +134,14 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	}
 	var kept []int
 
-	// rung evaluates scenario i at one rung of the ladder: cache probe,
-	// overlay patch, solve, cache store. The coarse rung warm-starts from
-	// the mapped base duals and leaves its result in coarse[i]; the fine rung
-	// hands that to the ladder's refine rule, which re-runs the coarse solve
-	// if its duals are gone (it came from the cache).
+	// rung evaluates scenario i at one rung of the ladder, in a worker's
+	// scratch: cache probe, overlay patch, solve, cache store. The coarse
+	// rung warm-starts from the mapped base duals and leaves its result in
+	// coarse[i]; the fine rung hands that to the ladder's refine rule, which
+	// re-runs the coarse solve if its duals are gone (it came from the cache).
 	coarse := make([]eval.Rung, len(scenarios))
 	errs := make([]error, len(scenarios))
-	rung := func(i int, fine bool) {
+	rung := func(sc *scratch, i int, fine bool) {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return
 		}
@@ -170,18 +168,17 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 			finish(i, r)
 			return
 		}
-		ov, err := graph.NewOverlay(base, s.Delta)
-		if err != nil {
+		if err := sc.ov.Reset(base, s.Delta); err != nil {
 			errs[i] = fmt.Errorf("scenario %s: %w", s.ID, err)
 			return
 		}
 		r = Result{ID: s.ID}
-		if !fine && !reachable(ov, comms) {
+		if !fine && !sc.reachable(comms) {
 			r.Epsilon, r.Disconnected = ladder.CoarseEps, true
 			opt.Metrics.Disconnected.Inc()
 		} else {
-			nw := fluid.NewNetworkFromView(ov, linkCap)
-			p := eval.Problem{NW: nw, Comms: comms, Warm: mapDuals(baseNW, baseCoarse.Duals, nw)}
+			p := sc.ws.ProblemOn(&sc.ov, comms)
+			p.Warm = sc.mapDuals(baseNW, baseCoarse.Duals, p.NW)
 			warm := fine || p.Warm != nil // the fine rung always starts from coarse duals
 			if warm {
 				opt.Metrics.WarmHits.Inc()
@@ -190,6 +187,7 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 			}
 			t0 := time.Now()
 			var res eval.Rung
+			var err error
 			if fine {
 				res, err = ladder.Fine(p, coarse[i])
 			} else {
@@ -238,10 +236,11 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 			mu.Unlock()
 		}
 	}
-	// sweep runs one rung over a set of scenario indices and surfaces
-	// cancellation and the first scenario error.
+	// sweep runs one rung over a set of scenario indices, worker w in
+	// scratches[w], and surfaces cancellation and the first scenario error.
+	scratches := make([]scratch, workers)
 	sweep := func(idx []int, fine bool) error {
-		graph.ParallelFor(workers, len(idx), func(_, k int) { rung(idx[k], fine) })
+		graph.ParallelFor(workers, len(idx), func(w, k int) { rung(&scratches[w], idx[k], fine) })
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return opt.Ctx.Err()
 		}
@@ -301,42 +300,46 @@ func Evaluate(g *graph.Graph, comms []fluid.Commodity, scenarios []Scenario, opt
 	return rep, nil
 }
 
+// scratch is the memory one sweep worker keeps from scenario to scenario for
+// the length of an Evaluate call: the overlay, the component labels of the
+// disconnection check, the arc network and GK arrays, the mapped duals. A
+// sweep then allocates for its first few scenarios only.
+type scratch struct {
+	ov   graph.Overlay
+	comp graph.Components
+	ws   eval.Workspace
+	warm []float64
+}
+
 // reachable reports whether every commodity's endpoints can still reach
-// each other on the perturbed view — BFS per distinct source, the cheap
-// precheck that turns "switch hosting a demand failed" into an explicit
-// Disconnected result instead of a futile solve.
-func reachable(v graph.View, comms []fluid.Commodity) bool {
-	byStr := map[int][]int{}
+// each other on the scratch's overlay — one component labelling of the
+// (undirected) view, the cheap precheck that turns "switch hosting a demand
+// failed" into an explicit Disconnected result instead of a futile solve.
+func (sc *scratch) reachable(comms []fluid.Commodity) bool {
+	sc.comp.Label(&sc.ov)
 	for _, c := range comms {
-		if c.Demand > 0 && c.Src != c.Dst {
-			byStr[c.Src] = append(byStr[c.Src], c.Dst)
-		}
-	}
-	for src, dsts := range byStr {
-		dist := graph.ViewBFS(v, src)
-		for _, d := range dsts {
-			if dist[d] < 0 {
-				return false
-			}
+		if c.Demand > 0 && c.Src != c.Dst && !sc.comp.Same(c.Src, c.Dst) {
+			return false
 		}
 	}
 	return true
 }
 
-// mapDuals carries the base solve's per-arc duals onto a scenario network
-// by (From,To) arc identity: arcs the scenario shares with the base take
-// the base dual, scenario-only arcs (additions) are left 0, which the
-// solver replaces with its cold per-arc value. Returns nil (cold start)
-// when duals is nil.
-func mapDuals(base *fluid.Network, duals []float64, scen *fluid.Network) []float64 {
+// mapDuals carries the base solve's per-arc duals onto a scenario network,
+// in the scratch's buffer, by (From,To) arc identity: arcs the scenario
+// shares with the base take the base dual, scenario-only arcs (additions)
+// are left 0, which the solver replaces with its cold per-arc value. Returns
+// nil (cold start) when duals is nil.
+func (sc *scratch) mapDuals(base *fluid.Network, duals []float64, scen *fluid.Network) []float64 {
 	if duals == nil {
 		return nil
 	}
-	out := make([]float64, len(scen.Arcs))
+	sc.warm = slices.Grow(sc.warm[:0], len(scen.Arcs))[:len(scen.Arcs)]
 	for i, a := range scen.Arcs {
+		sc.warm[i] = 0
 		if j := base.ArcIndex(a.From, a.To); j >= 0 {
-			out[i] = duals[j]
+			sc.warm[i] = duals[j]
 		}
 	}
-	return out
+	return sc.warm
 }

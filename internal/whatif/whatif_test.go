@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"beyondft/internal/harness"
 	"beyondft/internal/obs"
 	"beyondft/internal/stats"
+	"beyondft/internal/tm"
+	"beyondft/internal/topology"
 )
 
 // testFabric is a connected degree-4 ring-with-chords switch graph — small
@@ -452,6 +456,77 @@ func TestWhatifDisconnectedScenarios(t *testing.T) {
 	}
 }
 
+// bfsReachable is the disconnection check by one BFS per commodity source:
+// the oracle for the component labelling.
+func bfsReachable(v graph.View, comms []fluid.Commodity) bool {
+	for _, c := range comms {
+		if c.Demand > 0 && c.Src != c.Dst && graph.ViewBFS(v, c.Src)[c.Dst] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReachableMatchesPerSourceBFS: on random sparse bases and random deltas
+// — edge deletions, masked commodity endpoints, appended nodes wired in as
+// rack-add wires them, commodities at appended nodes — the component-label
+// precheck of a reused scratch gives per-source BFS's verdict.
+func TestReachableMatchesPerSourceBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var sc scratch
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(20)
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			g.AddEdge(v, rng.Intn(v))
+		}
+		for i := rng.Intn(n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		var d graph.Delta
+		edges := g.Edges()
+		for i := rng.Intn(3); i > 0; i-- {
+			e := edges[rng.Intn(len(edges))]
+			d.DelEdges = append(d.DelEdges, graph.Edge{U: e.U, V: e.V, Mult: 1 + rng.Intn(2)})
+		}
+		d.AddNodes = rng.Intn(3)
+		total := n + d.AddNodes
+		var comms []fluid.Commodity
+		for i := 1 + rng.Intn(6); i > 0; i-- {
+			c := fluid.Commodity{Src: rng.Intn(total), Dst: rng.Intn(total), Demand: float64(rng.Intn(3))}
+			comms = append(comms, c)
+			if rng.Intn(4) == 0 {
+				d.DelNodes = append(d.DelNodes, []int{c.Src, c.Dst}[rng.Intn(2)])
+			}
+		}
+		masked := map[int]bool{}
+		for _, u := range d.DelNodes {
+			masked[u] = true
+		}
+		for u := n; u < total; u++ {
+			for i := rng.Intn(4); i > 0; i-- {
+				if v := rng.Intn(total); v != u && !masked[u] && !masked[v] {
+					d.AddEdges = append(d.AddEdges, graph.Edge{U: u, V: v})
+				}
+			}
+		}
+		if err := sc.ov.Reset(g.Frozen(), d); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, want := sc.reachable(comms), bfsReachable(&sc.ov, comms)
+		if got != want {
+			t.Fatalf("trial %d: labels say reachable=%v, per-source BFS %v (delta %+v, comms %v)", trial, got, want, d, comms)
+		}
+		verdicts[got]++
+	}
+	if verdicts[true] < 100 || verdicts[false] < 100 {
+		t.Fatalf("verdicts %v: too few of one kind to compare", verdicts)
+	}
+}
+
 // TestWhatifStreamingAndMetrics: OnResult fires once per scenario plus
 // once per promotion, and the counters add up.
 func TestWhatifStreamingAndMetrics(t *testing.T) {
@@ -519,6 +594,43 @@ func TestWhatifInvalidDelta(t *testing.T) {
 	scens := []Scenario{{ID: "bogus", Delta: graph.Delta{DelNodes: []int{99}}}}
 	if _, err := Evaluate(g, comms, scens, Options{}); err == nil {
 		t.Fatal("invalid delta accepted")
+	}
+}
+
+// TestWhatifSweepAllocations gates what a what-if scenario allocates, on the
+// benchmark's base, Jellyfish(54, 9, 6) under longest matching: each sweep
+// worker patches, checks, lays out and solves scenario after scenario in one
+// scratch, so a single-link sweep allocates a few objects per scenario (the
+// exported coarse duals, the call's fixed costs spread over 243 scenarios)
+// at any worker count. An engine that built each scenario's overlay,
+// reachability arrays, arc network and warm seed afresh allocated about 200.
+func TestWhatifSweepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("three 54-switch sweeps take a minute under the race detector; the other sweeps check concurrency")
+	}
+	top := topology.NewJellyfish(54, 9, 6, rand.New(rand.NewSource(1)))
+	comms := fluid.Commodities(tm.LongestMatching(top.G, top.ToRs(), func(rack int) int { return top.Servers[rack] }))
+	scens, err := Scenarios(top.G, FamilySpec{Kind: "single-link"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(workers int) (mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Evaluate(top.G, comms, scens, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	sweep(2) // the solver's and the worker pool's first-use costs
+	const maxPerScenario = 10
+	for _, workers := range []int{1, 2} {
+		per := float64(sweep(workers)) / float64(len(scens))
+		if per > maxPerScenario {
+			t.Errorf("%d workers: %.1f allocations per scenario, want <= %d", workers, per, maxPerScenario)
+		}
+		t.Logf("%d workers: %.2f allocations per scenario over %d scenarios", workers, per, len(scens))
 	}
 }
 
